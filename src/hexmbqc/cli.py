@@ -2,18 +2,22 @@
 
 Subcommands map onto the library modules: ``lattice`` and ``schedule``
 build the trap-array geometry and its six-round entangling schedule,
-``verify`` rebuilds the scheduled state on the stabilizer simulator and
-checks every cluster stabilizer, ``mbqc`` executes a measurement-pattern
-file, ``ionize`` evaluates rate/ratio/resonance/irradiance queries,
-``electron`` runs the wavepacket, classical, Mathieu and timescale
-calculations, and ``resources`` prints the operation-count arithmetic.
+``verify`` checks a schedule's structure, rebuilds the scheduled state on
+the stabilizer simulator and checks every cluster stabilizer, ``mbqc``
+executes a measurement-pattern file, ``ionize`` evaluates
+rate/ratio/resonance/irradiance queries, ``electron`` runs the wavepacket,
+classical, Mathieu and timescale calculations, and ``resources`` prints the
+operation-count arithmetic.
 
-Every subcommand accepts ``--config FILE`` (JSON, one block per
-subcommand, unknown keys rejected), ``--seed N``, ``--out DIR`` and
-``--dump-config``.  Effective values resolve as defaults < config file <
-explicit flags.  Identical config + seed gives byte-identical artifacts:
-JSON is dumped canonically (sorted keys) and CSV uses fixed formats, with
-no timestamps anywhere.
+``_DEFAULTS`` is the one table behind the CLI: it is the schema of the
+config-file blocks, the source of every flag (``--`` + key with ``_`` ->
+``-``, typed like its default) and the ``--help`` epilog.  Every
+subcommand also accepts ``--config FILE`` (JSON, one block per subcommand,
+unknown keys rejected), ``--seed N``, ``--out DIR`` and ``--dump-config``.
+Effective values resolve as defaults < config file < explicit flags.
+Identical config + seed gives byte-identical artifacts: JSON is dumped
+canonically (sorted keys) and CSV uses fixed formats, with no timestamps
+anywhere.
 
 Exit codes: 0 success; 1 validation/usage error; 2 physics or
 verification failure (e.g. ``verify`` on a corrupted schedule).
@@ -50,41 +54,60 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# defaults (also the schema for config-file blocks)
+# defaults: {command: values} or {command: {mode: values}}
 
 _LATTICE = {"rows": 4, "cols": 4, "d": 1.0, "n": 1, "periodic": False}
 _SCHEDULE = {**_LATTICE, "t_gate": 1e-5, "t_shuttle": 1e-4}
-_VERIFY = {**_SCHEDULE, "schedule_file": None}
-_MBQC = {"pattern_file": None}
-_IONIZE = {
-    "rates": {"irradiance": 1e9, "i_min": 1e8, "i_max": 1e10, "points": 25},
-    "resonances": {"lambda_min": 380.0, "lambda_max": 410.0,
-                   "max_photons": 4, "detuning_cut": 0.03},
-    "quadrupole": {"t_pulse": 2e-9},
-    "raman": {"t_pulse": 1e-9, "detuning_linewidths": 1e4},
-}
-_ELECTRON = {
-    "propagate": {
-        "omega_e": 2.5e9, "omega_rf": 2.0 * math.pi * 25e6, "static_mode": True,
-        "extent_x": 100e-6, "extent_y": 50e-6, "points_x": 512, "points_y": 256,
-        "dt": 1e-13, "absorber_width_frac": 0.10, "absorber_gain": 12.0,
-        "detector_gain": 12.0, "hbar_scale": 64.0,
-        "detectors": [[30e-6, 20e-6], [-30e-6, 20e-6]],
-        "v0": 7e3, "sigma_v": ed.SIGMA_V_DEFAULT, "sigma0": None,
-        "t_final": 3e-9, "sample_interval": 5e-12, "snapshot_times": [],
+_DEFAULTS = {
+    "lattice": _LATTICE,
+    "schedule": _SCHEDULE,
+    "verify": {**_SCHEDULE, "schedule_file": None},
+    "mbqc": {"pattern_file": None},
+    "ionize": {
+        "rates": {"irradiance": 1e9, "i_min": 1e8, "i_max": 1e10, "points": 25},
+        "resonances": {"lambda_min": 380.0, "lambda_max": 410.0,
+                       "max_photons": 4, "detuning_cut": 0.03},
+        "quadrupole": {"t_pulse": 2e-9},
+        "raman": {"t_pulse": 1e-9, "detuning_linewidths": 1e4},
     },
-    "classical": {"omega_e": 2.5e9, "v0": 7e3, "t": 1.5e-9},
-    "mathieu": {"a": 0.0, "q": None, "charge": 1.0, "mass": ed.M_CA40,
-                "v_rf": None, "r0": None, "omega_rf": 2.0 * math.pi * 25e6,
-                "boundary": False},
-    "timescale": {"omega_rf": 2.0 * math.pi * 25e6, "m_ion": ed.M_CA40},
+    "electron": {
+        "propagate": {
+            "omega_e": 2.5e9, "omega_rf": 2.0 * math.pi * 25e6, "static_mode": True,
+            "extent_x": 100e-6, "extent_y": 50e-6, "points_x": 512, "points_y": 256,
+            "dt": 1e-13, "absorber_width_frac": 0.10, "absorber_gain": 12.0,
+            "detector_gain": 12.0, "hbar_scale": 64.0,
+            "detectors": [[30e-6, 20e-6], [-30e-6, 20e-6]],
+            "v0": 7e3, "sigma_v": ed.SIGMA_V_DEFAULT, "sigma0": None,
+            "t_final": 3e-9, "sample_interval": 5e-12, "snapshot_times": [],
+        },
+        "classical": {"omega_e": 2.5e9, "v0": 7e3, "t": 1.5e-9},
+        "mathieu": {"a": 0.0, "q": None, "charge": 1.0, "mass": ed.M_CA40,
+                    "v_rf": None, "r0": None, "omega_rf": 2.0 * math.pi * 25e6,
+                    "boundary": False},
+        "timescale": {"omega_rf": 2.0 * math.pi * 25e6, "m_ion": ed.M_CA40},
+    },
+    "resources": {"bits": 640, "wallclock": "5month", "n_qubits": 10000,
+                  "t_meas": 3e-9, "t_coh": 10.0},
 }
-_RESOURCES = {"bits": 640, "wallclock": "5month", "n_qubits": 10000,
-              "t_meas": 3e-9, "t_coh": 10.0}
+_TOP = {"seed": 0, "out": "."}  # top-level config keys next to the blocks
 
-_MODED = {"ionize": _IONIZE, "electron": _ELECTRON}
-_FLAT = {"lattice": _LATTICE, "schedule": _SCHEDULE, "verify": _VERIFY,
-         "mbqc": _MBQC, "resources": _RESOURCES}
+_HELP = {
+    "lattice": "build the array and layer decomposition",
+    "schedule": "emit the six-round CPHASE schedule",
+    "verify": "check a schedule's structure and stabilizer-verify its output state",
+    "mbqc": "run a measurement-pattern file",
+    "ionize": "ionization rates and laser estimates",
+    "electron": "wavepacket, classical and stability runs",
+    "resources": "operation-count / timing arithmetic",
+}
+
+# the three flags not spelled after their key
+_FLAG_NAMES = {"static_mode": "--static", "schedule_file": "--schedule",
+               "pattern_file": "--pattern"}
+# propagate keys set only from a config file
+_NO_FLAG = {"extent_x", "extent_y", "absorber_width_frac", "absorber_gain",
+            "detector_gain", "detectors", "sigma_v", "sigma0", "sample_interval",
+            "snapshot_times"}
 
 _DURATION_UNITS = {
     "": 1.0, "s": 1.0, "sec": 1.0, "secs": 1.0, "second": 1.0, "seconds": 1.0,
@@ -116,52 +139,61 @@ def parse_duration(value) -> float:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config values: one type per key, checked once
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        text = fh.read()
-    doc = json.loads(text) if text.strip() else {}
-    if not isinstance(doc, dict):
-        raise ValueError("config root must be a JSON object")
-    allowed = set(_FLAT) | set(_MODED) | {"seed", "out"}
-    unknown = set(doc) - allowed
+# JSON types each value type takes; a string key takes a number too ("wallclock": 300)
+_ACCEPTS = {bool: bool, int: int, float: (int, float), str: (str, int, float)}
+# the type of each key whose default (None or a list) does not show it
+_KIND = {"schedule_file": str, "pattern_file": str, "sigma0": float, "q": float,
+         "v_rf": float, "r0": float, "detectors": [(float, float)], "snapshot_times": [float]}
+
+
+def _typed(kind, value, name: str):
+    """JSON ``value`` as ``kind``: a type, [kind] for a list of them, or a tuple
+    of kinds for a list of that length.  ValueError naming ``name`` otherwise."""
+    if isinstance(kind, (list, tuple)):
+        kinds = kind * len(value) if isinstance(kind, list) and isinstance(value, list) else kind
+        if isinstance(value, list) and len(value) == len(kinds):
+            return [_typed(k, v, name) for k, v in zip(kinds, value)]
+    elif isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
+        return kind(value)
+    spelled = re.sub(r"<class '(\w+)'>", r"\1", repr(kind))
+    raise ValueError(f"{name} must be {spelled}, got {value!r}")
+
+
+def _merge(label: str, table: dict, block) -> dict:
+    """``table`` overlaid with the config ``block``, each value checked against
+    and converted to its key's type; ValueError naming the key otherwise."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{label} must be a JSON object")
+    unknown = sorted(set(block) - set(table))
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return doc
-
-
-def _merge_block(defaults: dict, block: dict, label: str, overrides: dict) -> dict:
-    unknown = set(block) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown keys in config block {label!r}: {sorted(unknown)}")
-    eff = dict(defaults)
-    eff.update(block)
-    eff.update({k: v for k, v in overrides.items() if v is not None})
+        raise ValueError(f"unknown keys in {label!r}: {unknown}")
+    eff = {}
+    for key, default in table.items():
+        name = f"{label}.{key}"
+        if isinstance(default, dict):
+            eff[key] = _merge(name, default, block.get(key, {}))
+        elif key in block and not (block[key] is None and default is None):
+            eff[key] = _typed(_KIND.get(key, type(default)), block[key], name)
+        else:
+            eff[key] = default
     return eff
 
 
-def _effective(args, subcommand: str, mode: str | None, overrides: dict) -> dict:
-    cfg = load_config(args.config)
-    if mode is None:
-        block = cfg.get(subcommand, {})
-        if not isinstance(block, dict):
-            raise ValueError(f"config block {subcommand!r} must be an object")
-        return _merge_block(_FLAT[subcommand], block, subcommand, overrides)
-    outer = cfg.get(subcommand, {})
-    if not isinstance(outer, dict):
-        raise ValueError(f"config block {subcommand!r} must be an object")
-    unknown = set(outer) - set(_MODED[subcommand])
-    if unknown:
-        raise ValueError(f"unknown {subcommand} modes in config: {sorted(unknown)}")
-    block = outer.get(mode, {})
-    if not isinstance(block, dict):
-        raise ValueError(f"config block {subcommand}.{mode} must be an object")
-    return _merge_block(_MODED[subcommand][mode], block, f"{subcommand}.{mode}",
-                        overrides)
+def load_config(path: str | None) -> dict:
+    """Defaults overlaid with the JSON config file at ``path``, every value
+    typed: ``{"seed", "out", command: values or {mode: values}}``."""
+    doc = {}
+    if path is not None:
+        with open(path) as fh:
+            text = fh.read()
+        doc = json.loads(text) if text.strip() else {}
+    return _merge("config", {**_TOP, **_DEFAULTS}, doc)
 
+
+# ---------------------------------------------------------------------------
+# output
 
 def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -184,75 +216,40 @@ def _write_csv(args, filename: str, header: str, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _dump_config(args, subcommand: str, mode: str | None, eff: dict) -> int:
-    seed = args.seed if args.seed is not None else 0
-    doc = {subcommand: eff if mode is None else {mode: eff},
-           "seed": seed, "out": args.out}
-    sys.stdout.write(_canonical(doc))
-    return EXIT_OK
-
-
-def _seed(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (args, effective values) -> exit code
 
 def _build_assignment(eff: dict):
-    array = lattice.build_hex_array(int(eff["rows"]), int(eff["cols"]),
-                                    float(eff["d"]))
-    assign = lattice.decompose_sublattices(array, int(eff["n"]))
-    return array, assign
+    array = lattice.build_hex_array(eff["rows"], eff["cols"], eff["d"])
+    return array, lattice.decompose_sublattices(array, eff["n"])
 
 
-def _cmd_lattice(args) -> int:
-    eff = _effective(args, "lattice", None, {
-        "rows": args.rows, "cols": args.cols, "d": args.d, "n": args.n,
-        "periodic": args.periodic})
-    if args.dump_config:
-        return _dump_config(args, "lattice", None, eff)
+def _cmd_lattice(args, eff) -> int:
     array, assign = _build_assignment(eff)
-    report = lattice.assignment_report(assign)
     _emit(args, "lattice.json", {
         "schema_version": 1, "sites": array.site_count(),
         "layers": assign.layer_count, "n": assign.n,
-        "rows": int(eff["rows"]), "cols": int(eff["cols"]), "d": float(eff["d"]),
-    })
-    with open(os.path.join(args.out, "lattice_full.json"), "w") as fh:
-        fh.write(_canonical(report))
+        "rows": eff["rows"], "cols": eff["cols"], "d": eff["d"]})
+    _emit(args, "lattice_full.json", lattice.assignment_report(assign), to_stdout=False)
     return EXIT_OK
 
 
 def _schedule_doc(eff: dict):
     array, assign = _build_assignment(eff)
-    sched = scheduler.build_schedule(
-        assign, periodic=bool(eff["periodic"]),
-        t_gate=float(eff["t_gate"]), t_shuttle=float(eff["t_shuttle"]))
+    sched = scheduler.build_schedule(assign, periodic=eff["periodic"],
+                                     t_gate=eff["t_gate"], t_shuttle=eff["t_shuttle"])
     doc = scheduler.schedule_report(sched)
-    doc["lattice"] = {"rows": int(eff["rows"]), "cols": int(eff["cols"]),
-                      "d": float(eff["d"]), "n": int(eff["n"]),
-                      "periodic": bool(eff["periodic"])}
+    doc["lattice"] = {key: eff[key] for key in _LATTICE}
     return array, assign, sched, doc
 
 
-def _cmd_schedule(args) -> int:
-    eff = _effective(args, "schedule", None, {
-        "rows": args.rows, "cols": args.cols, "d": args.d, "n": args.n,
-        "periodic": args.periodic, "t_gate": args.t_gate,
-        "t_shuttle": args.t_shuttle})
-    if args.dump_config:
-        return _dump_config(args, "schedule", None, eff)
-    array, assign, sched, doc = _schedule_doc(eff)
+def _cmd_schedule(args, eff) -> int:
+    array, _, sched, doc = _schedule_doc(eff)
     _emit(args, "schedule.json", doc, to_stdout=False)
     sys.stdout.write(_canonical({
         "schema_version": 1, "rounds": len(sched.rounds),
         "edges": sum(len(r) for r in sched.rounds),
-        "prep_time_s": scheduler.prep_time(sched, float(eff["t_gate"]),
-                                           float(eff["t_shuttle"])),
+        "prep_time_s": scheduler.prep_time(sched),
         "sites": array.site_count()}))
     rows = [f"{k},{count},{dur:.9e}"
             for k, count, dur in scheduler.schedule_csv_rows(sched)]
@@ -260,54 +257,53 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    eff = _effective(args, "verify", None, {
-        "rows": args.rows, "cols": args.cols, "d": args.d, "n": args.n,
-        "periodic": args.periodic, "schedule_file": args.schedule})
-    if args.dump_config:
-        return _dump_config(args, "verify", None, eff)
+def _cmd_verify(args, eff) -> int:
     if eff["schedule_file"]:
         with open(eff["schedule_file"]) as fh:
             doc = json.load(fh)
-        lat = doc.get("lattice")
-        if lat is None:
+        if not isinstance(doc, dict) or "lattice" not in doc:
             raise ValueError("schedule file lacks the lattice block")
-        eff = {**eff, **lat}
-        rounds = [[tuple(pair) for pair in rnd] for rnd in doc["rounds"]]
+        lat = {key: eff[key] for key in _LATTICE}
+        eff = {**eff, **_merge("schedule.lattice", lat, doc["lattice"])}
+        rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
+        array, assign = _build_assignment(eff)
     else:
-        _, _, sched, doc = _schedule_doc(eff)
-        rounds = [list(rnd) for rnd in sched.rounds]
-    array, assign = _build_assignment(eff)
-    target = lattice.cluster_edges(assign, periodic=bool(eff["periodic"]))
-    tab = graphstate.new_plus_state(array.site_count())
-    for rnd in rounds:
-        for a, b in rnd:
-            tab.apply_cphase(int(a), int(b))
-    ok = graphstate.verify_cluster(tab, target)
-    _emit(args, "verification.json", {
-        "schema_version": 1, "verified": bool(ok),
-        "sites": array.site_count(), "rounds": len(rounds),
-        "target_edges": len(target)})
-    return EXIT_OK if ok else EXIT_PHYSICS
+        array, assign, sched, _ = _schedule_doc(eff)
+        rounds = sched.rounds
+    target = lattice.cluster_edges(assign, periodic=eff["periodic"])
+    failure = scheduler.check_rounds(rounds, target)
+    if failure is None:
+        tab = graphstate.new_plus_state(array.site_count())
+        for rnd in rounds:
+            for a, b in rnd:
+                tab.apply_cphase(a, b)
+        if not graphstate.verify_cluster(tab, target):
+            failure = "a cluster stabilizer does not hold"
+    doc = {"schema_version": 1, "verified": failure is None,
+           "sites": array.site_count(), "rounds": len(rounds),
+           "target_edges": len(target)}
+    if failure is not None:
+        doc["failure"] = failure
+    _emit(args, "verification.json", doc)
+    return EXIT_OK if failure is None else EXIT_PHYSICS
 
 
-def _cmd_mbqc(args) -> int:
-    eff = _effective(args, "mbqc", None, {"pattern_file": args.pattern})
-    if args.dump_config:
-        return _dump_config(args, "mbqc", None, eff)
+def _cmd_mbqc(args, eff) -> int:
     if not eff["pattern_file"]:
         raise ValueError("mbqc requires a pattern file (--pattern)")
     with open(eff["pattern_file"]) as fh:
         doc = json.load(fh)
-    inp = doc.pop("input", None)
+    inp = doc.pop("input", None) if isinstance(doc, dict) else None
     n, edges, pattern = mbqc.pattern_from_dict(doc)
     input_state = None
     input_qubits: tuple[int, ...] = ()
     if inp is not None:
-        input_qubits = tuple(int(q) for q in inp["qubits"])
-        input_state = np.array([complex(re, im) for re, im in inp["amplitudes"]],
-                               dtype=np.complex128)
-    rng = np.random.default_rng(_seed(args))
+        if not isinstance(inp, dict) or set(inp) != {"qubits", "amplitudes"}:
+            raise ValueError("pattern input must hold exactly qubits and amplitudes")
+        input_qubits = tuple(_typed([int], inp["qubits"], "input.qubits"))
+        amplitudes = _typed([(float, float)], inp["amplitudes"], "input.amplitudes")
+        input_state = np.array([complex(a, b) for a, b in amplitudes], dtype=np.complex128)
+    rng = np.random.default_rng(args.seed)
     res = mbqc.run_pattern(n, edges, pattern, input_state=input_state,
                            input_qubits=input_qubits, rng=rng)
     _emit(args, "mbqc_result.json", {
@@ -324,313 +320,219 @@ def _cmd_mbqc(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ionize(args) -> int:
-    mode = args.mode
-    if mode == "rates":
-        eff = _effective(args, "ionize", mode, {
-            "irradiance": args.irradiance, "i_min": args.i_min,
-            "i_max": args.i_max, "points": args.points})
-        if args.dump_config:
-            return _dump_config(args, "ionize", mode, eff)
-        cal = ionization.load_calibration()
-        def triple(irr):
-            s = ionization.calibrated_inputs(irr, "s", cal)
-            d = ionization.calibrated_inputs(irr, "d", cal)
-            rs = ionization.rate_s(s)
-            rd = ionization.rate_d(irr, d.j_channels)
-            return rs, rd, ionization.discrimination_ratio(s, d)
-        rs, rd, ratio = triple(float(eff["irradiance"]))
-        _emit(args, "rates.json", {
-            "schema_version": 1, "irradiance_w_cm2": float(eff["irradiance"]),
-            "rate_s_per_s": rs, "rate_d_per_s": rd, "ratio": ratio})
-        rows = []
-        for irr in np.geomspace(float(eff["i_min"]), float(eff["i_max"]),
-                                int(eff["points"])):
-            a, b, c = triple(float(irr))
-            rows.append(f"{irr:.12e},{a:.12e},{b:.12e},{c:.12e}")
-        _write_csv(args, "rates.csv", "irradiance_w_cm2,rate_s,rate_d,ratio", rows)
-        return EXIT_OK
-    if mode == "resonances":
-        eff = _effective(args, "ionize", mode, {
-            "lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
-            "max_photons": args.max_photons, "detuning_cut": args.detuning_cut})
-        if args.dump_config:
-            return _dump_config(args, "ionize", mode, eff)
-        table = ionization.load_level_table()
-        scan = ionization.find_resonances(
-            table, (float(eff["lambda_min"]), float(eff["lambda_max"])),
-            int(eff["max_photons"]), float(eff["detuning_cut"]))
-        _emit(args, "resonances.json", {
-            "schema_version": 1,
-            "hits": [{"level": h.level, "photons": h.photons,
-                      "wavelength_nm": h.wavelength_nm,
-                      "detuning_ev": h.detuning_ev} for h in scan.hits],
-            "ionizing_throughout": scan.ionizing_throughout,
-            "threshold_wavelength_nm": scan.threshold_wavelength_nm})
-        return EXIT_OK
-    if mode == "quadrupole":
-        eff = _effective(args, "ionize", mode, {"t_pulse": args.t_pulse})
-        if args.dump_config:
-            return _dump_config(args, "ionize", mode, eff)
-        ref = ionization.load_rabi_reference()
-        _emit(args, "quadrupole.json", {
-            "schema_version": 1, "t_pulse_s": float(eff["t_pulse"]),
-            "irradiance_w_cm2": ionization.quadrupole_irradiance(
-                ref, float(eff["t_pulse"]))})
-        return EXIT_OK
-    if mode == "raman":
-        eff = _effective(args, "ionize", mode, {
-            "t_pulse": args.t_pulse,
-            "detuning_linewidths": args.detuning_linewidths})
-        if args.dump_config:
-            return _dump_config(args, "ionize", mode, eff)
-        ref = ionization.load_rabi_reference()
-        _emit(args, "raman.json", {
-            "schema_version": 1, "t_pulse_s": float(eff["t_pulse"]),
-            "detuning_linewidths": float(eff["detuning_linewidths"]),
-            "irradiance_w_cm2": ionization.raman_irradiance(
-                ref, float(eff["detuning_linewidths"]), float(eff["t_pulse"]))})
-        return EXIT_OK
-    raise _UsageError(f"unknown ionize mode {mode!r}")
+def _ionize_rates(args, eff) -> int:
+    cal = ionization.load_calibration()
+
+    def triple(irr):
+        s = ionization.calibrated_inputs(irr, "s", cal)
+        d = ionization.calibrated_inputs(irr, "d", cal)
+        rs = ionization.rate_s(s)
+        rd = ionization.rate_d(irr, d.j_channels)
+        return rs, rd, ionization.discrimination_ratio(s, d)
+
+    rs, rd, ratio = triple(eff["irradiance"])
+    _emit(args, "rates.json", {
+        "schema_version": 1, "irradiance_w_cm2": eff["irradiance"],
+        "rate_s_per_s": rs, "rate_d_per_s": rd, "ratio": ratio})
+    rows = []
+    for irr in np.geomspace(eff["i_min"], eff["i_max"], eff["points"]):
+        a, b, c = triple(float(irr))
+        rows.append(f"{irr:.12e},{a:.12e},{b:.12e},{c:.12e}")
+    _write_csv(args, "rates.csv", "irradiance_w_cm2,rate_s,rate_d,ratio", rows)
+    return EXIT_OK
 
 
-def _trap_config(eff: dict) -> ed.TrapConfig:
-    return ed.TrapConfig(
-        omega_e=float(eff["omega_e"]), omega_rf=float(eff["omega_rf"]),
-        static_mode=bool(eff["static_mode"]),
-        detectors=tuple((float(c), float(w)) for c, w in eff["detectors"]),
-        extent_x=float(eff["extent_x"]), extent_y=float(eff["extent_y"]),
-        points_x=int(eff["points_x"]), points_y=int(eff["points_y"]),
-        dt=float(eff["dt"]),
-        absorber_width_frac=float(eff["absorber_width_frac"]),
-        absorber_gain=float(eff["absorber_gain"]),
-        detector_gain=float(eff["detector_gain"]),
-        hbar_scale=float(eff["hbar_scale"]))
+def _ionize_resonances(args, eff) -> int:
+    table = ionization.load_level_table()
+    scan = ionization.find_resonances(
+        table, (eff["lambda_min"], eff["lambda_max"]),
+        eff["max_photons"], eff["detuning_cut"])
+    _emit(args, "resonances.json", {
+        "schema_version": 1,
+        "hits": [{"level": h.level, "photons": h.photons,
+                  "wavelength_nm": h.wavelength_nm,
+                  "detuning_ev": h.detuning_ev} for h in scan.hits],
+        "ionizing_throughout": scan.ionizing_throughout,
+        "threshold_wavelength_nm": scan.threshold_wavelength_nm})
+    return EXIT_OK
 
 
-def _cmd_electron(args) -> int:
-    mode = args.mode
-    if mode == "propagate":
-        eff = _effective(args, "electron", mode, {
-            "t_final": args.t_final, "dt": args.dt, "omega_e": args.omega_e,
-            "v0": args.v0, "points_x": args.points_x, "points_y": args.points_y,
-            "static_mode": None if args.static is None else args.static,
-            "hbar_scale": args.hbar_scale})
-        if args.dump_config:
-            return _dump_config(args, "electron", mode, eff)
-        cfg = _trap_config(eff)
-        wp = ed.gaussian_wavepacket(
-            cfg, v0=float(eff["v0"]), sigma_v=float(eff["sigma_v"]),
-            sigma0=None if eff["sigma0"] is None else float(eff["sigma0"]))
-        res = ed.propagate(wp, cfg, float(eff["t_final"]),
-                           sample_interval=float(eff["sample_interval"]),
-                           snapshot_times=tuple(eff["snapshot_times"]))
-        ndet = len(cfg.detectors)
-        header = ("t_ns," + ",".join(f"p_detector_{i+1}" for i in range(ndet))
-                  + ",p_total,norm_remaining")
-        rows = []
-        for s in res.trace.samples:
-            caps = ",".join(f"{c:.9e}" for c in s.captured)
-            rows.append(f"{s.t*1e9:.6f},{caps},{s.total_captured:.9e},"
-                        f"{s.norm_remaining:.9e}")
-        _write_csv(args, "trace.csv", header, rows)
-        os.makedirs(args.out, exist_ok=True)
-        for i, snap in enumerate(res.snapshots):
-            path = os.path.join(args.out, f"psi2_{i:03d}.txt")
-            hdr = (f"nx={cfg.points_x} ny={cfg.points_y} "
-                   f"extent_x={cfg.extent_x:.9e} extent_y={cfg.extent_y:.9e} "
-                   f"t_s={snap.t:.9e}")
-            np.savetxt(path, snap.density, fmt="%.9e", header=hdr)
-        last = res.trace.samples[-1]
-        _emit(args, "efficiency.json", {
-            "schema_version": 1, "t_final_s": float(eff["t_final"]),
-            "captured": list(last.captured),
-            "total_captured": last.total_captured,
-            "norm_remaining": last.norm_remaining})
-        return EXIT_OK
-    if mode == "classical":
-        eff = _effective(args, "electron", mode, {
-            "omega_e": args.omega_e, "v0": args.v0, "t": args.t})
-        if args.dump_config:
-            return _dump_config(args, "electron", mode, eff)
-        cfg = ed.TrapConfig(omega_e=float(eff["omega_e"]))
-        x, v = ed.classical_trajectory(cfg, float(eff["v0"]), float(eff["t"]))
-        _emit(args, "classical.json", {
-            "schema_version": 1, "t_s": float(eff["t"]), "x_m": x, "v_m_s": v})
-        return EXIT_OK
-    if mode == "mathieu":
-        eff = _effective(args, "electron", mode, {
-            "a": args.a, "q": args.q, "charge": args.charge, "mass": args.mass,
-            "v_rf": args.v_rf, "r0": args.r0, "omega_rf": args.omega_rf,
-            "boundary": args.boundary})
-        if args.dump_config:
-            return _dump_config(args, "electron", mode, eff)
-        if eff["q"] is not None:
-            q = float(eff["q"])
-        else:
-            if eff["v_rf"] is None or eff["r0"] is None:
-                raise ValueError("mathieu needs either q or (v_rf and r0)")
-            q = ed.mathieu_q(float(eff["charge"]), float(eff["mass"]),
-                             float(eff["v_rf"]), float(eff["r0"]),
-                             float(eff["omega_rf"]))
-        doc = {"schema_version": 1, "a": float(eff["a"]), "q": q,
-               "stable": ed.mathieu_stable(float(eff["a"]), q)}
-        if eff["boundary"]:
-            doc["q_boundary"] = ed.stability_boundary(float(eff["a"]))
-        _emit(args, "mathieu.json", doc)
-        return EXIT_OK
-    if mode == "timescale":
-        eff = _effective(args, "electron", mode, {
-            "omega_rf": args.omega_rf, "m_ion": args.m_ion})
-        if args.dump_config:
-            return _dump_config(args, "electron", mode, eff)
-        est = ed.electron_timescale(float(eff["omega_rf"]), float(eff["m_ion"]))
-        _emit(args, "timescale.json", {
-            "schema_version": 1, "formula_s": est.formula_s,
-            "reference_s": est.reference_s})
-        return EXIT_OK
-    raise _UsageError(f"unknown electron mode {mode!r}")
+def _ionize_quadrupole(args, eff) -> int:
+    ref = ionization.load_rabi_reference()
+    _emit(args, "quadrupole.json", {
+        "schema_version": 1, "t_pulse_s": eff["t_pulse"],
+        "irradiance_w_cm2": ionization.quadrupole_irradiance(ref, eff["t_pulse"])})
+    return EXIT_OK
 
 
-def _cmd_resources(args) -> int:
-    eff = _effective(args, "resources", None, {
-        "bits": args.bits, "wallclock": args.wallclock,
-        "n_qubits": args.n_qubits, "t_meas": args.t_meas, "t_coh": args.t_coh})
-    if args.dump_config:
-        return _dump_config(args, "resources", None, eff)
-    wall = parse_duration(eff["wallclock"])
-    doc = resources.resource_report(int(eff["bits"]), wall,
-                                    int(eff["n_qubits"]), float(eff["t_meas"]),
-                                    float(eff["t_coh"]))
-    doc["inputs"]["wallclock"] = str(eff["wallclock"])
+def _ionize_raman(args, eff) -> int:
+    ref = ionization.load_rabi_reference()
+    _emit(args, "raman.json", {
+        "schema_version": 1, "t_pulse_s": eff["t_pulse"],
+        "detuning_linewidths": eff["detuning_linewidths"],
+        "irradiance_w_cm2": ionization.raman_irradiance(
+            ref, eff["detuning_linewidths"], eff["t_pulse"])})
+    return EXIT_OK
+
+
+def _electron_propagate(args, eff) -> int:
+    trap = {key: eff[key] for key in eff if key in ed.TrapConfig.__dataclass_fields__}
+    cfg = ed.TrapConfig(**{**trap, "detectors": tuple(map(tuple, eff["detectors"]))})
+    wp = ed.gaussian_wavepacket(cfg, v0=eff["v0"], sigma_v=eff["sigma_v"],
+                                sigma0=eff["sigma0"])
+    res = ed.propagate(wp, cfg, eff["t_final"], sample_interval=eff["sample_interval"],
+                       snapshot_times=tuple(eff["snapshot_times"]))
+    ndet = len(cfg.detectors)
+    header = ("t_ns," + ",".join(f"p_detector_{i+1}" for i in range(ndet))
+              + ",p_total,norm_remaining")
+    rows = []
+    for s in res.trace.samples:
+        caps = ",".join(f"{c:.9e}" for c in s.captured)
+        rows.append(f"{s.t*1e9:.6f},{caps},{s.total_captured:.9e},"
+                    f"{s.norm_remaining:.9e}")
+    _write_csv(args, "trace.csv", header, rows)
+    for i, snap in enumerate(res.snapshots):
+        path = os.path.join(args.out, f"psi2_{i:03d}.txt")
+        hdr = (f"nx={cfg.points_x} ny={cfg.points_y} "
+               f"extent_x={cfg.extent_x:.9e} extent_y={cfg.extent_y:.9e} "
+               f"t_s={snap.t:.9e}")
+        np.savetxt(path, snap.density, fmt="%.9e", header=hdr)
+    last = res.trace.samples[-1]
+    _emit(args, "efficiency.json", {
+        "schema_version": 1, "t_final_s": eff["t_final"],
+        "captured": list(last.captured),
+        "total_captured": last.total_captured,
+        "norm_remaining": last.norm_remaining})
+    return EXIT_OK
+
+
+def _electron_classical(args, eff) -> int:
+    cfg = ed.TrapConfig(omega_e=eff["omega_e"])
+    x, v = ed.classical_trajectory(cfg, eff["v0"], eff["t"])
+    _emit(args, "classical.json", {
+        "schema_version": 1, "t_s": eff["t"], "x_m": x, "v_m_s": v})
+    return EXIT_OK
+
+
+def _electron_mathieu(args, eff) -> int:
+    q = eff["q"]
+    if q is None:
+        if eff["v_rf"] is None or eff["r0"] is None:
+            raise ValueError("mathieu needs either q or (v_rf and r0)")
+        q = ed.mathieu_q(eff["charge"], eff["mass"], eff["v_rf"], eff["r0"],
+                         eff["omega_rf"])
+    doc = {"schema_version": 1, "a": eff["a"], "q": q,
+           "stable": ed.mathieu_stable(eff["a"], q)}
+    if eff["boundary"]:
+        doc["q_boundary"] = ed.stability_boundary(eff["a"])
+    _emit(args, "mathieu.json", doc)
+    return EXIT_OK
+
+
+def _electron_timescale(args, eff) -> int:
+    est = ed.electron_timescale(eff["omega_rf"], eff["m_ion"])
+    _emit(args, "timescale.json", {
+        "schema_version": 1, "formula_s": est.formula_s,
+        "reference_s": est.reference_s})
+    return EXIT_OK
+
+
+def _cmd_resources(args, eff) -> int:
+    doc = resources.resource_report(eff["bits"], parse_duration(eff["wallclock"]),
+                                    eff["n_qubits"], eff["t_meas"], eff["t_coh"])
+    doc["inputs"]["wallclock"] = eff["wallclock"]
     _emit(args, "resources.json", doc)
     return EXIT_OK
 
 
+_HANDLERS = {
+    ("lattice", None): _cmd_lattice, ("schedule", None): _cmd_schedule,
+    ("verify", None): _cmd_verify, ("mbqc", None): _cmd_mbqc,
+    ("ionize", "rates"): _ionize_rates, ("ionize", "resonances"): _ionize_resonances,
+    ("ionize", "quadrupole"): _ionize_quadrupole, ("ionize", "raman"): _ionize_raman,
+    ("electron", "propagate"): _electron_propagate,
+    ("electron", "classical"): _electron_classical,
+    ("electron", "mathieu"): _electron_mathieu,
+    ("electron", "timescale"): _electron_timescale,
+    ("resources", None): _cmd_resources,
+}
+
+
 # ---------------------------------------------------------------------------
-# parser
+# parser and resolution
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--dump-config", action="store_true",
-                   help="print the effective config and exit")
+def _modes(command: str) -> dict:
+    """{mode: defaults}; a command without modes has the single mode None."""
+    table = _DEFAULTS[command]
+    return table if isinstance(next(iter(table.values())), dict) else {None: table}
 
 
-def _add_lattice_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--d", type=float, default=None, help="site spacing")
-    p.add_argument("--n", type=int, default=None, help="cell-scaling integer")
-    p.add_argument("--periodic", action=argparse.BooleanOptionalAction,
-                   default=None, help="close the layer direction cyclically")
+def _flag_keys(command: str) -> dict:
+    """key -> (default, modes reading it) for every key of ``command`` with a flag."""
+    keys: dict = {}
+    for mode, defaults in _modes(command).items():
+        for key, default in defaults.items():
+            if key not in _NO_FLAG:
+                keys.setdefault(key, (default, []))[1].append(mode)
+    return keys
 
 
-def _epilog(defaults: dict) -> str:
-    return "defaults:\n" + json.dumps(defaults, sort_keys=True, indent=2)
+def _flag(key: str) -> str:
+    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="hexmbqc",
                   description="hexagonal-array measurement-based QC toolkit")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext, defaults):
-        return sub.add_parser(
-            name, help=helptext, epilog=_epilog(defaults),
-            formatter_class=argparse.RawDescriptionHelpFormatter)
-
-    p = add("lattice", "build the array and layer decomposition", _LATTICE)
-    _add_lattice_opts(p); _add_common(p)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = add("schedule", "emit the six-round CPHASE schedule", _SCHEDULE)
-    _add_lattice_opts(p)
-    p.add_argument("--t-gate", dest="t_gate", type=float, default=None)
-    p.add_argument("--t-shuttle", dest="t_shuttle", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_schedule)
-
-    p = add("verify", "stabilizer-verify a schedule's output state", _VERIFY)
-    _add_lattice_opts(p)
-    p.add_argument("--t-gate", dest="t_gate", type=float, default=None)
-    p.add_argument("--t-shuttle", dest="t_shuttle", type=float, default=None)
-    p.add_argument("--schedule", default=None,
-                   help="schedule.json to verify (default: rebuild from params)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = add("mbqc", "run a measurement-pattern file", _MBQC)
-    p.add_argument("--pattern", default=None, help="pattern JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mbqc)
-
-    p = add("ionize", "ionization rates and laser estimates", _IONIZE)
-    p.add_argument("mode", choices=("rates", "resonances", "quadrupole", "raman"))
-    p.add_argument("--irradiance", type=float, default=None)
-    p.add_argument("--i-min", dest="i_min", type=float, default=None)
-    p.add_argument("--i-max", dest="i_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    p.add_argument("--max-photons", dest="max_photons", type=int, default=None)
-    p.add_argument("--detuning-cut", dest="detuning_cut", type=float, default=None)
-    p.add_argument("--t-pulse", dest="t_pulse", type=float, default=None)
-    p.add_argument("--detuning-linewidths", dest="detuning_linewidths",
-                   type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ionize)
-
-    p = add("electron", "wavepacket, classical and stability runs", _ELECTRON)
-    p.add_argument("mode", choices=("propagate", "classical", "mathieu",
-                                    "timescale"))
-    p.add_argument("--t-final", dest="t_final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--omega-e", dest="omega_e", type=float, default=None)
-    p.add_argument("--v0", type=float, default=None)
-    p.add_argument("--points-x", dest="points_x", type=int, default=None)
-    p.add_argument("--points-y", dest="points_y", type=int, default=None)
-    p.add_argument("--hbar-scale", dest="hbar_scale", type=float, default=None)
-    p.add_argument("--static", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--t", type=float, default=None, help="classical: time (s)")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--charge", type=float, default=None, help="multiples of e")
-    p.add_argument("--mass", type=float, default=None, help="kg")
-    p.add_argument("--v-rf", dest="v_rf", type=float, default=None)
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--omega-rf", dest="omega_rf", type=float, default=None)
-    p.add_argument("--m-ion", dest="m_ion", type=float, default=None)
-    p.add_argument("--boundary", action="store_true", default=None,
-                   help="mathieu: also bisect the first-zone boundary")
-    _add_common(p)
-    p.set_defaults(func=_cmd_electron)
-
-    p = add("resources", "operation-count / timing arithmetic", _RESOURCES)
-    p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--wallclock", default=None,
-                   help="duration, e.g. 300, 5min, 2h, 5month")
-    p.add_argument("--n-qubits", dest="n_qubits", type=int, default=None)
-    p.add_argument("--t-meas", dest="t_meas", type=float, default=None)
-    p.add_argument("--t-coh", dest="t_coh", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_resources)
-
+    for command, helptext in _HELP.items():
+        p = sub.add_parser(
+            command, help=helptext, formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog="defaults:\n" + json.dumps(_DEFAULTS[command], sort_keys=True, indent=2))
+        modes = _modes(command)
+        if None not in modes:
+            p.add_argument("mode", choices=tuple(modes))
+        for key, (default, used_by) in _flag_keys(command).items():
+            kind = _KIND.get(key, type(default))
+            helptext = None if None in used_by else "for " + ", ".join(used_by)
+            if kind is bool:
+                p.add_argument(_flag(key), dest=key, help=helptext,
+                               action=argparse.BooleanOptionalAction)
+            else:
+                p.add_argument(_flag(key), dest=key, type=kind, help=helptext)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+        p.add_argument("--out", help="output directory (default .)")
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the effective config and exit")
     return top
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    """Run one command line.  The only place values resolve, as defaults <
+    config file < flags; the handler gets them typed."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        cfg = load_config(args.config)
+        mode = getattr(args, "mode", None)
+        eff = cfg[args.command] if mode is None else cfg[args.command][mode]
+        for key in _flag_keys(args.command):
+            value = getattr(args, key)
+            if value is not None and key not in eff:
+                raise _UsageError(f"{_flag(key)} does not apply to {args.command} {mode}")
+            if value is not None:
+                eff[key] = value
+        for key in _TOP:  # seed and out
+            if getattr(args, key) is None:
+                setattr(args, key, cfg[key])
+        if args.dump_config:
+            sys.stdout.write(_canonical({
+                args.command: eff if mode is None else {mode: eff},
+                "seed": args.seed, "out": args.out}))
+            return EXIT_OK
+        return _HANDLERS[args.command, mode](args, eff)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_VALIDATION
-    try:
-        return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_VALIDATION

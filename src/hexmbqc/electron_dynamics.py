@@ -32,7 +32,7 @@ y'' + (a - 2 q cos 2 tau) y = 0 by explicit Floquet monodromy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,7 @@ __all__ = [
     "PropagationResult", "Snapshot",
     "saddle_potential", "gaussian_wavepacket", "propagate",
     "classical_trajectory",
-    "MathieuParams", "mathieu_q", "mathieu_stable", "stability_boundary",
+    "mathieu_q", "mathieu_stable", "stability_boundary",
     "TimescaleEstimate", "electron_timescale",
 ]
 
@@ -384,17 +384,6 @@ def classical_trajectory(config: TrapConfig, v0: float, t: float) -> tuple[float
 
 # ---------------------------------------------------------------------------
 # Mathieu / Floquet stability
-
-@dataclass(frozen=True)
-class MathieuParams:
-    a: float
-    q: float
-    charge: float = 1.0       # multiples of e
-    mass: float = M_CA40
-    v_rf: float = 0.0
-    r0: float = 0.0
-    omega_rf: float = 2.0 * math.pi * 25e6
-
 
 def mathieu_q(charge: float, mass: float, v_rf: float, r0: float,
               omega_rf: float) -> float:

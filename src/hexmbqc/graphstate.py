@@ -26,9 +26,7 @@ import numpy as np
 __all__ = [
     "StabilizerTableau",
     "new_plus_state",
-    "apply_cphase",
     "verify_cluster",
-    "measure_pauli",
     "statevector_oracle",
     "pauli_expectation",
 ]
@@ -204,23 +202,6 @@ def new_plus_state(n: int) -> StabilizerTableau:
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     return StabilizerTableau(np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8), np.zeros(n, np.uint8))
-
-
-def apply_cphase(tableau: StabilizerTableau, a: int, b: int) -> StabilizerTableau:
-    tableau.apply_cphase(a, b)
-    return tableau
-
-
-def measure_pauli(
-    tableau: StabilizerTableau,
-    qubit: int,
-    basis: str,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> tuple[int, StabilizerTableau]:
-    """Measure X, Y or Z on one qubit; mutates and returns the tableau."""
-    outcome, _ = tableau.measure(qubit, basis, rng, forced)
-    return outcome, tableau
 
 
 def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]]) -> bool:

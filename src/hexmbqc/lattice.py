@@ -31,7 +31,6 @@ __all__ = [
     "LayerAssignment",
     "build_hex_array",
     "decompose_sublattices",
-    "layer_neighbors",
     "intra_layer_edges",
     "interlayer_edges",
     "cluster_edges",
@@ -210,22 +209,6 @@ def decompose_sublattices(array: HexArray, n: int) -> LayerAssignment:
         coord_of=coord_of,
         layer_labels=tuple(labels),
     )
-
-
-def layer_neighbors(assign: LayerAssignment, site: int) -> set[int]:
-    """Same-layer neighbors of a site: the up-to-four sites one primitive
-    step away along the layer's rhombic directions (2 n d by channel)."""
-    array = assign.array
-    if site not in array.position:
-        raise ValueError(f"unknown site id {site}")
-    f, i, j = array.keys[site]
-    n = assign.n
-    out = set()
-    for di, dj in ((n, 0), (-n, 0), (0, n), (0, -n)):
-        other = array.index.get((f, i + di, j + dj))
-        if other is not None:
-            out.add(other)
-    return out
 
 
 def intra_layer_edges(assign: LayerAssignment) -> set[tuple[int, int]]:

@@ -165,6 +165,8 @@ def run_pattern(
             raise ValueError(f"input state norm {nrm} != 1")
         if len(set(input_qubits)) != k:
             raise ValueError("duplicate input qubit")
+        if any(not 0 <= q < n for q in input_qubits):
+            raise ValueError(f"input qubits {list(input_qubits)} outside 0..{n - 1}")
         rest = [q for q in range(n) if q not in input_qubits]
         plus = np.full((2,) * len(rest), 2.0 ** (-len(rest) / 2.0), dtype=np.complex128)
         psi = np.multiply.outer(amp, plus)
@@ -175,6 +177,8 @@ def run_pattern(
     for a, b in edges:
         if a == b:
             raise ValueError("self-loop edge")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
         sl = [slice(None)] * n
         sl[a] = 1
         sl[b] = 1
@@ -333,8 +337,17 @@ def pattern_to_dict(n: int, edges: list[tuple[int, int]], pattern: MeasurementPa
     }
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; floats and bools are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], MeasurementPattern]:
     """Parse the JSON pattern document; unknown keys are rejected."""
+    if not isinstance(doc, dict):
+        raise ValueError("pattern document must be a JSON object")
     allowed = {"schema_version", "n", "edges", "steps", "outputs", "corrections", "input"}
     unknown = set(doc) - allowed
     if unknown:
@@ -342,26 +355,27 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
     if doc.get("schema_version", 1) != 1:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     try:
-        n = int(doc["n"])
-        edges = [(int(a), int(b)) for a, b in doc["edges"]]
+        n = _int(doc["n"], "n")
+        edges = [(_int(a, "edge endpoint"), _int(b, "edge endpoint"))
+                 for a, b in doc["edges"]]
         steps = tuple(
             MeasurementStep(
-                qubit=int(s["qubit"]),
+                qubit=_int(s["qubit"], "step qubit"),
                 angle=float(s["angle"]),
-                s_domain=frozenset(int(k) for k in s.get("s_domain", ())),
-                t_domain=frozenset(int(k) for k in s.get("t_domain", ())),
+                s_domain=frozenset(_int(k, "s_domain entry") for k in s.get("s_domain", ())),
+                t_domain=frozenset(_int(k, "t_domain entry") for k in s.get("t_domain", ())),
             )
             for s in doc["steps"]
         )
-        outputs = tuple(int(q) for q in doc["outputs"])
+        outputs = tuple(_int(q, "output qubit") for q in doc["outputs"])
         corrections = tuple(
             Correction(
-                qubit=int(c["qubit"]),
+                qubit=_int(c["qubit"], "correction qubit"),
                 kind=str(c["kind"]),
-                domain=frozenset(int(k) for k in c.get("domain", ())),
+                domain=frozenset(_int(k, "domain entry") for k in c.get("domain", ())),
             )
             for c in doc.get("corrections", ())
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pattern document: {exc}") from exc
     return n, edges, MeasurementPattern(steps=steps, outputs=outputs, corrections=corrections)

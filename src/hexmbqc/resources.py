@@ -9,12 +9,9 @@ first-order exposure n_qubits * t_meas / T_coh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "OPS_PER_BITCUBE",
     "MONTH_SECONDS",
-    "TimingModel",
     "shor_op_count",
     "required_op_time",
     "storage_error",
@@ -23,20 +20,6 @@ __all__ = [
 
 OPS_PER_BITCUBE = 32
 MONTH_SECONDS = 30.44 * 86400.0  # = 2,630,016 s
-
-
-@dataclass(frozen=True)
-class TimingModel:
-    ops_per_bitcube: int = OPS_PER_BITCUBE
-    month_seconds: float = MONTH_SECONDS
-    t_meas_s: float = 3e-9
-    t_coh_s: float = 10.0
-
-    def __post_init__(self):
-        if self.ops_per_bitcube <= 0 or self.month_seconds <= 0:
-            raise ValueError("constants must be positive")
-        if self.t_meas_s < 0 or self.t_coh_s <= 0:
-            raise ValueError("t_meas must be >= 0 and T_coh > 0")
 
 
 def shor_op_count(bits: int) -> int:

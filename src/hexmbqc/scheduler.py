@@ -15,12 +15,13 @@ constant 6 and preparation time is size-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lattice import LayerAssignment, interlayer_edges, intra_layer_edges
 
-__all__ = ["GateSchedule", "ScheduleInfeasibleError", "build_schedule", "prep_time",
-           "schedule_report", "schedule_csv_rows"]
+__all__ = ["GateSchedule", "ScheduleInfeasibleError", "build_schedule", "check_rounds",
+           "prep_time", "schedule_report", "schedule_csv_rows"]
 
 ROUND_NAMES = (
     "intra-u-even",
@@ -103,11 +104,38 @@ def build_schedule(
     )
 
 
-def prep_time(schedule: GateSchedule, t_gate: float, t_shuttle: float) -> float:
+def check_rounds(rounds, target: set[tuple[int, int]]) -> str | None:
+    """None if ``rounds`` is a valid schedule of the edge set ``target``.
+
+    Valid means exactly six rounds, each round site-disjoint, no gate
+    listed twice, and the gates together exactly ``target`` (sorted pairs).
+    Otherwise the first fault found, naming its round and ion or gate.
+    """
+    if len(rounds) != len(ROUND_NAMES):
+        return f"{len(rounds)} rounds, expected {len(ROUND_NAMES)}"
+    seen: set[tuple[int, int]] = set()
+    for k, (name, rnd) in enumerate(zip(ROUND_NAMES, rounds), start=1):
+        busy: set[int] = set()
+        for a, b in rnd:
+            gate = (min(a, b), max(a, b))
+            if gate in seen:
+                return f"round {k} ({name}): gate {list(gate)} listed twice"
+            if gate not in target:
+                return f"round {k} ({name}): gate {list(gate)} is not a cluster edge"
+            for ion in gate:
+                if ion in busy:
+                    return f"round {k} ({name}): ion {ion} is in two gates"
+                busy.add(ion)
+            seen.add(gate)
+    missing = sorted(target - seen)
+    if missing:
+        return f"cluster edge {list(missing[0])} is in no round ({len(missing)} missing)"
+    return None
+
+
+def prep_time(schedule: GateSchedule) -> float:
     """Total preparation time: sum over rounds of shuttle plus gate time."""
-    if t_gate < 0 or t_shuttle < 0:
-        raise ValueError("round times must be nonnegative")
-    return len(schedule.rounds) * (t_shuttle + t_gate)
+    return math.fsum(sh + g for sh, g in schedule.timing)
 
 
 def schedule_report(schedule: GateSchedule) -> dict:

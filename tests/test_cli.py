@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -245,3 +246,152 @@ def test_math_convenience():
     assert cli.parse_duration("2.5e-9 s") == pytest.approx(2.5e-9)
     assert cli.parse_duration("1e3ms") == pytest.approx(1.0)
     assert math.isclose(cli.parse_duration("1mo"), resources.MONTH_SECONDS)
+
+
+# --- verify checks the schedule's structure -------------------------------
+
+def _schedule_3x3(tmp_path, capsys):
+    run(capsys, "schedule", "--rows", "3", "--cols", "3", "--out", str(tmp_path))
+    return json.loads((tmp_path / "schedule.json").read_text())
+
+
+def _verify_doc(tmp_path, capsys, doc):
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--schedule", str(bad), "--out",
+                         str(tmp_path / "ver"))
+    on_disk = json.loads((tmp_path / "ver" / "verification.json").read_text())
+    assert json.loads(out) == on_disk
+    return code, on_disk
+
+
+def test_verify_rejects_seven_rounds(tmp_path, capsys):
+    doc = _schedule_3x3(tmp_path, capsys)
+    doc["rounds"] = [[g for rnd in doc["rounds"] for g in rnd]] + [[]] * 6
+    assert len(doc["rounds"][0]) == 58
+    code, ver = _verify_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert ver["verified"] is False
+    assert ver["failure"] == "7 rounds, expected 6"
+
+
+def test_verify_rejects_round_that_is_not_a_matching(tmp_path, capsys):
+    doc = _schedule_3x3(tmp_path, capsys)
+    rounds = doc["rounds"]
+    rounds[0], rounds[2] = rounds[0] + rounds[2], []  # u and v sweeps share ions
+    code, ver = _verify_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert ver["verified"] is False
+    assert ver["failure"].startswith("round 1 (intra-u-even): ion ")
+
+
+# --- pattern and schedule documents are validated at the boundary ----------
+
+def _chain_doc():
+    pat = mbqc.linear_cluster_pattern((0.3, -0.7, 1.1, 0.2))
+    doc = mbqc.pattern_to_dict(5, CHAIN_EDGES, pat)
+    doc["input"] = {"qubits": [0], "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}
+    return doc
+
+
+BAD_PATTERNS = {
+    "negative endpoint": ({"edges": [[0, 1], [1, 2], [2, 3], [3, -1]]},
+                          "edge (3, -1) has an endpoint outside 0..4"),
+    "endpoint past n": ({"edges": [[0, 1], [1, 2], [2, 3], [3, 5]]},
+                        "edge (3, 5) has an endpoint outside 0..4"),
+    "float endpoint": ({"edges": [[0, 1.5], [1, 2], [2, 3], [3, 4]]},
+                       "edge endpoint must be an integer, got 1.5"),
+    "bare amplitudes": ({"input": {"qubits": [0], "amplitudes": [1, 0]}},
+                        "input.amplitudes must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATTERNS))
+def test_malformed_pattern_exits_1(tmp_path, capsys, case):
+    change, message = BAD_PATTERNS[case]
+    pfile = tmp_path / "pattern.json"
+    pfile.write_text(json.dumps({**_chain_doc(), **change}))
+    code, _, err = run(capsys, "mbqc", "--pattern", str(pfile), "--out", str(tmp_path))
+    assert code == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lattice": [3, 3]}, "schedule.lattice must be a JSON object"),
+    ({"rounds": 6}, "schedule.rounds must be"),
+])
+def test_malformed_schedule_exits_1(tmp_path, capsys, change, message):
+    doc = {**_schedule_3x3(tmp_path, capsys), **change}
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--schedule", str(bad), "--out", str(tmp_path))
+    assert code == 1
+    assert message in err
+
+
+# --- config values are typed once; flags come from the defaults table ------
+
+def _with_config(tmp_path, capsys, doc, *argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return run(capsys, *argv, "--config", str(cfg))
+
+
+def test_config_string_for_bool_is_rejected(tmp_path, capsys):
+    code, _, err = _with_config(tmp_path, capsys, {"schedule": {"periodic": "false"}},
+                                "schedule", "--out", str(tmp_path))
+    assert code == 1
+    assert "config.schedule.periodic must be bool" in err
+
+
+def test_config_list_for_int_is_rejected(tmp_path, capsys):
+    code, _, err = _with_config(tmp_path, capsys, {"lattice": {"rows": [1]}},
+                                "lattice", "--out", str(tmp_path))
+    assert code == 1
+    assert "config.lattice.rows must be int, got [1]" in err
+
+
+def test_dump_config_reports_the_config_seed(tmp_path, capsys):
+    code, out, _ = _with_config(tmp_path, capsys, {"seed": 7}, "mbqc", "--dump-config")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+
+
+def test_propagate_reads_omega_rf_flag(capsys):
+    code, out, _ = run(capsys, "electron", "propagate", "--omega-rf", "1e8",
+                       "--dump-config")
+    assert code == 0
+    assert json.loads(out)["electron"]["propagate"]["omega_rf"] == 1e8
+
+
+def test_flag_of_another_mode_is_rejected(capsys):
+    code, _, err = run(capsys, "electron", "classical", "--dt", "5")
+    assert code == 1
+    assert "--dt does not apply to electron classical" in err
+
+
+LATTICE_OPTIONS = {"--rows", "--cols", "--d", "--n", "--periodic", "--no-periodic"}
+COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--out", "--dump-config"}
+OPTIONS = {  # as before flags were generated, plus --no-boundary
+    "lattice": LATTICE_OPTIONS,
+    "schedule": LATTICE_OPTIONS | {"--t-gate", "--t-shuttle"},
+    "verify": LATTICE_OPTIONS | {"--t-gate", "--t-shuttle", "--schedule"},
+    "mbqc": {"--pattern"},
+    "ionize": {"--irradiance", "--i-min", "--i-max", "--points", "--lambda-min",
+               "--lambda-max", "--max-photons", "--detuning-cut", "--t-pulse",
+               "--detuning-linewidths"},
+    "electron": {"--t-final", "--dt", "--omega-e", "--v0", "--points-x", "--points-y",
+                 "--hbar-scale", "--static", "--no-static", "--t", "--a", "--q",
+                 "--charge", "--mass", "--v-rf", "--r0", "--omega-rf", "--m-ion",
+                 "--boundary", "--no-boundary"},
+    "resources": {"--bits", "--wallclock", "--n-qubits", "--t-meas", "--t-coh"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_option_strings_are_pinned(capsys, command):
+    code = cli.main([command, "--help"])
+    usage = capsys.readouterr().out.split("defaults:")[0]
+    assert code == 0
+    found = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", usage))
+    assert found == OPTIONS[command] | COMMON_OPTIONS

@@ -172,12 +172,6 @@ def _dense_projector(n, q, basis, sign):
     return op
 
 
-def test_measure_pauli_wrapper(rng):
-    tab = gs.new_plus_state(2)
-    out, same = gs.measure_pauli(tab, 0, "X")
-    assert same is tab and out == 1
-
-
 def test_statevector_oracle_values():
     psi = gs.statevector_oracle([(0, 1)], 2)
     assert psi == pytest.approx(np.array([0.5, 0.5, 0.5, -0.5]))

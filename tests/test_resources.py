@@ -53,14 +53,6 @@ def test_storage_error():
         res.storage_error(10_000, 3e-9, 0.0)
 
 
-def test_timing_model_validation():
-    res.TimingModel()
-    with pytest.raises(ValueError):
-        res.TimingModel(ops_per_bitcube=0)
-    with pytest.raises(ValueError):
-        res.TimingModel(t_meas_s=-1.0)
-
-
 def test_resource_report_shape():
     rep = res.resource_report(640, 300.0, 10_000, 3e-9, 10.0)
     json.dumps(rep)

@@ -22,6 +22,8 @@ def test_six_disjoint_rounds_cover_cluster(n, periodic):
     assert sched.edge_union() == lattice.cluster_edges(asg, periodic=periodic)
     total = sum(len(r) for r in sched.rounds)
     assert total == len(sched.edge_union())  # no edge scheduled twice
+    assert scheduler.check_rounds(sched.rounds,
+                                  lattice.cluster_edges(asg, periodic=periodic)) is None
 
 
 def test_rounds_split_intra_then_inter():
@@ -38,10 +40,28 @@ def test_rounds_split_intra_then_inter():
 def test_prep_time_default_values():
     asg = make_assignment()
     sched = scheduler.build_schedule(asg)
-    assert scheduler.prep_time(sched, 1e-5, 1e-4) == pytest.approx(6.6e-4, rel=1e-12)
-    assert scheduler.prep_time(sched, 2e-5, 3e-4) == pytest.approx(6 * 3.2e-4)
-    with pytest.raises(ValueError):
-        scheduler.prep_time(sched, -1e-5, 1e-4)
+    assert scheduler.prep_time(sched) == pytest.approx(6.6e-4, rel=1e-12)
+    slow = scheduler.build_schedule(asg, t_gate=2e-5, t_shuttle=3e-4)
+    assert scheduler.prep_time(slow) == pytest.approx(6 * 3.2e-4)
+
+
+def test_check_rounds_names_each_fault():
+    asg = make_assignment()
+    target = lattice.cluster_edges(asg)
+    r = [list(rnd) for rnd in scheduler.build_schedule(asg).rounds]
+    (a, b), (c, d) = r[0][0], r[2][0]
+    faults = {
+        "7 rounds, expected 6": r + [[]],
+        "round 5 (inter-odd-layer): gate [%d, %d] listed twice" % (a, b):
+            r[:4] + [r[4] + [(a, b)], r[5]],
+        "round 1 (intra-u-even): gate [%d, %d] is not a cluster edge" % (a, a + 10**6):
+            [r[0] + [(a, a + 10**6)]] + r[1:],
+        "round 1 (intra-u-even): ion": [r[0] + r[2]] + r[1:2] + [[]] + r[3:],
+        "cluster edge [%d, %d] is in no round (1 missing)" % (c, d):
+            r[:2] + [r[2][1:]] + r[3:],
+    }
+    for expected, rounds in faults.items():
+        assert scheduler.check_rounds(rounds, target).startswith(expected)
 
 
 def test_build_validation():
