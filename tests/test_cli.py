@@ -258,8 +258,8 @@ def _schedule_3x3(tmp_path, capsys):
 def _verify_doc(tmp_path, capsys, doc):
     bad = tmp_path / "edited.json"
     bad.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", "--schedule", str(bad), "--out",
-                         str(tmp_path / "ver"))
+    code, out, _ = run(capsys, "verify", "--schedule", str(bad), "--out",
+                       str(tmp_path / "ver"))
     on_disk = json.loads((tmp_path / "ver" / "verification.json").read_text())
     assert json.loads(out) == on_disk
     return code, on_disk

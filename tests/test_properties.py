@@ -135,7 +135,8 @@ def test_config_documents_exit_cleanly(doc, argv):
 
 
 def test_valid_documents_still_run():
-    """The generators above reach the success path, not only rejections."""
+    """Valid documents exit 0 through the same harness, so the properties
+    above do not pass merely because every document is rejected."""
     doc = mbqc.pattern_to_dict(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
                                mbqc.linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
     assert _exit_code(["mbqc", "--pattern", "{path}"], "pattern.json", doc) == 0
