@@ -7,7 +7,7 @@ graphstate         stabilizer tableau, CPHASE conjugation, cluster verification
 scheduler          constant-depth six-round entangling schedule
 mbqc               adaptive measurement patterns on small clusters
 ionization         multiphoton ionization rates, resonances, pulse irradiances
-electron_dynamics  2D wavepacket propagation in the trap saddle, Mathieu stability
+electron_dynamics  separable psi_x(x) psi_y(y) propagation in the trap saddle, Mathieu stability
 resources          factoring-scale operation counts and storage error budgets
 cli                command-line entry points
 """

@@ -344,6 +344,14 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _angle(value, step: int) -> float:
+    """A finite JSON number; bools, strings, NaN and Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"step {step} angle must be a finite number, got {value!r}")
+    return float(value)
+
+
 def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], MeasurementPattern]:
     """Parse the JSON pattern document; unknown keys are rejected."""
     if not isinstance(doc, dict):
@@ -361,11 +369,11 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
         steps = tuple(
             MeasurementStep(
                 qubit=_int(s["qubit"], "step qubit"),
-                angle=float(s["angle"]),
+                angle=_angle(s["angle"], i),
                 s_domain=frozenset(_int(k, "s_domain entry") for k in s.get("s_domain", ())),
                 t_domain=frozenset(_int(k, "t_domain entry") for k in s.get("t_domain", ())),
             )
-            for s in doc["steps"]
+            for i, s in enumerate(doc["steps"])
         )
         outputs = tuple(_int(q, "output qubit") for q in doc["outputs"])
         corrections = tuple(
@@ -376,6 +384,7 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
             )
             for c in doc.get("corrections", ())
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer angle past the float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pattern document: {exc}") from exc
     return n, edges, MeasurementPattern(steps=steps, outputs=outputs, corrections=corrections)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the Mathieu code needs it, and it costs most of the CLI's start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, hexmbqc.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_lattice_roundtrip(tmp_path, capsys):
@@ -294,6 +308,11 @@ def _chain_doc():
     return doc
 
 
+def _first_angle(angle):
+    steps = _chain_doc()["steps"]
+    return {"steps": [{**steps[0], "angle": angle}, *steps[1:]]}
+
+
 BAD_PATTERNS = {
     "negative endpoint": ({"edges": [[0, 1], [1, 2], [2, 3], [3, -1]]},
                           "edge (3, -1) has an endpoint outside 0..4"),
@@ -303,6 +322,13 @@ BAD_PATTERNS = {
                        "edge endpoint must be an integer, got 1.5"),
     "bare amplitudes": ({"input": {"qubits": [0], "amplitudes": [1, 0]}},
                         "input.amplitudes must be"),
+    "NaN angle": (_first_angle(math.nan), "step 0 angle must be a finite number, got nan"),
+    "Infinity angle": (_first_angle(math.inf),
+                       "step 0 angle must be a finite number, got inf"),
+    "true angle": (_first_angle(True), "step 0 angle must be a finite number, got True"),
+    "string angle": (_first_angle("1.5"),
+                     "step 0 angle must be a finite number, got '1.5'"),
+    "huge angle": (_first_angle(10**400), "int too large to convert to float"),
 }
 
 

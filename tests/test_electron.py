@@ -154,6 +154,156 @@ def test_snapshots_record_density():
         1.0, abs=1e-6)
 
 
+# --- the 2D stepper, kept as the oracle for the separable one -------------
+
+def _cap_masks_2d(wp, config):
+    """Detector slabs and boundary frame as 2D damping factors."""
+    x = config.x_axis()
+    y = config.y_axis()
+    dt = config.dt
+
+    detector_damps = []  # (slice, damping column vector over the slab)
+    for cx, w in config.detectors:
+        a, b = cx - w / 2.0, cx + w / 2.0
+        inner, outer = (a, b) if cx >= 0 else (b, a)
+        idx = np.nonzero((x >= min(a, b)) & (x <= max(a, b)))[0]
+        if idx.size == 0:
+            continue
+        sl = slice(idx[0], idx[-1] + 1)
+        u = np.abs(x[sl] - inner) / w
+        v_char = math.hypot(wp.v0, config.omega_e * abs(outer))
+        w0 = config.detector_gain * config.hbar_eff * v_char / w
+        damp = np.exp(-w0 * u**2 * dt / config.hbar_eff)
+        detector_damps.append((sl, damp[:, None]))
+
+    boundary = None
+    if config.absorber_width_frac > 0.0:
+        wx = config.absorber_width_frac * config.extent_x
+        wy = config.absorber_width_frac * config.extent_y
+        ux = np.clip((np.abs(x) - (config.extent_x / 2.0 - wx)) / wx, 0.0, None)
+        uy = np.clip((np.abs(y) - (config.extent_y / 2.0 - wy)) / wy, 0.0, None)
+        v_char = math.hypot(wp.v0, config.omega_e * config.extent_x / 2.0)
+        w0x = config.absorber_gain * config.hbar_eff * v_char / wx
+        w0y = config.absorber_gain * config.hbar_eff * v_char / wy
+        w_frame = w0x * ux[:, None] ** 2 + w0y * uy[None, :] ** 2
+        boundary = np.exp(-w_frame * dt / config.hbar_eff)
+    return detector_damps, boundary
+
+
+def _sample_2d(psi, config, t, captured, boundary_lost):
+    p = np.abs(psi) ** 2
+    w = p.sum()
+    x = config.x_axis()
+    y = config.y_axis()
+    px = p.sum(axis=1) / w
+    py = p.sum(axis=0) / w
+    mx = px @ x
+    my = py @ y
+    return ed.EffSample(
+        t=t, captured=tuple(captured), total_captured=math.fsum(captured),
+        norm_remaining=float(w * config.dx * config.dy), boundary_lost=boundary_lost,
+        mean_x=float(mx), mean_y=float(my),
+        sigma_x=float(math.sqrt(px @ (x - mx) ** 2)),
+        sigma_y=float(math.sqrt(py @ (y - my) ** 2)))
+
+
+def _propagate_2d(wp, config, t_final, sample_interval=5e-12, snapshot_times=()):
+    """Strang V/2 - T - V/2 on the full grid; returns (samples, psi, snapshots)."""
+    dt = config.dt
+    hbar = config.hbar_eff
+    x = config.x_axis()[:, None]
+    y = config.y_axis()[None, :]
+
+    v_grid = 0.5 * config.mass * config.omega_e**2 * (np.square(y) - np.square(x))
+    kx = 2.0 * math.pi * np.fft.fftfreq(config.points_x, config.dx)[:, None]
+    ky = 2.0 * math.pi * np.fft.fftfreq(config.points_y, config.dy)[None, :]
+    kin_phase = np.exp(-1j * hbar * (kx**2 + ky**2) / (2.0 * config.mass) * dt)
+    half_phase_static = np.exp(-1j * v_grid * dt / (2.0 * hbar))
+
+    detector_damps, boundary = _cap_masks_2d(wp, config)
+    cell = config.dx * config.dy
+
+    psi = wp.psi.astype(np.complex128, copy=True)
+    n_steps = int(round(t_final / dt))
+    stride = max(1, int(round(sample_interval / dt)))
+    captured = [0.0] * len(config.detectors)
+    boundary_lost = 0.0
+    want_snaps = sorted(set(
+        min(max(int(round(ts / dt)), 0), n_steps) for ts in snapshot_times))
+
+    samples = [_sample_2d(psi, config, 0.0, captured, boundary_lost)]
+    snaps = []
+    if want_snaps and want_snaps[0] == 0:
+        snaps.append(ed.Snapshot(t=0.0, density=np.abs(psi) ** 2))
+        want_snaps.pop(0)
+
+    for step in range(1, n_steps + 1):
+        if config.static_mode:
+            half = half_phase_static
+        else:
+            drive = math.cos(config.omega_rf * ((step - 0.5) * dt))
+            half = np.exp(-1j * v_grid * (drive * dt / (2.0 * hbar)))
+        psi *= half
+        psi = np.fft.ifft2(kin_phase * np.fft.fft2(psi))
+        psi *= half
+
+        for i, (sl, damp) in enumerate(detector_damps):
+            seg = psi[sl]
+            captured[i] += float(np.sum(np.abs(seg) ** 2 * (1.0 - damp**2)) * cell)
+            seg *= damp
+        if boundary is not None:
+            before = float(np.sum(np.abs(psi) ** 2) * cell)
+            psi *= boundary
+            boundary_lost += before - float(np.sum(np.abs(psi) ** 2) * cell)
+
+        if step % stride == 0 or step == n_steps:
+            samples.append(_sample_2d(psi, config, step * dt, captured, boundary_lost))
+        if want_snaps and step == want_snaps[0]:
+            snaps.append(ed.Snapshot(t=step * dt, density=np.abs(psi) ** 2))
+            want_snaps.pop(0)
+    return samples, psi, snaps
+
+
+def _max_rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    return float(np.max(np.abs(a - b)) / scale) if scale else 0.0
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+def test_separable_stepper_matches_2d_oracle(static):
+    # dt = 1 ps, so one drive period spans ten steps
+    cfg = fast_config(dt=1e-12, static_mode=static, omega_rf=2 * math.pi / 1e-11)
+    wp = ed.gaussian_wavepacket(cfg, v0=2e4)
+    t, snap_t = 0.6e-9, (0.3e-9,)
+    res = ed.propagate(wp, cfg, t, sample_interval=5e-12, snapshot_times=snap_t)
+    samples, psi, snaps = _propagate_2d(wp, cfg, t, sample_interval=5e-12,
+                                        snapshot_times=snap_t)
+    assert len(res.trace.samples) == len(samples) == 121
+    last = res.trace.samples[-1]
+    # the run exercises both detectors and the boundary frame
+    assert min(last.captured) > 1e-5 and last.boundary_lost > 1e-4
+    for field in ed.EffSample._fields:
+        got = [getattr(s, field) for s in res.trace.samples]
+        want = [getattr(s, field) for s in samples]
+        assert _max_rel(got, want) <= 1e-10, field
+    assert _max_rel(res.wavepacket.psi, psi) <= 1e-10
+    assert res.snapshots[0].t == snaps[0].t
+    assert _max_rel(res.snapshots[0].density, snaps[0].density) <= 1e-10
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+def test_norm_budget_closes(static):
+    cfg = fast_config(static_mode=static)
+    wp = ed.gaussian_wavepacket(cfg, v0=7e3)
+    res = ed.propagate(wp, cfg, 1.0e-9, sample_interval=5e-12)
+    for s in res.trace.samples:
+        budget = s.total_captured + s.boundary_lost + s.norm_remaining
+        assert budget == pytest.approx(1.0, abs=1e-9), s.t
+    last = res.trace.samples[-1]
+    assert last.total_captured > 0.05 and last.boundary_lost > 1e-3
+
+
 def test_classical_trajectory_pins():
     cfg = ed.TrapConfig(omega_e=2e9)
     x, v = ed.classical_trajectory(cfg, 7e3, 1.5e-9)
