@@ -5,7 +5,9 @@ qubits is a Pauli string stored as X bits, Z bits and a phase bit
 (0 -> +, 1 -> -).  CPHASE conjugation, single-qubit Pauli measurement and
 stabilizer-group membership (Gaussian elimination over GF(2) with phase
 tracking) are enough for every check in this package; destabilizers are
-not kept.
+not kept.  ``x`` and ``z`` are stored column-major (Fortran order): a CZ
+reads and writes whole columns, while row operations only run on small
+tableaus.
 
 A cluster state on edge set E is stabilized by K_a = X_a prod_{b~a} Z_b
 with + sign for every qubit a.  ``statevector_oracle`` builds the same
@@ -58,15 +60,15 @@ class StabilizerTableau:
     """Mutable stabilizer generators of an n-qubit pure state."""
 
     def __init__(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray):
-        self.n = x.shape[1]
-        self.x = x.astype(np.uint8)
-        self.z = z.astype(np.uint8)
-        self.phase = phase.astype(np.uint8)
+        self.x = np.array(x, dtype=np.uint8, order="F")
+        self.z = np.array(z, dtype=np.uint8, order="F")
+        self.phase = np.array(phase, dtype=np.uint8)
+        self.n = self.x.shape[1]
         if self.x.shape != (self.n, self.n) or self.z.shape != (self.n, self.n):
             raise ValueError("tableau must hold exactly n generators on n qubits")
 
     def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(self.x.copy(), self.z.copy(), self.phase.copy())
+        return StabilizerTableau(self.x, self.z, self.phase)
 
     def _mul_into(self, dst: int, xs: np.ndarray, zs: np.ndarray, ps: int) -> None:
         """Row dst <- row dst * (xs, zs, ps), tracking the real sign."""
@@ -201,7 +203,8 @@ def new_plus_state(n: int) -> StabilizerTableau:
     """|+>^n: generator i is X_i with + sign."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    return StabilizerTableau(np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8), np.zeros(n, np.uint8))
+    return StabilizerTableau(np.eye(n, dtype=np.uint8, order="F"),
+                             np.zeros((n, n), np.uint8, order="F"), np.zeros(n, np.uint8))
 
 
 def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]]) -> bool:
@@ -217,6 +220,17 @@ def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]])
                 raise ValueError(f"edge endpoint {q} out of range for n={n}")
         nbrs[a].add(b)
         nbrs[b].add(a)
+    x, z = tableau.x, tableau.z
+    if np.count_nonzero(x) == n and (np.diagonal(x) == 1).all():
+        # Graph form: a product of generators has X-part equal to the set of
+        # rows multiplied, so row a is the only element with X-part e_a and
+        # K_a holds iff row a is +K_a.  z is compared with the adjacency
+        # without building it: the ones of z must be exactly the target pairs.
+        rows = np.repeat(np.arange(n), [len(nbrs[q]) for q in range(n)])
+        cols = np.fromiter((b for q in range(n) for b in nbrs[q]), dtype=np.intp,
+                           count=rows.size)
+        return bool(not tableau.phase.any() and np.count_nonzero(z) == rows.size
+                    and (z[rows, cols] == 1).all())
     for a in range(n):
         xs = np.zeros(n, dtype=np.uint8)
         zs = np.zeros(n, dtype=np.uint8)

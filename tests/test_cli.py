@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -18,15 +19,33 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _cli_env():
+    """The environment for a subprocess that imports this checkout's hexmbqc."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # only the Mathieu code needs it, and it costs most of the CLI's start-up
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = "import sys, hexmbqc.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_verify_paper_scale_array(tmp_path):
+    # 70x70 at n=3 is the paper's ~1e4-ion array
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hexmbqc.cli", "verify", "--rows", "70",
+                           "--cols", "70", "--n", "3", "--out", str(tmp_path)],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "verification.json").read_text())
+    assert doc["verified"] is True
+    assert (doc["sites"], doc["target_edges"]) == (10080, 28741)
+    assert elapsed < 10.0
 
 
 def test_lattice_roundtrip(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from hexmbqc import graphstate as gs
+from hexmbqc import lattice, scheduler
 
 
 def random_graph(rng, n, p=0.4):
@@ -216,3 +218,115 @@ def test_copy_is_independent():
     tab.apply_cphase(0, 1)
     assert gs.verify_cluster(cp, [])
     assert gs.verify_cluster(tab, [(0, 1)])
+
+
+def _contains_loop(tab, edges):
+    """The per-K_a membership answer, the slow path verify_cluster falls back to."""
+    n = tab.n
+    nbrs = {q: set() for q in range(n)}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for a in range(n):
+        xs = np.zeros(n, dtype=np.uint8)
+        zs = np.zeros(n, dtype=np.uint8)
+        xs[a] = 1
+        zs[sorted(nbrs[a])] = 1
+        if not tab.contains(xs, zs, sign=0):
+            return False
+    return True
+
+
+def _graph_tableau(n, edges):
+    tab = gs.new_plus_state(n)
+    for a, b in edges:
+        tab.apply_cphase(a, b)
+    return tab
+
+
+def test_graph_form_fast_path_matches_contains_loop(rng):
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(2, 10))
+        edges = random_graph(rng, n)
+        tab = _graph_tableau(n, edges)
+        cases.append((tab, edges))
+        cases.append((tab, edges + [(b, a) for a, b in edges] + edges[:2]))
+        cases.append((tab, []))
+        if edges:
+            cases.append((tab, edges[1:]))
+            cases.append((_graph_tableau(n, edges[1:]), edges))
+        missing = sorted({(a, b) for a in range(n) for b in range(a + 1, n)} - set(edges))
+        if missing:
+            cases.append((_graph_tableau(n, edges + missing[:1]), edges))
+            cases.append((_graph_tableau(n, edges[1:] + missing[:1]), edges))
+        q = int(rng.integers(n))
+        flipped = tab.copy()
+        flipped.phase[q] ^= 1
+        cases.append((flipped, edges))
+        y_gen = tab.copy()
+        y_gen.z[q, q] = 1
+        cases.append((y_gen, edges))
+    accepted = 0
+    for tab, edges in cases:
+        got = gs.verify_cluster(tab, edges)
+        assert type(got) is bool
+        assert got == _contains_loop(tab, edges)
+        accepted += got
+    assert 0 < accepted < len(cases)
+
+
+def test_fallback_accepts_same_group_outside_graph_form(rng):
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        edges = random_graph(rng, n, p=0.5)
+        r, s = (int(q) for q in rng.choice(n, size=2, replace=False))
+        multiplied = _graph_tableau(n, edges)
+        multiplied._mul_into(r, multiplied.x[s].copy(), multiplied.z[s].copy(),
+                             int(multiplied.phase[s]))
+        assert np.count_nonzero(multiplied.x) == n + 1
+        graph = _graph_tableau(n, edges)
+        order = np.arange(n)
+        order[[r, s]] = [s, r]
+        swapped = gs.StabilizerTableau(graph.x[order], graph.z[order], graph.phase[order])
+        for tab in (multiplied, swapped):
+            assert gs.verify_cluster(tab, edges) is True
+            tab.phase[s] ^= 1
+            assert gs.verify_cluster(tab, edges) is False
+
+
+def test_448_site_cluster_verifies_in_under_a_second():
+    array = lattice.build_hex_array(14, 14, 1.0)
+    assign = lattice.decompose_sublattices(array, 2)
+    rounds = scheduler.build_schedule(assign).rounds
+    target = lattice.cluster_edges(assign)
+    assert array.site_count() == 448
+    tab = gs.new_plus_state(array.site_count())
+    for rnd in rounds:
+        for a, b in rnd:
+            tab.apply_cphase(a, b)
+    t0 = time.perf_counter()
+    assert gs.verify_cluster(tab, target) is True
+    assert time.perf_counter() - t0 < 1.0
+    tab.apply_cphase(*rounds[3][0])
+    assert gs.verify_cluster(tab, target) is False
+
+
+def test_column_major_layout_gives_same_tableau(rng):
+    n = 12
+    edges = random_graph(rng, n)
+    ref = gs.StabilizerTableau(np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8),
+                               np.zeros(n, np.uint8))
+    tab = gs.new_plus_state(n)
+    for t in (ref, tab):
+        assert t.x.flags.f_contiguous and t.z.flags.f_contiguous
+        for a, b in edges:
+            t.apply_cphase(a, b)
+    for name in ("x", "z", "phase"):
+        np.testing.assert_array_equal(getattr(ref, name), getattr(tab, name))
+    cp = tab.copy()
+    assert cp.x.flags.f_contiguous and cp.z.flags.f_contiguous
+    cp.apply_cphase(0, 1)
+    cp.phase[2] ^= 1
+    np.testing.assert_array_equal(tab.z, ref.z)
+    np.testing.assert_array_equal(tab.phase, ref.phase)

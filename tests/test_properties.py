@@ -1,5 +1,6 @@
 """Property tests: no pattern, schedule or config document makes the CLI
-raise, and every exit code is 0, 1 or 2.
+raise, every exit code is 0, 1 or 2, and an MBQC run that exits 0 writes
+only finite numbers.
 
 Generated integers stay small so that any document the CLI accepts
 describes a problem that runs in milliseconds.
@@ -8,6 +9,7 @@ describes a problem that runs in milliseconds.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -33,6 +35,24 @@ step = st.fixed_dictionaries(
     {"qubit": maybe(qubit), "angle": maybe(st.floats(-4, 4))},
     optional={"s_domain": maybe(st.lists(qubit, max_size=2)),
               "t_domain": maybe(st.lists(qubit, max_size=2))})
+CHAIN_DOC = mbqc.pattern_to_dict(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                                 mbqc.linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
+
+
+@st.composite
+def chain_docs(draw):
+    """The 5-qubit chain pattern, which runs, with every angle drawn from all
+    floats (NaN and infinities too) and sometimes a normalized input state
+    on qubit 0."""
+    doc = json.loads(json.dumps(CHAIN_DOC))
+    for entry in doc["steps"]:
+        entry["angle"] = draw(st.floats())
+    if draw(st.booleans()):
+        t = draw(st.floats(-4, 4))
+        doc["input"] = {"qubits": [0], "amplitudes": [[math.cos(t), 0.0], [0.0, math.sin(t)]]}
+    return doc
+
+
 pattern_docs = json_values | st.fixed_dictionaries(
     {"n": maybe(st.integers(0, 5)),
      "edges": maybe(st.lists(maybe(st.lists(maybe(qubit), min_size=2, max_size=2)),
@@ -93,53 +113,68 @@ def _block(defaults):
 config_docs = json_values | st.fixed_dictionaries({}, optional={
     "seed": json_values, "out": json_values, "lattice": _block(cli._LATTICE),
     "schedule": _block(cli._DEFAULTS["schedule"]),
+    "verify": _block(cli._DEFAULTS["verify"]),
     "ionize": st.fixed_dictionaries({}, optional={
         mode: _block(defaults) for mode, defaults in cli._DEFAULTS["ionize"].items()}),
     "electron": st.fixed_dictionaries({}, optional={
         mode: _block(defaults) for mode, defaults in cli._DEFAULTS["electron"].items()}),
     "resources": _block(cli._DEFAULTS["resources"])})
-# the cheap commands; verify and propagate are left out because a block of
-# small values can still describe a run of seconds
-CONFIG_ARGV = [["lattice"], ["schedule"], ["ionize", "rates"], ["ionize", "resonances"],
-               ["ionize", "quadrupole"], ["ionize", "raman"], ["electron", "classical"],
-               ["electron", "timescale"], ["resources"]]
+# every command a config alone can run: propagate is left out because a block
+# of small values can still describe a run of seconds, and mathieu because one
+# run takes ~0.5 s; verify of a small array takes milliseconds
+CONFIG_ARGV = [["lattice"], ["schedule"], ["verify"], ["ionize", "rates"],
+               ["ionize", "resonances"], ["ionize", "quadrupole"], ["ionize", "raman"],
+               ["electron", "classical"], ["electron", "timescale"], ["resources"]]
 
 
-def _exit_code(argv, filename, doc) -> int:
+def _run(argv, filename, doc) -> tuple[int, dict]:
+    """Exit code and the parsed JSON artifacts of one CLI run on ``doc``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / filename
         path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return cli.dispatch([arg.format(path=path) for arg in argv]
+            code = cli.dispatch([arg.format(path=path) for arg in argv]
                                 + ["--out", str(Path(tmp) / "out")])
+        return code, {f.name: json.loads(f.read_text())
+                      for f in Path(tmp).glob("out/*.json")}
 
 
 @settings(max_examples=50, deadline=None)
 @given(pattern_docs, st.integers(0, 3))
 def test_pattern_documents_exit_cleanly(doc, seed):
     argv = ["mbqc", "--pattern", "{path}", "--seed", str(seed)]
-    assert _exit_code(argv, "pattern.json", doc) in (0, 1)
+    assert _run(argv, "pattern.json", doc)[0] in (0, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(chain_docs(), st.integers(0, 3))
+def test_runnable_patterns_write_finite_numbers(doc, seed):
+    argv = ["mbqc", "--pattern", "{path}", "--seed", str(seed)]
+    code, written = _run(argv, "pattern.json", doc)
+    assert code in (0, 1)
+    if code == 0:
+        result = written["mbqc_result.json"]
+        numbers = result["state_re"] + result["state_im"] + [result["branch_probability"]]
+        assert all(math.isfinite(v) for v in numbers)
 
 
 @settings(max_examples=50, deadline=None)
 @given(schedule_docs)
 def test_schedule_documents_exit_cleanly(doc):
-    assert _exit_code(["verify", "--schedule", "{path}"], "schedule.json", doc) in (0, 1, 2)
+    assert _run(["verify", "--schedule", "{path}"], "schedule.json", doc)[0] in (0, 1, 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(config_docs, st.sampled_from(CONFIG_ARGV))
 def test_config_documents_exit_cleanly(doc, argv):
-    assert _exit_code(argv + ["--config", "{path}"], "config.json", doc) in (0, 1)
+    assert _run(argv + ["--config", "{path}"], "config.json", doc)[0] in (0, 1)
 
 
 def test_valid_documents_still_run():
     """Valid documents exit 0 through the same harness, so the properties
     above do not pass merely because every document is rejected."""
-    doc = mbqc.pattern_to_dict(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
-                               mbqc.linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
-    assert _exit_code(["mbqc", "--pattern", "{path}"], "pattern.json", doc) == 0
+    assert _run(["mbqc", "--pattern", "{path}"], "pattern.json", CHAIN_DOC)[0] == 0
     doc = {"lattice": {"rows": 2, "cols": 2, "n": 1}, "rounds": VALID_ROUNDS}
-    assert _exit_code(["verify", "--schedule", "{path}"], "schedule.json", doc) == 0
-    assert _exit_code(["lattice", "--config", "{path}"], "config.json", {}) == 0
+    assert _run(["verify", "--schedule", "{path}"], "schedule.json", doc)[0] == 0
+    assert _run(["lattice", "--config", "{path}"], "config.json", {})[0] == 0
