@@ -220,8 +220,14 @@ def test_copy_is_independent():
     assert gs.verify_cluster(tab, [(0, 1)])
 
 
-def _contains_loop(tab, edges):
-    """The per-K_a membership answer, the slow path verify_cluster falls back to."""
+def _eliminates_to(tab, xs, zs, sign):
+    """Membership by GF(2) elimination alone, the oracle for contains."""
+    ok, got = tab._reduce(xs, zs)
+    return ok and got == sign
+
+
+def _elimination_loop(tab, edges):
+    """verify_cluster's answer with every K_a decided by elimination."""
     n = tab.n
     nbrs = {q: set() for q in range(n)}
     for a, b in edges:
@@ -232,7 +238,7 @@ def _contains_loop(tab, edges):
         zs = np.zeros(n, dtype=np.uint8)
         xs[a] = 1
         zs[sorted(nbrs[a])] = 1
-        if not tab.contains(xs, zs, sign=0):
+        if not _eliminates_to(tab, xs, zs, 0):
             return False
     return True
 
@@ -244,7 +250,7 @@ def _graph_tableau(n, edges):
     return tab
 
 
-def test_graph_form_fast_path_matches_contains_loop(rng):
+def test_verify_cluster_matches_elimination(rng):
     cases = []
     for _ in range(30):
         n = int(rng.integers(2, 10))
@@ -271,12 +277,60 @@ def test_graph_form_fast_path_matches_contains_loop(rng):
     for tab, edges in cases:
         got = gs.verify_cluster(tab, edges)
         assert type(got) is bool
-        assert got == _contains_loop(tab, edges)
+        assert got == _elimination_loop(tab, edges)
         accepted += got
     assert 0 < accepted < len(cases)
 
 
-def test_fallback_accepts_same_group_outside_graph_form(rng):
+def test_contains_matches_elimination_on_any_pauli(rng):
+    paulis = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        tab = _graph_tableau(n, random_graph(rng, n))
+        for q in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
+            tab.measure(int(q), "XYZ"[int(rng.integers(3))], rng=rng)
+        r, s = (int(q) for q in rng.choice(n, size=2, replace=False))
+        product = tab.copy()
+        product._mul_into(r, tab.x[s], tab.z[s], int(tab.phase[s]))
+        candidates = [(tab.x[r], tab.z[r]), (product.x[r], product.z[r]),
+                      (np.zeros(n, np.uint8), np.zeros(n, np.uint8))]
+        candidates += [tuple(rng.integers(0, 2, size=(2, n), dtype=np.uint8))
+                       for _ in range(4)]
+        for xs, zs in candidates:
+            xs, zs = xs.copy(), zs.copy()
+            answers = [tab.contains(xs, zs, sign) for sign in (0, 1)]
+            assert answers == [_eliminates_to(tab, xs, zs, sign) for sign in (0, 1)]
+            paulis += any(answers)
+    assert paulis >= 60
+
+
+def _spy_on_elimination(monkeypatch):
+    eliminations = []
+    reduce = gs.StabilizerTableau._reduce
+    monkeypatch.setattr(gs.StabilizerTableau, "_reduce",
+                        lambda tab, xs, zs: eliminations.append(1) or reduce(tab, xs, zs))
+    return eliminations
+
+
+def test_graph_form_is_decided_without_elimination(rng, monkeypatch):
+    eliminations = _spy_on_elimination(monkeypatch)
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        edges = random_graph(rng, n, p=0.5) or [(0, 1)]
+        tab = _graph_tableau(n, edges)
+        assert gs.verify_cluster(tab, edges) is True
+        assert gs.verify_cluster(tab, edges[1:]) is False
+        assert gs.verify_cluster(_graph_tableau(n, edges[1:]), edges) is False
+        tab.z[0, 0] = 1
+        assert gs.verify_cluster(tab, edges) is False
+        tab.z[0, 0] = 0
+        tab.phase[n - 1] = 1
+        assert gs.verify_cluster(tab, edges) is False
+    assert eliminations == []
+
+
+def test_fallback_accepts_same_group_outside_graph_form(rng, monkeypatch):
+    eliminations = _spy_on_elimination(monkeypatch)
     for _ in range(10):
         n = int(rng.integers(3, 9))
         edges = random_graph(rng, n, p=0.5)
@@ -289,8 +343,10 @@ def test_fallback_accepts_same_group_outside_graph_form(rng):
         order = np.arange(n)
         order[[r, s]] = [s, r]
         swapped = gs.StabilizerTableau(graph.x[order], graph.z[order], graph.phase[order])
-        for tab in (multiplied, swapped):
+        for tab, eliminates in ((multiplied, True), (swapped, False)):
+            del eliminations[:]
             assert gs.verify_cluster(tab, edges) is True
+            assert bool(eliminations) is eliminates
             tab.phase[s] ^= 1
             assert gs.verify_cluster(tab, edges) is False
 
