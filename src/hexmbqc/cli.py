@@ -21,6 +21,10 @@ anywhere.
 
 Exit codes: 0 success; 1 validation/usage error; 2 physics or
 verification failure (e.g. ``verify`` on a corrupted schedule).
+
+A process imports only what its subcommand runs: numpy is loaded by
+``mbqc``, ``electron propagate`` and a ``verify`` whose schedule passed
+its structural check (``graphstate``), and no subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -32,10 +36,8 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import electron_dynamics as ed
-from . import graphstate, ionization, lattice, mbqc, resources, scheduler
+from . import ionization, lattice, resources, scheduler
 
 __all__ = ["main", "dispatch", "parse_duration", "load_config"]
 
@@ -273,6 +275,7 @@ def _cmd_verify(args, eff) -> int:
     target = lattice.cluster_edges(assign, periodic=eff["periodic"])
     failure = scheduler.check_rounds(rounds, target)
     if failure is None:
+        from . import graphstate
         tab = graphstate.new_plus_state(array.site_count())
         for rnd in rounds:
             for a, b in rnd:
@@ -289,6 +292,9 @@ def _cmd_verify(args, eff) -> int:
 
 
 def _cmd_mbqc(args, eff) -> int:
+    import numpy as np
+
+    from . import mbqc
     if not eff["pattern_file"]:
         raise ValueError("mbqc requires a pattern file (--pattern)")
     with open(eff["pattern_file"]) as fh:
@@ -320,6 +326,34 @@ def _cmd_mbqc(args, eff) -> int:
     return EXIT_OK
 
 
+def _pow10(y: float) -> float:
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
+
+
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.geomspace(start, stop, num)`` as Python floats, by numpy's
+    arithmetic: log10 of both ends, k*step + log10(start), 10**y, ends
+    pinned, the sign of start factored out.  Bit for bit where numpy's
+    log10 and power round like the C library's."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    if start == 0 or stop == 0:
+        raise ValueError("Geometric sequence cannot include zero")
+    sign = math.copysign(1.0, start) if start == start else math.nan  # numpy.sign
+    start, stop = start / sign, stop / sign
+    lo, hi = (math.log10(x) if x > 0 else math.nan for x in (start, stop))
+    step = (hi - lo) / (num - 1) if num > 1 else math.nan
+    out = [_pow10(k * step + lo) for k in range(num)]
+    if num > 0:
+        out[0] = start
+    if num > 1:
+        out[-1] = stop
+    return [x * sign for x in out]
+
+
 def _ionize_rates(args, eff) -> int:
     cal = ionization.load_calibration()
 
@@ -335,8 +369,8 @@ def _ionize_rates(args, eff) -> int:
         "schema_version": 1, "irradiance_w_cm2": eff["irradiance"],
         "rate_s_per_s": rs, "rate_d_per_s": rd, "ratio": ratio})
     rows = []
-    for irr in np.geomspace(eff["i_min"], eff["i_max"], eff["points"]):
-        a, b, c = triple(float(irr))
+    for irr in _geomspace(eff["i_min"], eff["i_max"], eff["points"]):
+        a, b, c = triple(irr)
         rows.append(f"{irr:.12e},{a:.12e},{b:.12e},{c:.12e}")
     _write_csv(args, "rates.csv", "irradiance_w_cm2,rate_s,rate_d,ratio", rows)
     return EXIT_OK
@@ -376,6 +410,8 @@ def _ionize_raman(args, eff) -> int:
 
 
 def _electron_propagate(args, eff) -> int:
+    import numpy as np
+
     trap = {key: eff[key] for key in eff if key in ed.TrapConfig.__dataclass_fields__}
     cfg = ed.TrapConfig(**{**trap, "detectors": tuple(map(tuple, eff["detectors"]))})
     wp = ed.gaussian_wavepacket(cfg, v0=eff["v0"], sigma_v=eff["sigma_v"],

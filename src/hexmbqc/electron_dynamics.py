@@ -33,16 +33,21 @@ are unrepresentable in 512x256.
 Classical reference: x(t) = (v0/w) sinh(w t) on the anti-trapped axis —
 exact for wavepacket means by Ehrenfest's theorem in a quadratic
 potential.  Trap-stability analysis solves the Mathieu equation
-y'' + (a - 2 q cos 2 tau) y = 0 by explicit Floquet monodromy.
+y'' + (a - 2 q cos 2 tau) y = 0 by explicit Floquet monodromy: fixed-step
+RK4 over one period in plain ``math``, at most MATHIEU_STEP_BUDGET steps.
+
+numpy is imported inside the functions that compute with arrays, so the
+classical, Mathieu and timescale calculations run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "E_CHARGE", "M_ELECTRON", "HBAR", "M_CA40", "SIGMA_V_DEFAULT",
@@ -51,7 +56,7 @@ __all__ = [
     "PropagationResult", "Snapshot",
     "saddle_potential", "gaussian_wavepacket", "propagate",
     "classical_trajectory",
-    "mathieu_q", "mathieu_stable", "stability_boundary",
+    "MATHIEU_STEP_BUDGET", "mathieu_q", "mathieu_stable", "stability_boundary",
     "TimescaleEstimate", "electron_timescale",
 ]
 
@@ -118,14 +123,17 @@ class TrapConfig:
         return self.extent_y / self.points_y
 
     def x_axis(self) -> np.ndarray:
+        import numpy as np
         return (np.arange(self.points_x) - self.points_x / 2.0) * self.dx
 
     def y_axis(self) -> np.ndarray:
+        import numpy as np
         return (np.arange(self.points_y) - self.points_y / 2.0) * self.dy
 
 
 def saddle_potential(config: TrapConfig, x, y, t: float = 0.0):
     """V = (m w_e^2/2)(y^2 - x^2), times cos(w_rf t) when driven."""
+    import numpy as np
     drive = 1.0 if config.static_mode else math.cos(config.omega_rf * t)
     return 0.5 * config.mass * config.omega_e**2 * (np.square(y) - np.square(x)) * drive
 
@@ -142,6 +150,7 @@ class Wavepacket:
     @property
     def psi(self) -> np.ndarray:
         """Complex amplitudes on the grid, shape (points_x, points_y)."""
+        import numpy as np
         return np.outer(self.psi_x, self.psi_y)
 
     def norm_squared(self, config: TrapConfig) -> float:
@@ -155,11 +164,13 @@ class Wavepacket:
 
 
 def _norm(psi: np.ndarray, step: float) -> float:
+    import numpy as np
     return float(np.vdot(psi, psi).real * step)
 
 
 def _moments(psi: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
     """Mean and width of |psi|^2 along one axis."""
+    import numpy as np
     p = np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2)
     m = p @ axis
     return float(m), float(math.sqrt(p @ (axis - m) ** 2))
@@ -178,6 +189,7 @@ def gaussian_wavepacket(
     hbar_eff/(2 m sigma_v), minimum-uncertainty under the configured
     hbar_eff.  Passing sigma0 pins the grid-space width directly.
     """
+    import numpy as np
     if sigma0 is None:
         if sigma_v <= 0:
             raise ValueError("sigma_v must be positive")
@@ -264,6 +276,7 @@ def _cap_masks(wp: Wavepacket, config: TrapConfig):
     v_char covers both the injection velocity and the saddle-accelerated
     arrival velocity at the slab's outer edge.
     """
+    import numpy as np
     x = config.x_axis()
     y = config.y_axis()
     dt = config.dt
@@ -298,6 +311,7 @@ def _cap_masks(wp: Wavepacket, config: TrapConfig):
 
 def _strang(psi: np.ndarray, half: np.ndarray, kin: np.ndarray) -> np.ndarray:
     """One V/2 - T - V/2 step of a 1D factor."""
+    import numpy as np
     return half * np.fft.ifft(kin * np.fft.fft(half * psi))
 
 
@@ -316,6 +330,7 @@ def propagate(
     times the norm of psi_y), total capture, remaining norm, boundary
     loss, and packet position/width moments roughly every sample_interval.
     """
+    import numpy as np
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if sample_interval < config.dt:
@@ -405,20 +420,54 @@ def mathieu_q(charge: float, mass: float, v_rf: float, r0: float,
     return 2.0 * charge * E_CHARGE * v_rf / (mass * r0**2 * omega_rf**2)
 
 
+# RK4 steps per unit of the fastest local rate sqrt(|a| + 2|q|) over the
+# period, and the most steps one trace may take
+_RK4_STEPS_PER_RATE = 40
+MATHIEU_STEP_BUDGET = 1 << 19
+
+
 def _monodromy_trace(a: float, q: float) -> float:
-    from scipy.integrate import solve_ivp  # imported here: it costs ~0.6 s at CLI start
+    """tr M(pi), M the monodromy of y'' + (a - 2q cos 2tau) y = 0 over [0, pi].
 
-    def rhs(tau, yv):
-        c = a - 2.0 * q * math.cos(2.0 * tau)
-        return [yv[1], -c * yv[0], yv[3], -c * yv[2]]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, math.pi), [1.0, 0.0, 0.0, 1.0],
-                        method="DOP853", rtol=1e-10, atol=1e-12,
-                        dense_output=False)
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        return math.inf
-    return float(sol.y[0, -1] + sol.y[3, -1])
+    Classic RK4 with N = max(256, ceil(40 sqrt(|a| + 2|q|) pi)) equal steps
+    h = pi/N advances both fundamental solutions, (y, y') = (1, 0) and
+    (0, 1), in the variables y and w = h y' (the second solution divided by
+    h), where one stage reads s = h^2 (a - 2q cos 2tau): no product can
+    overflow before the solution does.  The trace is y_1(pi) + y_2'(pi).
+    Returns inf at the first non-finite state.  For a <= 0 the solution
+    grows from tau = 0 by up to e^(1/40) a step, so a large q overflows
+    within ~3e4 steps however large it is.  Raises ValueError once
+    MATHIEU_STEP_BUDGET steps pass without finishing or overflowing: a large
+    positive a is a fast oscillation that never overflows.
+    """
+    rate = 2.0 * math.sqrt(0.25 * abs(a) + 0.5 * abs(q))  # sqrt(|a| + 2|q|), no overflow
+    n = max(256, math.ceil(_RK4_STEPS_PER_RATE * rate * math.pi))
+    h = math.pi / n
+    ah2, qh2 = a * h * h, 2.0 * (q * h * h)
+    cos, finite = math.cos, math.isfinite
+    y1, w1, y2, w2 = 1.0, 0.0, 0.0, 1.0
+    s0 = ah2 - qh2
+    for k in range(min(n, MATHIEU_STEP_BUDGET)):
+        s1 = ah2 - qh2 * cos((2 * k + 1) * h)  # at tau + h/2
+        s2 = ah2 - qh2 * cos((2 * k + 2) * h)  # at tau + h
+        ya, wa = y1 + 0.5 * w1, w1 - 0.5 * s0 * y1
+        yb, wb = y1 + 0.5 * wa, w1 - 0.5 * s1 * ya
+        yc, wc = y1 + wb, w1 - s1 * yb
+        y1, w1 = (y1 + (w1 + 2.0 * (wa + wb) + wc) / 6.0,
+                  w1 - (s0 * y1 + 2.0 * s1 * (ya + yb) + s2 * yc) / 6.0)
+        ya, wa = y2 + 0.5 * w2, w2 - 0.5 * s0 * y2
+        yb, wb = y2 + 0.5 * wa, w2 - 0.5 * s1 * ya
+        yc, wc = y2 + wb, w2 - s1 * yb
+        y2, w2 = (y2 + (w2 + 2.0 * (wa + wb) + wc) / 6.0,
+                  w2 - (s0 * y2 + 2.0 * s1 * (ya + yb) + s2 * yc) / 6.0)
+        if not (finite(y1) and finite(w1) and finite(y2) and finite(w2)):
+            return math.inf
+        s0 = s2
+    if n > MATHIEU_STEP_BUDGET:
+        raise ValueError(
+            f"Mathieu trace at a={a!r}, q={q!r} neither finished nor overflowed "
+            f"within the budget of {MATHIEU_STEP_BUDGET} RK4 steps")
+    return y1 + w2
 
 
 def mathieu_stable(a: float, q: float) -> bool:
@@ -426,6 +475,8 @@ def mathieu_stable(a: float, q: float) -> bool:
 
     Solutions that overflow the integrator are reported unstable.  A 1e-9
     tolerance on the trace keeps the marginal free case (0, 0) stable.
+    ValueError for non-finite input, and for one that exhausts the step
+    budget without overflowing (see _monodromy_trace).
     """
     if not (math.isfinite(a) and math.isfinite(q)):
         raise ValueError("a and q must be finite")

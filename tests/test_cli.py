@@ -6,7 +6,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hexmbqc import cli, mbqc, resources
 
@@ -26,12 +29,83 @@ def _cli_env():
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the Mathieu code needs it, and it costs most of the CLI's start-up
-    code = "import sys, hexmbqc.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, capsys):
+    # a cold process imports only what its subcommand runs: these need
+    # neither numpy nor scipy, which cost most of the CLI's start-up
+    run(capsys, "schedule", "--rows", "3", "--cols", "3", "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    doc["rounds"][0].pop()
+    (tmp_path / "missing_gate.json").write_text(json.dumps(doc))
+    (tmp_path / "bad.json").write_text(json.dumps({"lattice": {"rowz": 3}}))
+    argvs = [(["lattice"], 0), (["schedule"], 0),
+             (["verify", "--schedule", str(tmp_path / "missing_gate.json")], 2),
+             (["lattice", "--config", str(tmp_path / "bad.json")], 1),
+             (["ionize", "rates"], 0), (["ionize", "resonances"], 0),
+             (["ionize", "quadrupole"], 0), (["ionize", "raman"], 0),
+             (["electron", "classical"], 0), (["electron", "mathieu", "--q", "0.5",
+                                              "--boundary"], 0),
+             (["electron", "timescale"], 0), (["resources"], 0)]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hexmbqc import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(cli.dispatch(argv + ['--out', sys.argv[2]]))\n"
+        "print(json.dumps([codes, sorted({m.split('.')[0] for m in sys.modules})]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([a for a, _ in argvs]), str(tmp_path / "out")],
+        env=_cli_env(), capture_output=True, text=True, timeout=60, check=True)
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [want for _, want in argvs]
+    assert "numpy" not in loaded and "scipy" not in loaded
+
+
+geomspace_ends = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(geomspace_ends, geomspace_ends, st.integers(0, 40))
+@example(1e8, 1e10, 25).via("the ionize rates default")
+@example(3.0, 7.0, 1).via("one point")
+@example(3.0, 7.0, 2).via("two points")
+@example(-2.0, -5e12, 9).via("both ends negative")
+@example(2.0, -5.0, 4).via("ends of opposite sign")
+@example(1.234567e3, 9.87654321e15, 101).via("numpy's power off by an ulp")
+def test_geomspace_is_numpys_arithmetic(start, stop, num):
+    """cli._geomspace repeats np.geomspace's arithmetic: the same value bit
+    for bit wherever numpy's float64 log10 and power round as the C
+    library's do (everywhere on a build without SIMD transcendentals),
+    within 1e-12 elsewhere; numpy's AVX-512 power misses correct rounding
+    in ~5% of calls."""
+    got = cli._geomspace(start, stop, num)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.geomspace(start, stop, num)
+        sign = np.sign(start)
+        lo, hi = np.log10(start / sign), np.log10(stop / sign)
+        y = np.linspace(lo, hi, num)
+    assert len(got) == len(want) == num
+    same_logs = all(v == math.log10(x) if x > 0 else math.isnan(v)
+                    for v, x in ((lo, start / sign), (hi, stop / sign)))
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert type(g) is float
+        with np.errstate(over="ignore"):
+            same_power = np.power(10.0, y[k]) == cli._pow10(float(y[k]))
+        if math.isnan(w):
+            assert math.isnan(g)
+        elif k in (0, num - 1) or (same_logs and same_power):
+            assert g == w, k
+        else:
+            assert g == pytest.approx(w, rel=1e-12), k
+
+
+@pytest.mark.parametrize("args", [(0.0, 5.0, 3), (5.0, 0.0, 3), (1.0, 5.0, -1)])
+def test_geomspace_rejects_what_numpy_rejects(args):
+    with pytest.raises(ValueError) as want:
+        np.geomspace(*args)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        cli._geomspace(*args)
 
 
 def test_verify_paper_scale_array(tmp_path):
@@ -237,6 +311,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(capsys, "lattice", "--rows", "0")[0] == 1
     assert run(capsys, "resources", "--wallclock", "5parsec")[0] == 1
     assert run(capsys, "electron", "mathieu")[0] == 1  # needs q or drive
+    code, _, err = run(capsys, "electron", "mathieu", "--a", "1e10", "--q", "0")
+    assert code == 1 and "a=10000000000.0, q=0.0" in err  # past the step budget
     assert run(capsys, "mbqc")[0] == 1  # needs a pattern file
     assert run(capsys, "mbqc", "--pattern", str(tmp_path / "nope.json"))[0] == 1
     cfg = tmp_path / "bad.json"

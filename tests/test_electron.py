@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -370,6 +372,55 @@ def test_stability_boundary_location():
     assert q_star == pytest.approx(0.908, abs=2e-3)
     with pytest.raises(ValueError):
         ed.stability_boundary(0.0, q_lo=1.2, q_hi=1.5)  # no sign change
+
+
+def _monodromy_trace_dop853(a, q):
+    """tr M(pi) by adaptive DOP853 (scipy), the oracle for the RK4 trace."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(tau, yv):
+        c = a - 2.0 * q * math.cos(2.0 * tau)
+        return [yv[1], -c * yv[0], yv[3], -c * yv[2]]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, math.pi), [1.0, 0.0, 0.0, 1.0],
+                        method="DOP853", rtol=1e-10, atol=1e-12)
+    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
+        return math.inf
+    return float(sol.y[0, -1] + sol.y[3, -1])
+
+
+@pytest.mark.parametrize("a, q", [(0.0, 0.0), (0.0, -0.5), (0.0, 0.3), (0.0, 0.9),
+                                  (0.0, 0.908), (0.0, 0.92), (0.0, 1.5), (0.5, 0.5),
+                                  (-1.0, 2.0), (0.0, 7284.7)])
+def test_rk4_trace_matches_dop853_oracle(a, q):
+    want = _monodromy_trace_dop853(a, q)
+    assert ed._monodromy_trace(a, q) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("a, q", [(0.0, 1e12), (0.0, 1e300), (1.9e6, 1e6), (80.0, 50.0),
+                                  (1e4, 4e3), (2.5e5, 1e5)])
+def test_mathieu_stable_agrees_with_oracle_at_large_parameters(a, q):
+    tr = _monodromy_trace_dop853(a, q)
+    t0 = time.perf_counter()
+    stable = ed.mathieu_stable(a, q)
+    assert time.perf_counter() - t0 < 1.0
+    assert stable == (math.isfinite(tr) and abs(tr) <= 2.0 + 1e-9)
+
+
+def test_stability_boundary_keeps_its_bits():
+    # the values the adaptive DOP853 trace gave before the RK4 replaced it
+    assert ed.stability_boundary() == 0.908050537109375
+    assert ed.stability_boundary(0.1) == 0.823577880859375
+
+
+@pytest.mark.parametrize("a, q", [(1e10, 0.0), (1.7e308, -1.7e308)])
+def test_mathieu_step_budget_bounds_run_time(a, q):
+    # a fast oscillation that never overflows stops at the budget
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"a={a!r}, q={q!r}")):
+        ed.mathieu_stable(a, q)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_electron_timescale():

@@ -120,11 +120,12 @@ config_docs = json_values | st.fixed_dictionaries({}, optional={
         mode: _block(defaults) for mode, defaults in cli._DEFAULTS["electron"].items()}),
     "resources": _block(cli._DEFAULTS["resources"])})
 # every command a config alone can run: propagate is left out because a block
-# of small values can still describe a run of seconds, and mathieu because one
-# run takes ~0.5 s; verify of a small array takes milliseconds
+# of small values can still describe a run of seconds; verify of a small array
+# takes milliseconds, and a Mathieu trace stops at its step budget (under 1 s)
 CONFIG_ARGV = [["lattice"], ["schedule"], ["verify"], ["ionize", "rates"],
                ["ionize", "resonances"], ["ionize", "quadrupole"], ["ionize", "raman"],
-               ["electron", "classical"], ["electron", "timescale"], ["resources"]]
+               ["electron", "classical"], ["electron", "mathieu"], ["electron", "timescale"],
+               ["resources"]]
 
 
 def _run(argv, filename, doc) -> tuple[int, dict]:
