@@ -158,7 +158,9 @@ def _typed(kind, value, name: str):
         if isinstance(value, list) and len(value) == len(kinds):
             return [_typed(k, v, name) for k, v in zip(kinds, value)]
     elif isinstance(value, bool) == (kind is bool) and isinstance(value, _ACCEPTS[kind]):
-        return kind(value)
+        if kind is not float or abs(value) <= sys.float_info.max:  # not NaN, inf, huge int
+            return kind(value)
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     spelled = re.sub(r"<class '(\w+)'>", r"\1", repr(kind))
     raise ValueError(f"{name} must be {spelled}, got {value!r}")
 
@@ -198,7 +200,8 @@ def load_config(path: str | None) -> dict:
 # output
 
 def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; ValueError on NaN or Infinity, which JSON lacks."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(args, filename: str, doc: dict, to_stdout=True) -> None:
@@ -211,6 +214,9 @@ def _emit(args, filename: str, doc: dict, to_stdout=True) -> None:
 
 
 def _write_csv(args, filename: str, header: str, rows: list[str]) -> None:
+    for row in rows:
+        if not all(math.isfinite(float(field)) for field in row.split(",")):
+            raise ValueError(f"{filename}: non-finite field in row {row!r}")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, filename), "w") as fh:
         fh.write(header + "\n")
@@ -421,11 +427,8 @@ def _electron_propagate(args, eff) -> int:
     ndet = len(cfg.detectors)
     header = ("t_ns," + ",".join(f"p_detector_{i+1}" for i in range(ndet))
               + ",p_total,norm_remaining")
-    rows = []
-    for s in res.trace.samples:
-        caps = ",".join(f"{c:.9e}" for c in s.captured)
-        rows.append(f"{s.t*1e9:.6f},{caps},{s.total_captured:.9e},"
-                    f"{s.norm_remaining:.9e}")
+    rows = [f"{t_ns:.6f}," + ",".join(f"{p:.9e}" for p in rest)
+            for t_ns, *rest in res.trace.csv_rows()]
     _write_csv(args, "trace.csv", header, rows)
     for i, snap in enumerate(res.snapshots):
         path = os.path.join(args.out, f"psi2_{i:03d}.txt")
@@ -444,7 +447,14 @@ def _electron_propagate(args, eff) -> int:
 
 def _electron_classical(args, eff) -> int:
     cfg = ed.TrapConfig(omega_e=eff["omega_e"])
-    x, v = ed.classical_trajectory(cfg, eff["v0"], eff["t"])
+    try:
+        x, v = ed.classical_trajectory(cfg, eff["v0"], eff["t"])
+    except OverflowError:  # sinh/cosh of a finite argument past float range
+        x = v = math.inf
+    if not (math.isfinite(x) and math.isfinite(v)):
+        sys.stderr.write(f"error: the trajectory leaves float range by t={eff['t']!r} s "
+                         f"(omega_e={eff['omega_e']!r}, v0={eff['v0']!r})\n")
+        return EXIT_PHYSICS
     _emit(args, "classical.json", {
         "schema_version": 1, "t_s": eff["t"], "x_m": x, "v_m_s": v})
     return EXIT_OK
@@ -557,7 +567,7 @@ def dispatch(argv) -> int:
             if value is not None and key not in eff:
                 raise _UsageError(f"{_flag(key)} does not apply to {args.command} {mode}")
             if value is not None:
-                eff[key] = value
+                eff[key] = _typed(_KIND.get(key, type(eff[key])), value, _flag(key))
         for key in _TOP:  # seed and out
             if getattr(args, key) is None:
                 setattr(args, key, cfg[key])

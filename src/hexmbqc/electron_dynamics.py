@@ -417,7 +417,13 @@ def mathieu_q(charge: float, mass: float, v_rf: float, r0: float,
     """Standard RF-trap parameter q = 2 Q e V_rf / (m r0^2 w_rf^2)."""
     if mass <= 0 or r0 <= 0 or omega_rf <= 0:
         raise ValueError("mass, r0 and omega_rf must be positive")
-    return 2.0 * charge * E_CHARGE * v_rf / (mass * r0**2 * omega_rf**2)
+    try:
+        q = 2.0 * charge * E_CHARGE * v_rf / (mass * r0**2 * omega_rf**2)
+    except (OverflowError, ZeroDivisionError):  # r0**2 or omega_rf**2 past float range
+        q = math.nan
+    if not math.isfinite(q):
+        raise ValueError(f"q out of float range: v_rf={v_rf!r}, r0={r0!r}, omega_rf={omega_rf!r}")
+    return q
 
 
 # RK4 steps per unit of the fastest local rate sqrt(|a| + 2|q|) over the

@@ -1,0 +1,207 @@
+"""Reference implementations the tests compare the library against.
+
+``DenseTableau`` is the stabilizer tableau as two dense n x n uint8
+matrices, with row-by-row GF(2) elimination and the rowsum phase rule
+written out per qubit; ``statevector_oracle`` and ``pauli_expectation``
+build and probe the dense state vector of a graph state on up to 16
+qubits.  In statevectors qubit 0 is the most significant bit of the
+amplitude index.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Iterable
+
+import numpy as np
+
+_PAULI_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def _g_exponents(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Per-qubit exponent of i picked up when multiplying sigma(x1,z1) by
+    sigma(x2,z2), in the standard rowsum convention (values -1, 0, +1)."""
+    x1 = x1.astype(np.int8)
+    z1 = z1.astype(np.int8)
+    x2 = x2.astype(np.int8)
+    z2 = z2.astype(np.int8)
+    out = np.zeros_like(x1)
+    # x1=1, z1=1 (Y): z2 - x2
+    m = (x1 == 1) & (z1 == 1)
+    out[m] = (z2 - x2)[m]
+    # x1=1, z1=0 (X): z2 * (2*x2 - 1)
+    m = (x1 == 1) & (z1 == 0)
+    out[m] = (z2 * (2 * x2 - 1))[m]
+    # x1=0, z1=1 (Z): x2 * (1 - 2*z2)
+    m = (x1 == 0) & (z1 == 1)
+    out[m] = (x2 * (1 - 2 * z2))[m]
+    return out
+
+
+class DenseTableau:
+    """Stabilizer generators of an n-qubit pure state, one uint8 per bit."""
+
+    def __init__(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray):
+        self.x = np.array(x, dtype=np.uint8)
+        self.z = np.array(z, dtype=np.uint8)
+        self.phase = np.array(phase, dtype=np.uint8)
+        self.n = self.x.shape[1]
+        if self.x.shape != (self.n, self.n) or self.z.shape != (self.n, self.n):
+            raise ValueError("tableau must hold exactly n generators on n qubits")
+
+    @classmethod
+    def plus_state(cls, n: int) -> "DenseTableau":
+        return cls(np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8), np.zeros(n, np.uint8))
+
+    def copy(self) -> "DenseTableau":
+        return DenseTableau(self.x, self.z, self.phase)
+
+    def _mul_into(self, dst: int, xs: np.ndarray, zs: np.ndarray, ps: int) -> None:
+        """Row dst <- row dst * (xs, zs, ps), tracking the real sign."""
+        g = int(_g_exponents(self.x[dst], self.z[dst], xs, zs).sum())
+        total = (2 * int(self.phase[dst]) + 2 * ps + g) % 4
+        if total not in (0, 2):
+            raise AssertionError("non-Hermitian product of stabilizer rows")
+        self.phase[dst] = total // 2
+        self.x[dst] ^= xs
+        self.z[dst] ^= zs
+
+    def apply_cphase(self, a: int, b: int) -> None:
+        """Conjugate every generator by CPHASE on qubits (a, b)."""
+        if a == b:
+            raise ValueError("CPHASE needs two distinct qubits")
+        for q in (a, b):
+            if not 0 <= q < self.n:
+                raise ValueError(f"qubit {q} out of range for n={self.n}")
+        xa, za = self.x[:, a], self.z[:, a]
+        xb, zb = self.x[:, b], self.z[:, b]
+        # sign flips when one qubit carries Y and the other X
+        self.phase ^= xa & xb & (za ^ zb)
+        za ^= xb
+        zb ^= xa
+
+    def _reduce(self, xs: np.ndarray, zs: np.ndarray) -> tuple[bool, int]:
+        """Reduce the Pauli (xs, zs, +) against the generator group.
+
+        Returns (in_group, sign) where sign is the phase bit such that
+        (-1)**sign * (xs, zs) is a product of generators.  in_group is
+        False when the Pauli is outside the +/- stabilizer group.
+        """
+        work = self.copy()
+        tx = xs.astype(np.uint8).copy()
+        tz = zs.astype(np.uint8).copy()
+        tp = 0
+
+        rows = list(range(work.n))
+        used: list[int] = []
+        for col in range(2 * work.n):
+            bits = work.x[:, col] if col < work.n else work.z[:, col - work.n]
+            pivot = next((r for r in rows if r not in used and bits[r]), None)
+            if pivot is None:
+                continue
+            used.append(pivot)
+            for r in rows:
+                if r != pivot and bits[r]:
+                    work._mul_into(r, work.x[pivot], work.z[pivot], int(work.phase[pivot]))
+            tbit = tx[col] if col < work.n else tz[col - work.n]
+            if tbit:
+                g = int(_g_exponents(tx, tz, work.x[pivot], work.z[pivot]).sum())
+                total = (2 * tp + 2 * int(work.phase[pivot]) + g) % 4
+                if total not in (0, 2):
+                    return False, 0
+                tp = total // 2
+                tx ^= work.x[pivot]
+                tz ^= work.z[pivot]
+        if tx.any() or tz.any():
+            return False, 0
+        return True, tp
+
+    def contains(self, xs: np.ndarray, zs: np.ndarray, sign: int = 0) -> bool:
+        """Membership of (-1)**sign * sigma(xs, zs) in the stabilizer group,
+        by elimination."""
+        ok, got = self._reduce(xs, zs)
+        return ok and got == sign
+
+    def measure(
+        self,
+        qubit: int,
+        basis: str,
+        rng: np.random.Generator | None = None,
+        forced: int | None = None,
+    ) -> tuple[int, float]:
+        """Measure a single-qubit Pauli; returns (outcome +/-1, probability)."""
+        xp, zp = _PAULI_XZ[basis]
+        xs = np.zeros(self.n, dtype=np.uint8)
+        zs = np.zeros(self.n, dtype=np.uint8)
+        xs[qubit] = xp
+        zs[qubit] = zp
+
+        anti = ((self.x[:, qubit] & zp) ^ (self.z[:, qubit] & xp)).astype(bool)
+        if anti.any():
+            if forced is not None:
+                outcome = forced
+            else:
+                outcome = 1 if rng.integers(2) == 0 else -1
+            p = int(np.flatnonzero(anti)[0])
+            for r in np.flatnonzero(anti)[1:]:
+                self._mul_into(int(r), self.x[p], self.z[p], int(self.phase[p]))
+            self.x[p] = xs
+            self.z[p] = zs
+            self.phase[p] = 0 if outcome == 1 else 1
+            return outcome, 0.5
+
+        ok, sign = self._reduce(xs, zs)
+        if not ok:
+            raise AssertionError("commuting Pauli outside the stabilizer group of a pure state")
+        outcome = 1 if sign == 0 else -1
+        if forced is not None and forced != outcome:
+            return forced, 0.0
+        return outcome, 1.0
+
+
+def statevector_oracle(edges: Iterable[tuple[int, int]], n: int) -> np.ndarray:
+    """Dense cluster state on n <= 16 qubits: CZ network applied to |+>^n.
+
+    Amplitude index bit order: qubit 0 is the most significant bit.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+    if n > 16:
+        raise ValueError(f"statevector oracle capped at 16 qubits, got n={n}")
+    psi = np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    idx = np.arange(2**n)
+    for a, b in edges:
+        if a == b:
+            raise ValueError("self-loop edge")
+        for q in (a, b):
+            if not 0 <= q < n:
+                raise ValueError(f"edge endpoint {q} out of range for n={n}")
+        mask_a = (idx >> (n - 1 - a)) & 1
+        mask_b = (idx >> (n - 1 - b)) & 1
+        psi[(mask_a & mask_b).astype(bool)] *= -1.0
+    return psi
+
+
+def pauli_expectation(
+    state: np.ndarray, x_sites: Iterable[int], z_sites: Iterable[int]
+) -> float:
+    """<psi| prod X_a prod Z_b |psi> for a statevector, X and Z sites disjoint."""
+    n = int(round(math.log2(state.size)))
+    if 2**n != state.size:
+        raise ValueError("state length must be a power of two")
+    xs = set(x_sites)
+    zs = set(z_sites)
+    if xs & zs:
+        raise ValueError("X and Z site sets must be disjoint")
+    idx = np.arange(state.size)
+    flip = 0
+    for a in xs:
+        flip |= 1 << (n - 1 - a)
+    phase = np.ones(state.size, dtype=np.float64)
+    for b in zs:
+        bit = (idx >> (n - 1 - b)) & 1
+        phase *= 1.0 - 2.0 * bit
+    transformed = phase * state
+    if flip:
+        transformed = transformed[idx ^ flip]
+    return float(np.real(np.vdot(state, transformed)))

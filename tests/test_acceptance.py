@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from oracles import pauli_expectation, statevector_oracle
 
 from hexmbqc import electron_dynamics as ed
 from hexmbqc import graphstate as gs
@@ -101,13 +102,13 @@ def test_03_verification_oracle_equivalence(report, rng):
         tab = gs.new_plus_state(n)
         for a, b in edges:
             tab.apply_cphase(a, b)
-        psi = gs.statevector_oracle(edges, n)
+        psi = statevector_oracle(edges, n)
         nbrs = {q: set() for q in range(n)}
         for a, b in edges:
             nbrs[a].add(b)
             nbrs[b].add(a)
         dense_ok = all(
-            abs(gs.pauli_expectation(psi, [a], sorted(nbrs[a])) - 1.0) <= 1e-10
+            abs(pauli_expectation(psi, [a], sorted(nbrs[a])) - 1.0) <= 1e-10
             for a in range(n))
         tab_ok = gs.verify_cluster(tab, edges)
         if not (dense_ok and tab_ok):

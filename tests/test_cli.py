@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -109,9 +110,13 @@ def test_geomspace_rejects_what_numpy_rejects(args):
 
 
 def test_verify_paper_scale_array(tmp_path):
-    # 70x70 at n=3 is the paper's ~1e4-ion array
+    # 70x70 at n=3 is the paper's ~1e4-ion array; the child reports its own
+    # peak resident set, which a dense 10 080-site tableau (203 MB) would exceed
+    script = ("import resource, sys; from hexmbqc import cli; "
+              "code = cli.dispatch(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "hexmbqc.cli", "verify", "--rows", "70",
+    proc = subprocess.run([sys.executable, "-c", script, "verify", "--rows", "70",
                            "--cols", "70", "--n", "3", "--out", str(tmp_path)],
                           env=_cli_env(), capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - t0
@@ -120,6 +125,8 @@ def test_verify_paper_scale_array(tmp_path):
     assert doc["verified"] is True
     assert (doc["sites"], doc["target_edges"]) == (10080, 28741)
     assert elapsed < 10.0
+    peak_mb = int(proc.stdout.splitlines()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150.0
 
 
 def test_lattice_roundtrip(tmp_path, capsys):
@@ -313,6 +320,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run(capsys, "electron", "mathieu")[0] == 1  # needs q or drive
     code, _, err = run(capsys, "electron", "mathieu", "--a", "1e10", "--q", "0")
     assert code == 1 and "a=10000000000.0, q=0.0" in err  # past the step budget
+    code, _, err = run(capsys, "electron", "mathieu", "--v-rf", "1", "--r0", "1e200")
+    assert code == 1 and "r0=1e+200" in err and "omega_rf=" in err  # r0**2 overflows
     assert run(capsys, "mbqc")[0] == 1  # needs a pattern file
     assert run(capsys, "mbqc", "--pattern", str(tmp_path / "nope.json"))[0] == 1
     cfg = tmp_path / "bad.json"
@@ -322,6 +331,33 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert "rowz" in err
     cfg.write_text(json.dumps({"garbage": {}}))
     assert run(capsys, "lattice", "--config", str(cfg))[0] == 1
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["schedule", "--t-gate", "nan"], 1, "--t-gate must be a finite number"),
+    (["electron", "classical", "--omega-e", "nan"], 1, "--omega-e must be a finite number"),
+    (["electron", "classical", "--t", "1e300"], 2, "leaves float range by t=1e+300"),
+    (["electron", "propagate", "--dt", "nan"], 1, "--dt must be a finite number"),
+    (["schedule", "--config", "{cfg}"], 1, "schedule.t_gate must be a finite number"),
+], ids=["schedule t_gate nan", "classical omega_e nan", "classical t overflow",
+        "propagate dt nan", "config t_gate nan"])
+def test_non_finite_values_exit_without_artifacts(tmp_path, capsys, argv, code, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": {"t_gate": math.nan}}))  # json writes NaN
+    out = tmp_path / "out"
+    got, _, err = run(capsys, *(a.format(cfg=cfg) for a in argv), "--out", str(out))
+    assert (got, needle in err) == (code, True), err
+    assert not out.exists()
+
+
+def test_artifact_writers_refuse_non_finite_numbers(tmp_path):
+    args = argparse.Namespace(out=str(tmp_path))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit(args, "doc.json", {"x": bad}, to_stdout=False)
+        with pytest.raises(ValueError, match="non-finite field"):
+            cli._write_csv(args, "rows.csv", "a,b", ["1.0,2.0", f"3.0,{bad}"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_negative_dt_names_field(tmp_path, capsys):

@@ -1,8 +1,10 @@
-import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import DenseTableau, pauli_expectation, statevector_oracle
 
 from hexmbqc import graphstate as gs
 from hexmbqc import lattice, scheduler
@@ -72,13 +74,13 @@ def test_tableau_agrees_with_statevector_oracle(rng):
         tab = gs.new_plus_state(n)
         for a, b in edges:
             tab.apply_cphase(a, b)
-        psi = gs.statevector_oracle(edges, n)
+        psi = statevector_oracle(edges, n)
         nbrs = {q: set() for q in range(n)}
         for a, b in edges:
             nbrs[a].add(b)
             nbrs[b].add(a)
         for a in range(n):
-            val = gs.pauli_expectation(psi, [a], sorted(nbrs[a]))
+            val = pauli_expectation(psi, [a], sorted(nbrs[a]))
             assert val == pytest.approx(1.0, abs=1e-10)
         assert gs.verify_cluster(tab, edges)
 
@@ -139,7 +141,7 @@ def test_measurement_chain_matches_dense_probabilities(rng):
     for _ in range(10):
         n = int(rng.integers(2, 7))
         edges = random_graph(rng, n, p=0.5)
-        psi = gs.statevector_oracle(edges, n)
+        psi = statevector_oracle(edges, n)
         tab = gs.new_plus_state(n)
         for a, b in edges:
             tab.apply_cphase(a, b)
@@ -175,22 +177,22 @@ def _dense_projector(n, q, basis, sign):
 
 
 def test_statevector_oracle_values():
-    psi = gs.statevector_oracle([(0, 1)], 2)
+    psi = statevector_oracle([(0, 1)], 2)
     assert psi == pytest.approx(np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(ValueError):
-        gs.statevector_oracle([(0, 0)], 2)
+        statevector_oracle([(0, 0)], 2)
     with pytest.raises(ValueError):
-        gs.statevector_oracle([(0, 5)], 2)
+        statevector_oracle([(0, 5)], 2)
     with pytest.raises(ValueError):
-        gs.statevector_oracle([], 17)
+        statevector_oracle([], 17)
 
 
 def test_pauli_expectation_validation():
     psi = np.ones(4) / 2.0
     with pytest.raises(ValueError):
-        gs.pauli_expectation(psi, [0], [0])
+        pauli_expectation(psi, [0], [0])
     with pytest.raises(ValueError):
-        gs.pauli_expectation(np.ones(3), [0], [])
+        pauli_expectation(np.ones(3), [0], [])
 
 
 def test_verify_cluster_validation():
@@ -199,17 +201,6 @@ def test_verify_cluster_validation():
         gs.verify_cluster(tab, [(0, 0)])
     with pytest.raises(ValueError):
         gs.verify_cluster(tab, [(0, 7)])
-
-
-def test_to_json_and_strings():
-    tab = gs.new_plus_state(2)
-    tab.apply_cphase(0, 1)
-    doc = tab.to_json()
-    json.dumps(doc)
-    assert doc["n"] == 2
-    strs = tab.generator_strings()
-    assert len(strs) == 2
-    assert all(s.startswith(("+", "-")) for s in strs)
 
 
 def test_copy_is_independent():
@@ -221,9 +212,8 @@ def test_copy_is_independent():
 
 
 def _eliminates_to(tab, xs, zs, sign):
-    """Membership by GF(2) elimination alone, the oracle for contains."""
-    ok, got = tab._reduce(xs, zs)
-    return ok and got == sign
+    """Membership by the dense oracle's GF(2) elimination, the oracle for contains."""
+    return DenseTableau(tab.x, tab.z, tab.phase).contains(xs, zs, sign)
 
 
 def _elimination_loop(tab, edges):
@@ -250,6 +240,20 @@ def _graph_tableau(n, edges):
     return tab
 
 
+def _with_y(tab, q):
+    """tab with generator q's Z bit on qubit q set (X_q becomes Y_q)."""
+    z = tab.z.copy()
+    z[q, q] = 1
+    return gs.StabilizerTableau(tab.x, z, tab.phase)
+
+
+def _multiplied(tab, r, s):
+    """tab with generator s multiplied into generator r: the same group."""
+    dense = DenseTableau(tab.x, tab.z, tab.phase)
+    dense._mul_into(r, dense.x[s].copy(), dense.z[s].copy(), int(dense.phase[s]))
+    return gs.StabilizerTableau(dense.x, dense.z, dense.phase)
+
+
 def test_verify_cluster_matches_elimination(rng):
     cases = []
     for _ in range(30):
@@ -270,9 +274,7 @@ def test_verify_cluster_matches_elimination(rng):
         flipped = tab.copy()
         flipped.phase[q] ^= 1
         cases.append((flipped, edges))
-        y_gen = tab.copy()
-        y_gen.z[q, q] = 1
-        cases.append((y_gen, edges))
+        cases.append((_with_y(tab, q), edges))
     accepted = 0
     for tab, edges in cases:
         got = gs.verify_cluster(tab, edges)
@@ -290,14 +292,12 @@ def test_contains_matches_elimination_on_any_pauli(rng):
         for q in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
             tab.measure(int(q), "XYZ"[int(rng.integers(3))], rng=rng)
         r, s = (int(q) for q in rng.choice(n, size=2, replace=False))
-        product = tab.copy()
-        product._mul_into(r, tab.x[s], tab.z[s], int(tab.phase[s]))
+        product = _multiplied(tab, r, s)
         candidates = [(tab.x[r], tab.z[r]), (product.x[r], product.z[r]),
                       (np.zeros(n, np.uint8), np.zeros(n, np.uint8))]
         candidates += [tuple(rng.integers(0, 2, size=(2, n), dtype=np.uint8))
                        for _ in range(4)]
         for xs, zs in candidates:
-            xs, zs = xs.copy(), zs.copy()
             answers = [tab.contains(xs, zs, sign) for sign in (0, 1)]
             assert answers == [_eliminates_to(tab, xs, zs, sign) for sign in (0, 1)]
             paulis += any(answers)
@@ -321,11 +321,11 @@ def test_graph_form_is_decided_without_elimination(rng, monkeypatch):
         assert gs.verify_cluster(tab, edges) is True
         assert gs.verify_cluster(tab, edges[1:]) is False
         assert gs.verify_cluster(_graph_tableau(n, edges[1:]), edges) is False
-        tab.z[0, 0] = 1
-        assert gs.verify_cluster(tab, edges) is False
-        tab.z[0, 0] = 0
+        assert gs.verify_cluster(_with_y(tab, 0), edges) is False
         tab.phase[n - 1] = 1
         assert gs.verify_cluster(tab, edges) is False
+        rebuilt = gs.StabilizerTableau(tab.x, tab.z, np.zeros(n, np.uint8))
+        assert gs.verify_cluster(rebuilt, edges) is True
     assert eliminations == []
 
 
@@ -335,32 +335,34 @@ def test_fallback_accepts_same_group_outside_graph_form(rng, monkeypatch):
         n = int(rng.integers(3, 9))
         edges = random_graph(rng, n, p=0.5)
         r, s = (int(q) for q in rng.choice(n, size=2, replace=False))
-        multiplied = _graph_tableau(n, edges)
-        multiplied._mul_into(r, multiplied.x[s].copy(), multiplied.z[s].copy(),
-                             int(multiplied.phase[s]))
+        multiplied = _multiplied(_graph_tableau(n, edges), r, s)
         assert np.count_nonzero(multiplied.x) == n + 1
         graph = _graph_tableau(n, edges)
         order = np.arange(n)
         order[[r, s]] = [s, r]
         swapped = gs.StabilizerTableau(graph.x[order], graph.z[order], graph.phase[order])
-        for tab, eliminates in ((multiplied, True), (swapped, False)):
+        for tab in (multiplied, swapped):
             del eliminations[:]
             assert gs.verify_cluster(tab, edges) is True
-            assert bool(eliminations) is eliminates
+            assert eliminations
             tab.phase[s] ^= 1
             assert gs.verify_cluster(tab, edges) is False
 
 
-def test_448_site_cluster_verifies_in_under_a_second():
+def _scheduled_448_site_cluster():
     array = lattice.build_hex_array(14, 14, 1.0)
     assign = lattice.decompose_sublattices(array, 2)
     rounds = scheduler.build_schedule(assign).rounds
-    target = lattice.cluster_edges(assign)
     assert array.site_count() == 448
     tab = gs.new_plus_state(array.site_count())
     for rnd in rounds:
         for a, b in rnd:
             tab.apply_cphase(a, b)
+    return tab, rounds, lattice.cluster_edges(assign)
+
+
+def test_448_site_cluster_verifies_in_under_a_second():
+    tab, rounds, target = _scheduled_448_site_cluster()
     t0 = time.perf_counter()
     assert gs.verify_cluster(tab, target) is True
     assert time.perf_counter() - t0 < 1.0
@@ -368,21 +370,68 @@ def test_448_site_cluster_verifies_in_under_a_second():
     assert gs.verify_cluster(tab, target) is False
 
 
-def test_column_major_layout_gives_same_tableau(rng):
-    n = 12
-    edges = random_graph(rng, n)
-    ref = gs.StabilizerTableau(np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8),
-                               np.zeros(n, np.uint8))
-    tab = gs.new_plus_state(n)
-    for t in (ref, tab):
-        assert t.x.flags.f_contiguous and t.z.flags.f_contiguous
-        for a, b in edges:
-            t.apply_cphase(a, b)
-    for name in ("x", "z", "phase"):
-        np.testing.assert_array_equal(getattr(ref, name), getattr(tab, name))
-    cp = tab.copy()
-    assert cp.x.flags.f_contiguous and cp.z.flags.f_contiguous
-    cp.apply_cphase(0, 1)
-    cp.phase[2] ^= 1
-    np.testing.assert_array_equal(tab.z, ref.z)
-    np.testing.assert_array_equal(tab.phase, ref.phase)
+def test_reduce_outside_graph_form_at_448_sites_is_fast():
+    tab, _, _ = _scheduled_448_site_cluster()
+    k_0 = tab.x[0], tab.z[0]
+    far = int(np.flatnonzero(k_0[1] == 0)[-1])
+    tab.measure(far, "X", forced=-1)  # leaves graph form; K_0 still holds
+    assert np.count_nonzero(tab.x) > tab.n
+    t0 = time.perf_counter()
+    assert tab._reduce(*k_0) == (True, 0)
+    assert time.perf_counter() - t0 < 0.25
+
+
+def test_x_and_z_are_read_only_views_and_phase_is_writable():
+    tab = _graph_tableau(3, [(0, 1)])
+    for name in ("x", "z"):
+        with pytest.raises(ValueError):
+            getattr(tab, name)[0, 1] = 1
+    np.testing.assert_array_equal(tab.z, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    tab.phase[2] = 1
+    assert tab.phase[2] == 1
+    assert not gs.verify_cluster(tab, [(0, 1)])
+
+
+_SIZES = st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, 140)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SIZES, st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_packed_engine_matches_dense_oracle(n, busy, length, seed):
+    """Random CZs and X/Y/Z measurements (forced, or drawn from a seeded rng)
+    agree bit for bit with the dense oracle.  Half the qubits are drawn from
+    the first ``busy`` ones, so that gates meet generators that measurements
+    left with X on several qubits, where a CZ flips signs."""
+    rng = np.random.default_rng(seed)
+    tab, ref = gs.new_plus_state(n), DenseTableau.plus_state(n)
+
+    def qubits(k):
+        return rng.choice(min(n, busy) if rng.random() < 0.5 and busy >= k else n,
+                          size=k, replace=False)
+
+    for _ in range(length):
+        if n > 1 and rng.random() < 2 / 3:
+            a, b = (int(q) for q in qubits(2))
+            tab.apply_cphase(a, b)
+            ref.apply_cphase(a, b)
+        else:
+            q, basis = int(qubits(1)[0]), "XYZ"[int(rng.integers(3))]
+            forced = (None, 1, -1)[int(rng.integers(3))]
+            draw_seed = int(rng.integers(2**32))
+            got = tab.measure(q, basis, rng=np.random.default_rng(draw_seed), forced=forced)
+            want = ref.measure(q, basis, rng=np.random.default_rng(draw_seed), forced=forced)
+            assert got == want
+        for name in ("x", "z", "phase"):
+            np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
+    # Paulis in the group (products of two or of many generators) with both
+    # signs, and random ones
+    for _ in range(3):
+        pick = rng.integers(0, 2, n).astype(bool)
+        pair = rng.integers(0, n, 2)
+        paulis = [(np.bitwise_xor.reduce(ref.x[pick], axis=0, initial=0),
+                   np.bitwise_xor.reduce(ref.z[pick], axis=0, initial=0)),
+                  (ref.x[pair[0]] ^ ref.x[pair[1]], ref.z[pair[0]] ^ ref.z[pair[1]]),
+                  tuple(rng.integers(0, 2, size=(2, n), dtype=np.uint8))]
+        for xs, zs in paulis:
+            for sign in (0, 1):
+                assert tab.contains(xs, zs, sign) == ref.contains(xs, zs, sign)
