@@ -215,7 +215,7 @@ def _emit(args, filename: str, doc: dict, to_stdout=True) -> None:
 
 def _write_csv(args, filename: str, header: str, rows: list[str]) -> None:
     for row in rows:
-        if not all(math.isfinite(float(field)) for field in row.split(",")):
+        if not all(math.isfinite(float(field)) for field in row.split(",") if field):
             raise ValueError(f"{filename}: non-finite field in row {row!r}")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, filename), "w") as fh:
@@ -427,8 +427,8 @@ def _electron_propagate(args, eff) -> int:
     ndet = len(cfg.detectors)
     header = ("t_ns," + ",".join(f"p_detector_{i+1}" for i in range(ndet))
               + ",p_total,norm_remaining")
-    rows = [f"{t_ns:.6f}," + ",".join(f"{p:.9e}" for p in rest)
-            for t_ns, *rest in res.trace.csv_rows()]
+    rows = [f"{s.t*1e9:.6f},{','.join(f'{c:.9e}' for c in s.captured)},"
+            f"{s.total_captured:.9e},{s.norm_remaining:.9e}" for s in res.trace.samples]
     _write_csv(args, "trace.csv", header, rows)
     for i, snap in enumerate(res.snapshots):
         path = os.path.join(args.out, f"psi2_{i:03d}.txt")

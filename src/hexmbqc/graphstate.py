@@ -11,8 +11,8 @@ transposed for column updates: qubit q's X column and Z column are each one
 bitset over the generators, bit g in word g // 64 of row q of an
 (n, ceil(n/64)) uint64 array.  A CZ is two XORs of ceil(n/64) words, and
 the tableau costs about n/4 bytes per qubit (25 MB at 10 080 sites).
-``x`` and ``z`` unpack to read-only (n, n) 0/1 arrays indexed
-[generator, qubit]; ``phase`` is a plain writable uint8 vector.
+``x`` and ``z`` are read-only (n, n) 0/1 copies [generator, qubit],
+unpacked on each access; ``phase`` is a plain writable uint8 vector.
 
 A tableau built from |+>^n by CZs is in graph form: x = I and z symmetric
 (the adjacency matrix), because a CZ never writes x.  The tableau keeps
@@ -54,7 +54,7 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def _dense(cols: np.ndarray, n: int) -> np.ndarray:
-    """Packed columns -> read-only (n, n) 0/1 array indexed [generator, qubit]."""
+    """Packed columns -> a new read-only (n, n) 0/1 copy indexed [generator, qubit]."""
     out = _unpack(cols, n).T
     out.flags.writeable = False
     return out
@@ -94,9 +94,9 @@ class StabilizerTableau:
         return self
 
     x = property(lambda self: _dense(self._xc, self.n),
-                 doc="X bits, a read-only (n, n) 0/1 array indexed [generator, qubit].")
+                 doc="X bits, a read-only (n, n) 0/1 copy unpacked on each access.")
     z = property(lambda self: _dense(self._zc, self.n),
-                 doc="Z bits, a read-only (n, n) 0/1 array indexed [generator, qubit].")
+                 doc="Z bits, a read-only (n, n) 0/1 copy unpacked on each access.")
 
     def copy(self) -> "StabilizerTableau":
         return StabilizerTableau.__new__(StabilizerTableau)._adopt(

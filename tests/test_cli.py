@@ -282,6 +282,18 @@ def test_electron_propagate_low_res(tmp_path, capsys):
     assert header.startswith("# nx=128 ny=64")
 
 
+def test_electron_propagate_without_detectors(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"electron": {"propagate": {"detectors": []}}}))
+    code, _, _ = run(capsys, "electron", "propagate", "--points-x", "64",
+                     "--points-y", "32", "--hbar-scale", "640", "--t-final", "2e-11",
+                     "--dt", "2e-13", "--config", str(cfg_file), "--out", str(tmp_path))
+    assert code == 0
+    header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert header == "t_ns,,p_total,norm_remaining"
+    assert rows and all(row.count(",") == header.count(",") for row in rows)
+
+
 def test_dump_config_idempotent(tmp_path, capsys):
     code, first, _ = run(capsys, "electron", "propagate", "--dump-config")
     assert code == 0

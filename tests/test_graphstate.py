@@ -381,7 +381,7 @@ def test_reduce_outside_graph_form_at_448_sites_is_fast():
     assert time.perf_counter() - t0 < 0.25
 
 
-def test_x_and_z_are_read_only_views_and_phase_is_writable():
+def test_x_and_z_are_read_only_copies_and_phase_is_writable():
     tab = _graph_tableau(3, [(0, 1)])
     for name in ("x", "z"):
         with pytest.raises(ValueError):
