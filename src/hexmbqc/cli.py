@@ -137,6 +137,8 @@ def parse_duration(value) -> float:
         seconds = float(m.group(1)) * _DURATION_UNITS[unit]
     if seconds <= 0:
         raise ValueError("duration must be positive")
+    if not math.isfinite(seconds):
+        raise ValueError(f"duration {value!r} is past float range")
     return seconds
 
 
@@ -253,12 +255,19 @@ def _schedule_doc(eff: dict):
 
 def _cmd_schedule(args, eff) -> int:
     array, _, sched, doc = _schedule_doc(eff)
+    try:  # inf when a round's duration overflows, so it covers the CSV rows too
+        prep_time = scheduler.prep_time(sched)
+    except OverflowError:  # fsum's partial sums past float range
+        prep_time = math.inf
+    if not math.isfinite(prep_time):
+        sys.stderr.write(f"error: the schedule's duration leaves float range "
+                         f"(t_gate={eff['t_gate']!r}, t_shuttle={eff['t_shuttle']!r})\n")
+        return EXIT_PHYSICS
     _emit(args, "schedule.json", doc, to_stdout=False)
     sys.stdout.write(_canonical({
         "schema_version": 1, "rounds": len(sched.rounds),
         "edges": sum(len(r) for r in sched.rounds),
-        "prep_time_s": scheduler.prep_time(sched),
-        "sites": array.site_count()}))
+        "prep_time_s": prep_time, "sites": array.site_count()}))
     rows = [f"{k},{count},{dur:.9e}"
             for k, count, dur in scheduler.schedule_csv_rows(sched)]
     _write_csv(args, "schedule.csv", "round,pair_count,duration_s", rows)
@@ -484,7 +493,11 @@ def _electron_timescale(args, eff) -> int:
 
 
 def _cmd_resources(args, eff) -> int:
-    doc = resources.resource_report(eff["bits"], parse_duration(eff["wallclock"]),
+    try:
+        wallclock = parse_duration(eff["wallclock"])
+    except ValueError as exc:
+        raise ValueError(f"wallclock: {exc}") from None
+    doc = resources.resource_report(eff["bits"], wallclock,
                                     eff["n_qubits"], eff["t_meas"], eff["t_coh"])
     doc["inputs"]["wallclock"] = eff["wallclock"]
     _emit(args, "resources.json", doc)

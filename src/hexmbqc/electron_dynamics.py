@@ -18,6 +18,20 @@ the boundary damping b_x(x) b_y(y) and the initial Gaussian all factor in
 x and y, so each step maps psi_x(x) psi_y(y) to another product exactly;
 the stepper evolves the two 1D factors and never forms the 2D grid.
 
+Stacked layout: both factors are the two rows of one complex (2, N) array,
+N = max(points_x, points_y), the shorter factor on every r-th slot
+(r = N/points, whole since both counts are powers of two) and zeros between.
+The N-point DFT of a signal interleaved with r-1 zeros is its own DFT
+repeated r times, so one batched FFT pair along the last axis advances both
+factors exactly, with the shorter factor's kinetic phase tiled r times and
+the masks zero on the padding slots, which keeps them empty.  All per-step
+bookkeeping is one product of precomputed weight rows with |psi|^2 of the
+kinetic output (|exp(-iV dt/2 hbar)| = 1, so the potential phase leaves it
+unchanged): the norm of psi_y, the x and y norms the boundary frame removes
+and keeps, and one row per detector weighted (1 - d_i^2) prod_{j<i} d_j^2,
+so overlapping slabs damp in config order.  Samples read the norm, mean and
+width of both factors from a second set of rows.
+
 Momentum-grid surrogate: the physical initial state (10 nm source, which
 fixes the velocity spread sigma_v = hbar/(2 m 10nm) ~ 5.8e3 m/s, and the
 ~1e5 m/s arrival velocities) spans 4 decades of wavenumber that no
@@ -222,11 +236,6 @@ class EffSample(NamedTuple):
 class EfficiencyTrace:
     samples: tuple[EffSample, ...]
 
-    def csv_rows(self) -> list[tuple]:
-        """(t_ns, p_detector_1, ..., p_total, norm_remaining) rows."""
-        return [(s.t * 1e9, *s.captured, s.total_captured, s.norm_remaining)
-                for s in self.samples]
-
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -269,8 +278,12 @@ def _resolution_checks(wp: Wavepacket, config: TrapConfig) -> None:
 
 
 def _cap_masks(wp: Wavepacket, config: TrapConfig):
-    """Per-step damping factors for detector slabs and the boundary frame.
+    """Per-step damping factors of the detector slabs and the boundary frame.
 
+    Returns ([d_1(x), d_2(x), ...], (b_x(x), b_y(y))): one factor over x per
+    detector, in config order, and the frame's factors, whose product
+    b_x(x) b_y(y) is its 2D damping.  Every factor is 1 outside its region,
+    so a slab that holds no grid point (or a frame of width 0) damps nothing.
     Quadratic-ramp absorbing potential W = gain * hbar_eff * v_char/width * u^2
     with u the fractional penetration depth; damping factor exp(-W dt/hbar_eff).
     v_char covers both the injection velocity and the saddle-accelerated
@@ -281,21 +294,19 @@ def _cap_masks(wp: Wavepacket, config: TrapConfig):
     y = config.y_axis()
     dt = config.dt
 
-    detector_damps = []  # (slice, damping over the slab's x points)
+    detector_damps = []
     for cx, w in config.detectors:
         a, b = cx - w / 2.0, cx + w / 2.0
         inner, outer = (a, b) if cx >= 0 else (b, a)
-        idx = np.nonzero((x >= min(a, b)) & (x <= max(a, b)))[0]
-        if idx.size == 0:
-            continue
-        sl = slice(idx[0], idx[-1] + 1)
-        u = np.abs(x[sl] - inner) / w
+        inside = (x >= min(a, b)) & (x <= max(a, b))
+        u = np.abs(x[inside] - inner) / w
         v_char = math.hypot(wp.v0, config.omega_e * abs(outer))
         w0 = config.detector_gain * config.hbar_eff * v_char / w
-        damp = np.exp(-w0 * u**2 * dt / config.hbar_eff)
-        detector_damps.append((sl, damp))
+        damp = np.ones(config.points_x)
+        damp[inside] = np.exp(-w0 * u**2 * dt / config.hbar_eff)
+        detector_damps.append(damp)
 
-    boundary = None  # (b_x over x, b_y over y); the frame's damping is b_x(x) b_y(y)
+    b_x, b_y = np.ones(config.points_x), np.ones(config.points_y)
     if config.absorber_width_frac > 0.0:
         wx = config.absorber_width_frac * config.extent_x
         wy = config.absorber_width_frac * config.extent_y
@@ -304,15 +315,17 @@ def _cap_masks(wp: Wavepacket, config: TrapConfig):
         v_char = math.hypot(wp.v0, config.omega_e * config.extent_x / 2.0)
         w0x = config.absorber_gain * config.hbar_eff * v_char / wx
         w0y = config.absorber_gain * config.hbar_eff * v_char / wy
-        boundary = (np.exp(-w0x * ux**2 * dt / config.hbar_eff),
-                    np.exp(-w0y * uy**2 * dt / config.hbar_eff))
-    return detector_damps, boundary
+        b_x = np.exp(-w0x * ux**2 * dt / config.hbar_eff)
+        b_y = np.exp(-w0y * uy**2 * dt / config.hbar_eff)
+    return detector_damps, (b_x, b_y)
 
 
-def _strang(psi: np.ndarray, half: np.ndarray, kin: np.ndarray) -> np.ndarray:
-    """One V/2 - T - V/2 step of a 1D factor."""
-    import numpy as np
-    return half * np.fft.ifft(kin * np.fft.fft(half * psi))
+def _mean_width(m0: float, m1: float, m2: float) -> tuple[float, float]:
+    """Mean and width of a density from sum(p), sum(p a), sum(p a^2); NaN when empty."""
+    if not m0 > 0.0:
+        return math.nan, math.nan
+    mean = m1 / m0
+    return mean, math.sqrt(max(m2 / m0 - mean * mean, 0.0))
 
 
 def propagate(
@@ -324,11 +337,12 @@ def propagate(
 ) -> PropagationResult:
     """Advance the packet to t_final, accumulating detector capture.
 
-    Strang splitting V/2 - T - V/2 per step of psi_x and of psi_y;
-    detector and boundary masks applied after each step.  The returned
-    trace samples cumulative per-detector capture (slab loss from psi_x
-    times the norm of psi_y), total capture, remaining norm, boundary
-    loss, and packet position/width moments roughly every sample_interval.
+    Strang splitting V/2 - T - V/2 per step of psi_x and psi_y, both held in
+    one stacked spectral array (see the module notes); detector and boundary
+    masks applied after each step.  The returned trace samples cumulative
+    per-detector capture (slab loss from psi_x times the norm of psi_y),
+    total capture, remaining norm, boundary loss, and packet position/width
+    moments roughly every sample_interval.
     """
     import numpy as np
     if t_final <= 0:
@@ -340,19 +354,57 @@ def propagate(
     dt = config.dt
     hbar = config.hbar_eff
     dx, dy = config.dx, config.dy
+    nx, ny = config.points_x, config.points_y
+    n = max(nx, ny)
+    rx, ry = n // nx, n // ny  # whole numbers: both counts are powers of two
+    x, y = config.x_axis(), config.y_axis()
 
-    v_x = saddle_potential(config, config.x_axis(), 0.0)  # V(x, y) = V(x, 0) + V(0, y) at t=0
-    v_y = saddle_potential(config, 0.0, config.y_axis())
-    kx = 2.0 * math.pi * np.fft.fftfreq(config.points_x, dx)
-    ky = 2.0 * math.pi * np.fft.fftfreq(config.points_y, dy)
-    kin_x = np.exp(-1j * hbar * kx**2 / (2.0 * config.mass) * dt)
-    kin_y = np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt)
-    half_x = np.exp(-1j * v_x * dt / (2.0 * hbar))  # static; driven mode redoes them per step
-    half_y = np.exp(-1j * v_y * dt / (2.0 * hbar))
+    def stack(fx, fy):
+        """(2, n): fx on every rx-th slot of row 0, fy on every ry-th of row 1, 0 between."""
+        out = np.zeros((2, n), dtype=np.result_type(fx, fy))
+        out[0, ::rx], out[1, ::ry] = fx, fy
+        return out
 
-    detector_damps, boundary = _cap_masks(wp, config)
+    def weights(rows):
+        """Rows over a stacked array, each weight twice: applied to the squared
+        float view (re, im, re, im, ...) of psi they sum w |psi|^2."""
+        return np.repeat(np.reshape(rows, (len(rows), 2 * n)), 2, axis=1)
 
-    psi_x, psi_y = wp.psi_x, wp.psi_y  # _strang returns new arrays: the input is kept
+    def abs2(psi):
+        return np.square(psi.view(np.float64)).ravel()
+
+    kx = 2.0 * math.pi * np.fft.fftfreq(nx, dx)
+    ky = 2.0 * math.pi * np.fft.fftfreq(ny, dy)
+    # the n-point DFT of a factor interleaved with r-1 zeros is its own DFT r times over
+    kin = np.stack([np.tile(np.exp(-1j * hbar * kx**2 / (2.0 * config.mass) * dt), rx),
+                    np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt), ry)])
+    # V(x, y) = V(x, 0) + V(0, y) at t=0; driven mode scales it by the drive per step
+    v_phase = -1j * stack(saddle_potential(config, x, 0.0), saddle_potential(config, 0.0, y))
+    half = np.exp(v_phase * dt / (2.0 * hbar))
+    # V is even in x and y, so it takes about n/2 values per row: driven mode
+    # exponentiates each value once per step and gathers
+    v_values, v_index = np.unique(v_phase, return_inverse=True)
+    v_index = v_index.reshape(2, n)
+
+    # keep_x is |damping|^2 of the slabs passed so far, in config order, so
+    # overlapping slabs damp in turn; the step rows read |psi|^2 after the kinetic
+    # step, before the masks (|half| = 1)
+    damps, (b_x, b_y) = _cap_masks(wp, config)
+    mask_x, keep_x, slab_rows = b_x, np.ones(nx), []
+    for d in damps:
+        slab_rows.append(stack(keep_x * (1.0 - d**2) * dx, 0.0))
+        keep_x, mask_x = keep_x * d**2, mask_x * d
+    mask = stack(mask_x, b_y)  # zero on the interleaved slots, which it keeps empty
+    step_w = weights([stack(0.0, np.full(ny, dy)),
+                      stack(keep_x * (1.0 - b_x**2) * dx, 0.0),
+                      stack(keep_x * b_x**2 * dx, 0.0),
+                      stack(0.0, (1.0 - b_y**2) * dy), *slab_rows])
+    # norm, first and second moment of |psi_x|^2 and of |psi_y|^2, read at samples
+    moment_w = weights([stack(a * dx, 0.0) for a in (np.ones(nx), x, x**2)]
+                       + [stack(0.0, a * dy) for a in (np.ones(ny), y, y**2)])
+
+    psi = stack(wp.psi_x, wp.psi_y).astype(np.complex128, copy=False)
+    half_out = half * mask
     n_steps = int(round(t_final / dt))
     stride = max(1, int(round(sample_interval / dt)))
     captured = [0.0] * len(config.detectors)
@@ -365,33 +417,28 @@ def propagate(
         if step:
             if not config.static_mode:
                 phase = math.cos(config.omega_rf * ((step - 0.5) * dt)) * dt / (2.0 * hbar)
-                half_x, half_y = np.exp(-1j * v_x * phase), np.exp(-1j * v_y * phase)
-            psi_x = _strang(psi_x, half_x, kin_x)
-            psi_y = _strang(psi_y, half_y, kin_y)
-
-            norm_y = _norm(psi_y, dy)
-            for i, (sl, damp) in enumerate(detector_damps):
-                seg = psi_x[sl]
-                captured[i] += float(np.sum(np.abs(seg) ** 2 * (1.0 - damp**2)) * dx) * norm_y
-                seg *= damp
-            if boundary is not None:
-                before = _norm(psi_x, dx) * norm_y
-                psi_x *= boundary[0]
-                psi_y *= boundary[1]
-                boundary_lost += before - _norm(psi_x, dx) * _norm(psi_y, dy)
+                half = np.exp(v_values * phase).take(v_index)
+                half_out = half * mask
+            psi = np.fft.ifft(kin * np.fft.fft(half * psi))
+            norm_y, lost_x, kept_x, lost_y, *slab = (step_w @ abs2(psi)).tolist()
+            psi *= half_out
+            captured = [c + s * norm_y for c, s in zip(captured, slab)]
+            boundary_lost += lost_x * norm_y + kept_x * lost_y
 
         if step % stride == 0 or step == n_steps:  # always true at the last step
-            w = Wavepacket(psi_x=psi_x, psi_y=psi_y, sigma0=wp.sigma0, v0=wp.v0, t=step * dt)
-            (mx, my), (sx, sy) = w.mean_position(config), w.widths(config)
+            x0, x1, x2, y0, y1, y2 = (moment_w @ abs2(psi)).tolist()
+            (mx, sx), (my, sy) = _mean_width(x0, x1, x2), _mean_width(y0, y1, y2)
             samples.append(EffSample(
                 t=step * dt, captured=tuple(captured), total_captured=math.fsum(captured),
-                norm_remaining=w.norm_squared(config), boundary_lost=boundary_lost,
+                norm_remaining=x0 * y0, boundary_lost=boundary_lost,
                 mean_x=mx, mean_y=my, sigma_x=sx, sigma_y=sy))
         if want_snaps and step == want_snaps[0]:
-            snaps.append(Snapshot(t=step * dt, density=np.outer(np.abs(psi_x) ** 2,
-                                                                np.abs(psi_y) ** 2)))
+            snaps.append(Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
+                                                                np.abs(psi[1, ::ry]) ** 2)))
             want_snaps.pop(0)
 
+    w = Wavepacket(psi_x=psi[0, ::rx].copy(), psi_y=psi[1, ::ry].copy(),
+                   sigma0=wp.sigma0, v0=wp.v0, t=n_steps * dt)
     return PropagationResult(trace=EfficiencyTrace(samples=tuple(samples)),
                              wavepacket=w, snapshots=tuple(snaps))
 

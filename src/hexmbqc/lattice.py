@@ -23,7 +23,6 @@ with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "intra_layer_edges",
     "interlayer_edges",
     "cluster_edges",
-    "channel_distance",
     "assignment_report",
 ]
 
@@ -266,23 +264,6 @@ def interlayer_edges(assign: LayerAssignment, periodic: bool) -> set[tuple[int, 
 def cluster_edges(assign: LayerAssignment, periodic: bool = False) -> set[tuple[int, int]]:
     """Full 3D cluster edge set: in-layer plus interlayer."""
     return intra_layer_edges(assign) | interlayer_edges(assign, periodic)
-
-
-def channel_distance(array: HexArray, a: int, b: int) -> float:
-    """Shuttling distance between two sites: hops along trap channels times d."""
-    if a == b:
-        return 0.0
-    seen = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        for nb in array.adjacency[cur]:
-            if nb not in seen:
-                seen[nb] = seen[cur] + 1
-                if nb == b:
-                    return seen[nb] * array.d
-                queue.append(nb)
-    raise ValueError(f"sites {a} and {b} are not connected")
 
 
 def assignment_report(assign: LayerAssignment) -> dict:

