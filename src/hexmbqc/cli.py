@@ -19,6 +19,10 @@ Identical config + seed gives byte-identical artifacts: JSON is dumped
 canonically (sorted keys) and CSV uses fixed formats, with no timestamps
 anywhere.
 
+Handlers do no I/O; ``dispatch`` is the one writer.  It renders stdout and
+every artifact first and only then creates ``--out``, so a NaN or infinite
+result exits 2 naming the output and the inputs, with nothing written.
+
 Exit codes: 0 success; 1 validation/usage error; 2 physics or
 verification failure (e.g. ``verify`` on a corrupted schedule).
 
@@ -201,47 +205,40 @@ def load_config(path: str | None) -> dict:
 # ---------------------------------------------------------------------------
 # output
 
-def _canonical(doc) -> str:
-    """Sorted, indented JSON; ValueError on NaN or Infinity, which JSON lacks."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+class _NonFinite(ArithmeticError):
+    """A result past float range (NaN or infinite) in the named output."""
 
 
-def _emit(args, filename: str, doc: dict, to_stdout=True) -> None:
-    text = _canonical(doc)
-    if to_stdout:
-        sys.stdout.write(text)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, filename), "w") as fh:
-        fh.write(text)
-
-
-def _write_csv(args, filename: str, header: str, rows: list[str]) -> None:
-    for row in rows:
-        if not all(math.isfinite(float(field)) for field in row.split(",") if field):
-            raise ValueError(f"{filename}: non-finite field in row {row!r}")
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, filename), "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _render(name: str, content) -> str:
+    """The text of one output: a JSON doc, dumped canonically (sorted keys,
+    indented), or (header, rows) of a CSV file or a whitespace-separated
+    snapshot.  _NonFinite naming ``name`` on a NaN or infinite number."""
+    if isinstance(content, dict):
+        try:
+            return json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # NaN or Infinity, which JSON lacks
+            raise _NonFinite(name) from None
+    header, rows = content
+    if not all(math.isfinite(float(f)) for row in rows for f in re.split("[, ]", row) if f):
+        raise _NonFinite(name)
+    return "".join(line + "\n" for line in (header, *rows))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: (args, effective values) -> exit code
+# subcommand handlers: (args, effective values) -> (stdout doc,
+# {filename: JSON doc or (header, rows)}[, exit code when not 0])
 
 def _build_assignment(eff: dict):
     array = lattice.build_hex_array(eff["rows"], eff["cols"], eff["d"])
     return array, lattice.decompose_sublattices(array, eff["n"])
 
 
-def _cmd_lattice(args, eff) -> int:
+def _cmd_lattice(args, eff):
     array, assign = _build_assignment(eff)
-    _emit(args, "lattice.json", {
-        "schema_version": 1, "sites": array.site_count(),
-        "layers": assign.layer_count, "n": assign.n,
-        "rows": eff["rows"], "cols": eff["cols"], "d": eff["d"]})
-    _emit(args, "lattice_full.json", lattice.assignment_report(assign), to_stdout=False)
-    return EXIT_OK
+    doc = {"schema_version": 1, "sites": array.site_count(),
+           "layers": assign.layer_count, "n": assign.n,
+           "rows": eff["rows"], "cols": eff["cols"], "d": eff["d"]}
+    return doc, {"lattice.json": doc, "lattice_full.json": lattice.assignment_report(assign)}
 
 
 def _schedule_doc(eff: dict):
@@ -253,28 +250,17 @@ def _schedule_doc(eff: dict):
     return array, assign, sched, doc
 
 
-def _cmd_schedule(args, eff) -> int:
+def _cmd_schedule(args, eff):
     array, _, sched, doc = _schedule_doc(eff)
-    try:  # inf when a round's duration overflows, so it covers the CSV rows too
-        prep_time = scheduler.prep_time(sched)
-    except OverflowError:  # fsum's partial sums past float range
-        prep_time = math.inf
-    if not math.isfinite(prep_time):
-        sys.stderr.write(f"error: the schedule's duration leaves float range "
-                         f"(t_gate={eff['t_gate']!r}, t_shuttle={eff['t_shuttle']!r})\n")
-        return EXIT_PHYSICS
-    _emit(args, "schedule.json", doc, to_stdout=False)
-    sys.stdout.write(_canonical({
-        "schema_version": 1, "rounds": len(sched.rounds),
-        "edges": sum(len(r) for r in sched.rounds),
-        "prep_time_s": prep_time, "sites": array.site_count()}))
     rows = [f"{k},{count},{dur:.9e}"
             for k, count, dur in scheduler.schedule_csv_rows(sched)]
-    _write_csv(args, "schedule.csv", "round,pair_count,duration_s", rows)
-    return EXIT_OK
+    summary = {"schema_version": 1, "rounds": len(sched.rounds),
+               "edges": sum(len(r) for r in sched.rounds),
+               "prep_time_s": scheduler.prep_time(sched), "sites": array.site_count()}
+    return summary, {"schedule.json": doc, "schedule.csv": ("round,pair_count,duration_s", rows)}
 
 
-def _cmd_verify(args, eff) -> int:
+def _cmd_verify(args, eff):
     if eff["schedule_file"]:
         with open(eff["schedule_file"]) as fh:
             doc = json.load(fh)
@@ -302,11 +288,10 @@ def _cmd_verify(args, eff) -> int:
            "target_edges": len(target)}
     if failure is not None:
         doc["failure"] = failure
-    _emit(args, "verification.json", doc)
-    return EXIT_OK if failure is None else EXIT_PHYSICS
+    return doc, {"verification.json": doc}, EXIT_OK if failure is None else EXIT_PHYSICS
 
 
-def _cmd_mbqc(args, eff) -> int:
+def _cmd_mbqc(args, eff):
     import numpy as np
 
     from . import mbqc
@@ -327,7 +312,7 @@ def _cmd_mbqc(args, eff) -> int:
     rng = np.random.default_rng(args.seed)
     res = mbqc.run_pattern(n, edges, pattern, input_state=input_state,
                            input_qubits=input_qubits, rng=rng)
-    _emit(args, "mbqc_result.json", {
+    doc = {
         "schema_version": 1,
         "outcomes": res.outcomes,
         "probabilities": res.probabilities,
@@ -337,8 +322,8 @@ def _cmd_mbqc(args, eff) -> int:
         "byproduct_z": {str(q): v for q, v in res.byproduct_z.items()},
         "state_re": [float(a.real) for a in res.state],
         "state_im": [float(a.imag) for a in res.state],
-    })
-    return EXIT_OK
+    }
+    return doc, {"mbqc_result.json": doc}
 
 
 def _pow10(y: float) -> float:
@@ -369,7 +354,7 @@ def _geomspace(start: float, stop: float, num: int) -> list[float]:
     return [x * sign for x in out]
 
 
-def _ionize_rates(args, eff) -> int:
+def _ionize_rates(args, eff):
     cal = ionization.load_calibration()
 
     def triple(irr):
@@ -380,53 +365,47 @@ def _ionize_rates(args, eff) -> int:
         return rs, rd, ionization.discrimination_ratio(s, d)
 
     rs, rd, ratio = triple(eff["irradiance"])
-    _emit(args, "rates.json", {
-        "schema_version": 1, "irradiance_w_cm2": eff["irradiance"],
-        "rate_s_per_s": rs, "rate_d_per_s": rd, "ratio": ratio})
+    doc = {"schema_version": 1, "irradiance_w_cm2": eff["irradiance"],
+           "rate_s_per_s": rs, "rate_d_per_s": rd, "ratio": ratio}
     rows = []
     for irr in _geomspace(eff["i_min"], eff["i_max"], eff["points"]):
         a, b, c = triple(irr)
         rows.append(f"{irr:.12e},{a:.12e},{b:.12e},{c:.12e}")
-    _write_csv(args, "rates.csv", "irradiance_w_cm2,rate_s,rate_d,ratio", rows)
-    return EXIT_OK
+    return doc, {"rates.json": doc,
+                 "rates.csv": ("irradiance_w_cm2,rate_s,rate_d,ratio", rows)}
 
 
-def _ionize_resonances(args, eff) -> int:
+def _ionize_resonances(args, eff):
     table = ionization.load_level_table()
     scan = ionization.find_resonances(
         table, (eff["lambda_min"], eff["lambda_max"]),
         eff["max_photons"], eff["detuning_cut"])
-    _emit(args, "resonances.json", {
-        "schema_version": 1,
-        "hits": [{"level": h.level, "photons": h.photons,
-                  "wavelength_nm": h.wavelength_nm,
-                  "detuning_ev": h.detuning_ev} for h in scan.hits],
-        "ionizing_throughout": scan.ionizing_throughout,
-        "threshold_wavelength_nm": scan.threshold_wavelength_nm})
-    return EXIT_OK
+    doc = {"schema_version": 1,
+           "hits": [{"level": h.level, "photons": h.photons,
+                     "wavelength_nm": h.wavelength_nm,
+                     "detuning_ev": h.detuning_ev} for h in scan.hits],
+           "ionizing_throughout": scan.ionizing_throughout,
+           "threshold_wavelength_nm": scan.threshold_wavelength_nm}
+    return doc, {"resonances.json": doc}
 
 
-def _ionize_quadrupole(args, eff) -> int:
+def _ionize_quadrupole(args, eff):
     ref = ionization.load_rabi_reference()
-    _emit(args, "quadrupole.json", {
-        "schema_version": 1, "t_pulse_s": eff["t_pulse"],
-        "irradiance_w_cm2": ionization.quadrupole_irradiance(ref, eff["t_pulse"])})
-    return EXIT_OK
+    doc = {"schema_version": 1, "t_pulse_s": eff["t_pulse"],
+           "irradiance_w_cm2": ionization.quadrupole_irradiance(ref, eff["t_pulse"])}
+    return doc, {"quadrupole.json": doc}
 
 
-def _ionize_raman(args, eff) -> int:
+def _ionize_raman(args, eff):
     ref = ionization.load_rabi_reference()
-    _emit(args, "raman.json", {
-        "schema_version": 1, "t_pulse_s": eff["t_pulse"],
-        "detuning_linewidths": eff["detuning_linewidths"],
-        "irradiance_w_cm2": ionization.raman_irradiance(
-            ref, eff["detuning_linewidths"], eff["t_pulse"])})
-    return EXIT_OK
+    doc = {"schema_version": 1, "t_pulse_s": eff["t_pulse"],
+           "detuning_linewidths": eff["detuning_linewidths"],
+           "irradiance_w_cm2": ionization.raman_irradiance(
+               ref, eff["detuning_linewidths"], eff["t_pulse"])}
+    return doc, {"raman.json": doc}
 
 
-def _electron_propagate(args, eff) -> int:
-    import numpy as np
-
+def _electron_propagate(args, eff):
     trap = {key: eff[key] for key in eff if key in ed.TrapConfig.__dataclass_fields__}
     cfg = ed.TrapConfig(**{**trap, "detectors": tuple(map(tuple, eff["detectors"]))})
     wp = ed.gaussian_wavepacket(cfg, v0=eff["v0"], sigma_v=eff["sigma_v"],
@@ -438,38 +417,32 @@ def _electron_propagate(args, eff) -> int:
               + ",p_total,norm_remaining")
     rows = [f"{s.t*1e9:.6f},{','.join(f'{c:.9e}' for c in s.captured)},"
             f"{s.total_captured:.9e},{s.norm_remaining:.9e}" for s in res.trace.samples]
-    _write_csv(args, "trace.csv", header, rows)
+    files = {"trace.csv": (header, rows)}
     for i, snap in enumerate(res.snapshots):
-        path = os.path.join(args.out, f"psi2_{i:03d}.txt")
-        hdr = (f"nx={cfg.points_x} ny={cfg.points_y} "
+        hdr = (f"# nx={cfg.points_x} ny={cfg.points_y} "
                f"extent_x={cfg.extent_x:.9e} extent_y={cfg.extent_y:.9e} "
                f"t_s={snap.t:.9e}")
-        np.savetxt(path, snap.density, fmt="%.9e", header=hdr)
+        files[f"psi2_{i:03d}.txt"] = (hdr, [" ".join(f"{p:.9e}" for p in row)
+                                            for row in snap.density.tolist()])
     last = res.trace.samples[-1]
-    _emit(args, "efficiency.json", {
-        "schema_version": 1, "t_final_s": eff["t_final"],
-        "captured": list(last.captured),
-        "total_captured": last.total_captured,
-        "norm_remaining": last.norm_remaining})
-    return EXIT_OK
+    doc = {"schema_version": 1, "t_final_s": eff["t_final"],
+           "captured": list(last.captured),
+           "total_captured": last.total_captured,
+           "norm_remaining": last.norm_remaining}
+    return doc, {**files, "efficiency.json": doc}
 
 
-def _electron_classical(args, eff) -> int:
+def _electron_classical(args, eff):
     cfg = ed.TrapConfig(omega_e=eff["omega_e"])
     try:
         x, v = ed.classical_trajectory(cfg, eff["v0"], eff["t"])
     except OverflowError:  # sinh/cosh of a finite argument past float range
         x = v = math.inf
-    if not (math.isfinite(x) and math.isfinite(v)):
-        sys.stderr.write(f"error: the trajectory leaves float range by t={eff['t']!r} s "
-                         f"(omega_e={eff['omega_e']!r}, v0={eff['v0']!r})\n")
-        return EXIT_PHYSICS
-    _emit(args, "classical.json", {
-        "schema_version": 1, "t_s": eff["t"], "x_m": x, "v_m_s": v})
-    return EXIT_OK
+    doc = {"schema_version": 1, "t_s": eff["t"], "x_m": x, "v_m_s": v}
+    return doc, {"classical.json": doc}
 
 
-def _electron_mathieu(args, eff) -> int:
+def _electron_mathieu(args, eff):
     q = eff["q"]
     if q is None:
         if eff["v_rf"] is None or eff["r0"] is None:
@@ -480,19 +453,17 @@ def _electron_mathieu(args, eff) -> int:
            "stable": ed.mathieu_stable(eff["a"], q)}
     if eff["boundary"]:
         doc["q_boundary"] = ed.stability_boundary(eff["a"])
-    _emit(args, "mathieu.json", doc)
-    return EXIT_OK
+    return doc, {"mathieu.json": doc}
 
 
-def _electron_timescale(args, eff) -> int:
+def _electron_timescale(args, eff):
     est = ed.electron_timescale(eff["omega_rf"], eff["m_ion"])
-    _emit(args, "timescale.json", {
-        "schema_version": 1, "formula_s": est.formula_s,
-        "reference_s": est.reference_s})
-    return EXIT_OK
+    doc = {"schema_version": 1, "formula_s": est.formula_s,
+           "reference_s": est.reference_s}
+    return doc, {"timescale.json": doc}
 
 
-def _cmd_resources(args, eff) -> int:
+def _cmd_resources(args, eff):
     try:
         wallclock = parse_duration(eff["wallclock"])
     except ValueError as exc:
@@ -500,8 +471,7 @@ def _cmd_resources(args, eff) -> int:
     doc = resources.resource_report(eff["bits"], wallclock,
                                     eff["n_qubits"], eff["t_meas"], eff["t_coh"])
     doc["inputs"]["wallclock"] = eff["wallclock"]
-    _emit(args, "resources.json", doc)
-    return EXIT_OK
+    return doc, {"resources.json": doc}
 
 
 _HANDLERS = {
@@ -585,13 +555,26 @@ def dispatch(argv) -> int:
             if getattr(args, key) is None:
                 setattr(args, key, cfg[key])
         if args.dump_config:
-            sys.stdout.write(_canonical({
+            sys.stdout.write(_render("stdout", {
                 args.command: eff if mode is None else {mode: eff},
                 "seed": args.seed, "out": args.out}))
             return EXIT_OK
-        return _HANDLERS[args.command, mode](args, eff)
+        doc, artifacts, *code = _HANDLERS[args.command, mode](args, eff)
+        texts = {name: _render(name, content) for name, content in artifacts.items()}
+        stdout = _render("stdout", doc)
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in texts.items():
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(text)
+        sys.stdout.write(stdout)
+        return code[0] if code else EXIT_OK
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except _NonFinite as exc:
+        inputs = ", ".join(f"{key}={value!r}" for key, value in eff.items())
+        sys.stderr.write(f"error: {exc} holds a result past float range, "
+                         f"so nothing was written (inputs: {inputs})\n")
+        return EXIT_PHYSICS
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_VALIDATION

@@ -145,11 +145,19 @@ class TrapConfig:
         return (np.arange(self.points_y) - self.points_y / 2.0) * self.dy
 
 
+def _square(v: float) -> float:
+    """v**2, or inf where that passes float range (a float power raises there)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def saddle_potential(config: TrapConfig, x, y, t: float = 0.0):
     """V = (m w_e^2/2)(y^2 - x^2), times cos(w_rf t) when driven."""
     import numpy as np
     drive = 1.0 if config.static_mode else math.cos(config.omega_rf * t)
-    return 0.5 * config.mass * config.omega_e**2 * (np.square(y) - np.square(x)) * drive
+    return 0.5 * config.mass * _square(config.omega_e) * (np.square(y) - np.square(x)) * drive
 
 
 @dataclass
@@ -161,33 +169,10 @@ class Wavepacket:
     v0: float                # initial +x velocity (m/s)
     t: float = 0.0
 
-    @property
-    def psi(self) -> np.ndarray:
-        """Complex amplitudes on the grid, shape (points_x, points_y)."""
-        import numpy as np
-        return np.outer(self.psi_x, self.psi_y)
-
-    def norm_squared(self, config: TrapConfig) -> float:
-        return _norm(self.psi_x, config.dx) * _norm(self.psi_y, config.dy)
-
-    def mean_position(self, config: TrapConfig) -> tuple[float, float]:
-        return _moments(self.psi_x, config.x_axis())[0], _moments(self.psi_y, config.y_axis())[0]
-
-    def widths(self, config: TrapConfig) -> tuple[float, float]:
-        return _moments(self.psi_x, config.x_axis())[1], _moments(self.psi_y, config.y_axis())[1]
-
 
 def _norm(psi: np.ndarray, step: float) -> float:
     import numpy as np
     return float(np.vdot(psi, psi).real * step)
-
-
-def _moments(psi: np.ndarray, axis: np.ndarray) -> tuple[float, float]:
-    """Mean and width of |psi|^2 along one axis."""
-    import numpy as np
-    p = np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2)
-    m = p @ axis
-    return float(m), float(math.sqrt(p @ (axis - m) ** 2))
 
 
 def gaussian_wavepacket(
@@ -208,12 +193,13 @@ def gaussian_wavepacket(
         if sigma_v <= 0:
             raise ValueError("sigma_v must be positive")
         sigma0 = config.hbar_eff / (2.0 * config.mass * sigma_v)
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0.0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be positive and finite")
     x = config.x_axis()
     k0 = config.mass * v0 / config.hbar_eff
-    psi_x = np.exp(-((x - center[0]) ** 2) / (4.0 * sigma0**2)) * np.exp(1j * k0 * x)
-    psi_y = np.exp(-((config.y_axis() - center[1]) ** 2) / (4.0 * sigma0**2)).astype(
+    spread = 4.0 * _square(sigma0)
+    psi_x = np.exp(-((x - center[0]) ** 2) / spread) * np.exp(1j * k0 * x)
+    psi_y = np.exp(-((config.y_axis() - center[1]) ** 2) / spread).astype(
         np.complex128)
     psi_x /= math.sqrt(_norm(psi_x, config.dx))
     psi_y /= math.sqrt(_norm(psi_y, config.dy))
@@ -405,12 +391,15 @@ def propagate(
 
     psi = stack(wp.psi_x, wp.psi_y).astype(np.complex128, copy=False)
     half_out = half * mask
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final/dt = {t_final!r}/{dt!r} is past float range")
     n_steps = int(round(t_final / dt))
-    stride = max(1, int(round(sample_interval / dt)))
+    # a sample interval or snapshot time past t_final falls on the last step
+    stride = max(1, int(round(min(sample_interval, t_final) / dt)))
     captured = [0.0] * len(config.detectors)
     boundary_lost = 0.0
     want_snaps = sorted(set(
-        min(max(int(round(ts / dt)), 0), n_steps) for ts in snapshot_times))
+        int(round(min(max(ts, 0.0), t_final) / dt)) for ts in snapshot_times))
 
     samples, snaps = [], []
     for step in range(n_steps + 1):

@@ -184,7 +184,8 @@ def discrimination_ratio(s_inputs: RateInputs, d_inputs: RateInputs) -> float:
         if i == 0.0:
             raise UndefinedRatioError("D rate is zero at zero irradiance")
         kl = s_inputs.k_resonant / s_inputs.l_denominator
-        ratio += (kl * kl) / (i * i * sum_d)
+        denom = i * i * sum_d  # underflows to 0 where the ratio passes float range
+        ratio += (kl * kl) / denom if denom else math.inf
     return ratio
 
 

@@ -15,7 +15,6 @@ constant 6 and preparation time is size-independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .lattice import LayerAssignment, interlayer_edges, intra_layer_edges
@@ -39,10 +38,12 @@ class ScheduleInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """Six rounds of disjoint CPHASE pairs plus per-round timing."""
+    """Six rounds of disjoint CPHASE pairs; every round takes one shuttle
+    plus one gate time."""
 
     rounds: tuple[tuple[tuple[int, int], ...], ...]
-    timing: tuple[tuple[float, float], ...]  # (shuttle_time, gate_time) per round
+    t_shuttle: float
+    t_gate: float
     periodic: bool
     layer_count: int
 
@@ -92,13 +93,10 @@ def build_schedule(
             src = min(la, lb)
         rounds[4 if src % 2 == 1 else 5].add((a, b))
 
-    # n=1 periodic wrap duplicates round-5 edges; keep the first copy only
-    rounds[5] -= rounds[4]
-
-    timing = tuple((t_shuttle, t_gate) for _ in range(6))
     return GateSchedule(
         rounds=tuple(tuple(sorted(rnd)) for rnd in rounds),
-        timing=timing,
+        t_shuttle=t_shuttle,
+        t_gate=t_gate,
         periodic=periodic,
         layer_count=assign.layer_count,
     )
@@ -134,8 +132,9 @@ def check_rounds(rounds, target: set[tuple[int, int]]) -> str | None:
 
 
 def prep_time(schedule: GateSchedule) -> float:
-    """Total preparation time: sum over rounds of shuttle plus gate time."""
-    return math.fsum(sh + g for sh, g in schedule.timing)
+    """Total preparation time: rounds times (shuttle plus gate time); inf
+    past float range."""
+    return len(schedule.rounds) * (schedule.t_shuttle + schedule.t_gate)
 
 
 def schedule_report(schedule: GateSchedule) -> dict:
@@ -146,16 +145,12 @@ def schedule_report(schedule: GateSchedule) -> dict:
         "layer_count": schedule.layer_count,
         "round_names": list(ROUND_NAMES),
         "rounds": [[list(e) for e in rnd] for rnd in schedule.rounds],
-        "timing": [
-            {"shuttle_time_s": sh, "gate_time_s": g} for sh, g in schedule.timing
-        ],
+        "timing": [{"shuttle_time_s": schedule.t_shuttle, "gate_time_s": schedule.t_gate}
+                   for _ in schedule.rounds],
     }
 
 
 def schedule_csv_rows(schedule: GateSchedule) -> list[tuple[int, int, float]]:
     """(round, pair_count, duration_s) summary rows; round names live in the JSON report."""
-    rows = []
-    for k, rnd in enumerate(schedule.rounds):
-        sh, g = schedule.timing[k]
-        rows.append((k + 1, len(rnd), sh + g))
-    return rows
+    duration = schedule.t_shuttle + schedule.t_gate
+    return [(k + 1, len(rnd), duration) for k, rnd in enumerate(schedule.rounds)]

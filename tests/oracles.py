@@ -6,7 +6,9 @@ written out per qubit; ``statevector_oracle`` and ``pauli_expectation``
 build and probe the dense state vector of a graph state on up to 16
 qubits.  In statevectors qubit 0 is the most significant bit of the
 amplitude index.  ``channel_distance`` measures a shuttle path on the
-trap array by breadth-first search over its channels.
+trap array by breadth-first search over its channels.  ``packet_psi`` and
+``packet_moments`` read the grid amplitudes, norm, mean position and widths
+of a product wavepacket from its two factors.
 """
 
 from __future__ import annotations
@@ -224,3 +226,22 @@ def channel_distance(array, a: int, b: int) -> float:
                     return seen[nb] * array.d
                 queue.append(nb)
     raise ValueError(f"sites {a} and {b} are not connected")
+
+
+def packet_psi(wp) -> np.ndarray:
+    """Complex amplitudes psi_x(x) psi_y(y) on the grid, shape (points_x, points_y)."""
+    return np.outer(wp.psi_x, wp.psi_y)
+
+
+def packet_moments(wp, config) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """Norm squared, mean position (x, y) and widths (x, y) of a product
+    wavepacket; each axis's moments are of its factor's normalised |psi|^2."""
+    norm, means, widths = 1.0, [], []
+    for psi, axis, step in ((wp.psi_x, config.x_axis(), config.dx),
+                            (wp.psi_y, config.y_axis(), config.dy)):
+        norm *= float(np.vdot(psi, psi).real * step)
+        p = np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2)
+        m = p @ axis
+        means.append(float(m))
+        widths.append(float(math.sqrt(p @ (axis - m) ** 2)))
+    return norm, tuple(means), tuple(widths)

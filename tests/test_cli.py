@@ -1,4 +1,4 @@
-import argparse
+import hashlib
 import json
 import math
 import os
@@ -348,7 +348,7 @@ def test_validation_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code, needle", [
     (["schedule", "--t-gate", "nan"], 1, "--t-gate must be a finite number"),
     (["electron", "classical", "--omega-e", "nan"], 1, "--omega-e must be a finite number"),
-    (["electron", "classical", "--t", "1e300"], 2, "leaves float range by t=1e+300"),
+    (["electron", "classical", "--t", "1e300"], 2, "t=1e+300"),
     (["electron", "propagate", "--dt", "nan"], 1, "--dt must be a finite number"),
     (["schedule", "--config", "{cfg}"], 1, "schedule.t_gate must be a finite number"),
     (["schedule", "--t-gate", "1e308", "--t-shuttle", "1e308"], 2,
@@ -356,26 +356,106 @@ def test_validation_exit_codes(tmp_path, capsys):
     (["schedule", "--t-gate", "1e308", "--t-shuttle", "1e307"], 2,
      "t_gate=1e+308, t_shuttle=1e+307"),
     (["resources", "--wallclock", "1e999"], 1, "wallclock: duration '1e999' is past float range"),
+    (["electron", "propagate", "--dt", "5e-324"], 1, "t_final/dt = 3e-09/5e-324"),
+    (["electron", "propagate", "--t-final", "1e300", "--dt", "1e-300"], 1,
+     "t_final/dt = 1e+300/1e-300"),
 ], ids=["schedule t_gate nan", "classical omega_e nan", "classical t overflow",
         "propagate dt nan", "config t_gate nan", "schedule round overflow",
-        "schedule total overflow", "resources wallclock overflow"])
+        "schedule total overflow", "resources wallclock overflow",
+        "propagate subnormal dt", "propagate step count overflow"])
 def test_non_finite_values_exit_without_artifacts(tmp_path, capsys, argv, code, needle):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schedule": {"t_gate": math.nan}}))  # json writes NaN
     out = tmp_path / "out"
-    got, _, err = run(capsys, *(a.format(cfg=cfg) for a in argv), "--out", str(out))
+    got, stdout, err = run(capsys, *(a.format(cfg=cfg) for a in argv), "--out", str(out))
     assert (got, needle in err) == (code, True), err
+    assert stdout == ""
     assert not out.exists()
 
 
-def test_artifact_writers_refuse_non_finite_numbers(tmp_path):
-    args = argparse.Namespace(out=str(tmp_path))
+@pytest.mark.parametrize("argv, artifact, inputs", [
+    (["lattice", "--d", "1e308"], "lattice_full.json", "d=1e+308"),
+    (["ionize", "rates", "--i-max", "1e300"], "rates.csv", "i_max=1e+300"),
+    (["ionize", "rates", "--irradiance", "1e300"], "rates.json", "irradiance=1e+300"),
+    (["resources", "--t-meas", "1e300", "--t-coh", "1e-300"], "resources.json",
+     "t_meas=1e+300, t_coh=1e-300"),
+    (["ionize", "quadrupole", "--t-pulse", "1e-300"], "quadrupole.json", "t_pulse=1e-300"),
+    (["electron", "timescale", "--omega-rf", "1e-320"], "timescale.json", "omega_rf=1e-320"),
+], ids=["lattice d", "rates i_max", "rates irradiance", "resources t_meas", "quadrupole t_pulse",
+        "timescale omega_rf"])
+def test_results_past_float_range_exit_2_writing_nothing(tmp_path, capsys, argv, artifact,
+                                                         inputs):
+    # finite inputs whose results pass float range; "lattice d" and "rates i_max"
+    # fail in their second artifact, after the first rendered cleanly
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"error: {artifact} holds a result past float range" in err
+    assert inputs in err, err
+    assert not out.exists()
+
+
+def test_artifact_writers_refuse_non_finite_numbers(tmp_path, capsys, monkeypatch):
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._emit(args, "doc.json", {"x": bad}, to_stdout=False)
-        with pytest.raises(ValueError, match="non-finite field"):
-            cli._write_csv(args, "rows.csv", "a,b", ["1.0,2.0", f"3.0,{bad}"])
+        with pytest.raises(cli._NonFinite, match="doc.json"):
+            cli._render("doc.json", {"x": bad})
+        with pytest.raises(cli._NonFinite, match="rows.csv"):
+            cli._render("rows.csv", ("a,b", ["1.0,2.0", f"3.0,{bad}"]))
+        # through dispatch: a finite artifact rendered first is not written either
+        for name, content in (("doc.json", {"x": bad}),
+                              ("rows.csv", ("a,b", ["1.0,2.0", f"3.0,{bad}"]))):
+            monkeypatch.setitem(cli._HANDLERS, ("lattice", None),
+                                lambda args, eff, name=name, content=content: (
+                                    {"ok": 1.0}, {"good.json": {"ok": 1.0}, name: content}))
+            code, stdout, err = run(capsys, "lattice", "--out", str(tmp_path / "out"))
+            assert (code, stdout) == (2, "") and name in err
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of stdout and of every artifact, taken before handlers returned their
+# artifacts; these commands use only correctly rounded IEEE operations, so the
+# digests hold on any libm or numpy build
+GOLDEN = [
+    (["lattice", "--rows", "7", "--cols", "7", "--n", "2"], {
+        "stdout": "9337271c3ebd69eb8117d265ce1ffc1973204a1565bddea51e8ff546ab5d06fc",
+        "lattice.json": "9337271c3ebd69eb8117d265ce1ffc1973204a1565bddea51e8ff546ab5d06fc",
+        "lattice_full.json": "b90bbafe55a29b76372ae26c09db93943516672d89a64c9608bca509d7a37d24"}),
+    (["schedule", "--rows", "4", "--cols", "4", "--periodic"], {
+        "stdout": "4998286c73a63df955b000ab5d61105a3456dec3873fcf04003687f469891837",
+        "schedule.csv": "9eb25c3c17544a6ede0a50f41ef5e1ea4b66feb4e6c5021250bf1e9919894a82",
+        "schedule.json": "d8289ebd7d363d0a55a317307a8e5861a3b30a0de21782ab774e40f9aaf4a969"}),
+    (["schedule", "--rows", "70", "--cols", "70", "--n", "3"], {
+        "stdout": "944ebaf372948bf20aca5293c159b85ec62b4634f08f9f547be48e5aa15d74ba",
+        "schedule.csv": "cab49f2af868d2641f16ad92ae0d33230ec2350f6642ef00b5369b41318b392a",
+        "schedule.json": "dfc064368048653b5972a48a01b9a67982b549365c9eb299be4be1e90f05df11"}),
+    (["verify", "--rows", "3", "--cols", "3", "--n", "2"], {
+        "stdout": "1893b52bd2f0b12f53dd7bc17575e61462eed23803d0414a0e143c5479b9fe94",
+        "verification.json": "1893b52bd2f0b12f53dd7bc17575e61462eed23803d0414a0e143c5479b9fe94"}),
+    (["ionize", "resonances"], {
+        "stdout": "fd44632354eeb6d9afbe22ed86cd16cbf6a292e7493e7df691fa918ad39d3145",
+        "resonances.json": "fd44632354eeb6d9afbe22ed86cd16cbf6a292e7493e7df691fa918ad39d3145"}),
+    (["ionize", "quadrupole"], {
+        "stdout": "f7b58b80ed5f467e19898476b42dce23e5b56577aeb2ac5b3f281084d80c6b3a",
+        "quadrupole.json": "f7b58b80ed5f467e19898476b42dce23e5b56577aeb2ac5b3f281084d80c6b3a"}),
+    (["ionize", "raman"], {
+        "stdout": "43f1b89359913876d16864c4707ed081436935c8d02d2bfc37ee212f853cb369",
+        "raman.json": "43f1b89359913876d16864c4707ed081436935c8d02d2bfc37ee212f853cb369"}),
+    (["electron", "timescale"], {
+        "stdout": "efb206cd9ed30e36d7155a005e90e1409d74e11acd63f0cf1d7229b54ca22d21",
+        "timescale.json": "efb206cd9ed30e36d7155a005e90e1409d74e11acd63f0cf1d7229b54ca22d21"}),
+    (["resources"], {
+        "stdout": "a6cdb132faa9effeeed21717f33aaba5f73e55a996b28b85a672bd005a3f6336",
+        "resources.json": "a6cdb132faa9effeeed21717f33aaba5f73e55a996b28b85a672bd005a3f6336"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_outputs_match_golden_digests(tmp_path, capsys, argv, digests):
+    code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path))
+    got = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    got.update((f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+               for f in tmp_path.iterdir())
+    assert (code, got) == (0, digests)
 
 
 def test_config_negative_dt_names_field(tmp_path, capsys):

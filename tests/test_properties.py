@@ -1,6 +1,6 @@
-"""Property tests: no pattern, schedule or config document makes the CLI
-raise, every exit code is 0, 1 or 2, and an MBQC run that exits 0 writes
-only finite numbers.
+"""Property tests: no pattern, schedule or config document and no flag
+value makes the CLI raise, every exit code is 0, 1 or 2, a run that exits
+0 writes only finite numbers, and a run that fails writes nothing.
 
 Generated integers stay small so that any document the CLI accepts
 describes a problem that runs in milliseconds.
@@ -10,10 +10,11 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexmbqc import cli, lattice, mbqc, scheduler
@@ -181,3 +182,77 @@ def test_valid_documents_still_run():
     doc = {"lattice": {"rows": 2, "cols": 2, "n": 1}, "rounds": VALID_ROUNDS}
     assert _run(["verify", "--schedule", "{path}"], "schedule.json", doc)[0] == 0
     assert _run(["lattice", "--config", "{path}"], "config.json", {})[0] == 0
+
+
+# every flag of every (command, mode) takes these values; the flags that set
+# the amount of work draw small ones instead, since a huge value there is a
+# valid request for more time or memory (propagate's step count t_final / dt
+# among them: the config's 2e-13 s step leaves only 2**64 s too long to run)
+EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2**64)
+WORK = {"rows": st.integers(-1, 4), "cols": st.integers(-1, 4),
+        "points": st.integers(-1, 30), "max_photons": st.integers(-1, 6),
+        "points_x": st.sampled_from((-1, 0, 3, 16, 64)),
+        "points_y": st.sampled_from((-1, 0, 3, 16, 32)),
+        "t_final": st.sampled_from([v for v in EDGES if v != 2**64])}
+PROPAGATE_64x32 = {"electron": {"propagate": {
+    "points_x": 64, "points_y": 32, "hbar_scale": 640.0, "dt": 2e-13, "t_final": 2e-11}}}
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its mode and values for up to three of the flags it reads;
+    the others keep their defaults, so that some runs exit 0."""
+    command, mode = draw(st.sampled_from(sorted(cli._HANDLERS, key=str)))
+    argv = [command] if mode is None else [command, mode]
+    flags = {key: default for key, (default, modes) in cli._flag_keys(command).items()
+             if mode in modes and key not in ("schedule_file", "pattern_file")}
+    flags["seed"] = 0
+    for key in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        flag = cli._flag(key)
+        if isinstance(flags[key], bool):
+            argv.append(draw(st.sampled_from((flag, "--no-" + flag[2:]))))
+        else:
+            argv.append(f"{flag}={draw(WORK.get(key, st.sampled_from(EDGES)))}")
+    return argv
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_lines())
+@example(["lattice", "--d=1e+308"]).via("a finite artifact written before a NaN one")
+@example(["ionize", "rates", "--i-max=0"]).via("rates.json written before geomspace fails")
+@example(["electron", "propagate", "--dt=5e-324"]).via("t_final / dt past float range")
+@example(["electron", "propagate", "--hbar-scale=1e+308"]).via("sigma0**2 overflows")
+@example(["electron", "propagate", "--omega-e=1e+308"]).via("omega_e**2 overflows")
+@example(["ionize", "rates", "--i-min=1e-170"]).via("the D rate underflows to 0")
+def test_every_command_exits_cleanly_with_finite_artifacts(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        extra = ["--out", str(out)]
+        if argv[0] == "mbqc":
+            (Path(tmp) / "pattern.json").write_text(json.dumps(CHAIN_DOC))
+            extra += ["--pattern", str(Path(tmp) / "pattern.json")]
+        elif argv[:2] == ["electron", "propagate"]:
+            (Path(tmp) / "config.json").write_text(json.dumps(PROPAGATE_64x32))
+            extra += ["--config", str(Path(tmp) / "config.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.dispatch(argv + extra)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            json.loads(stdout.getvalue(), parse_constant=_refuse)
+            for path in out.iterdir():
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=_refuse)
+                    continue
+                _, *rows = path.read_text().splitlines()  # CSV or snapshot rows
+                assert all(math.isfinite(float(field)) for row in rows
+                           for field in re.split("[, ]", row) if field), path.name
+        elif argv[0] == "verify" and code == 2:
+            assert json.loads((out / "verification.json").read_text())["verified"] is False
+        else:
+            assert not out.exists(), stderr.getvalue()

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -45,6 +46,13 @@ def test_prep_time_default_values():
     assert scheduler.prep_time(slow) == pytest.approx(6 * 3.2e-4)
 
 
+def test_prep_time_past_float_range_is_inf():
+    # each round (1.1e308 s) is finite, the six-round total is not
+    sched = scheduler.build_schedule(make_assignment(), t_gate=1e308, t_shuttle=1e307)
+    assert scheduler.schedule_csv_rows(sched)[0][2] == 1.1e308
+    assert scheduler.prep_time(sched) == math.inf
+
+
 def test_check_rounds_names_each_fault():
     asg = make_assignment()
     target = lattice.cluster_edges(asg)
@@ -75,7 +83,7 @@ def test_deterministic():
     a = scheduler.build_schedule(asg, periodic=True)
     b = scheduler.build_schedule(asg, periodic=True)
     assert a.rounds == b.rounds
-    assert a.timing == b.timing
+    assert (a.t_shuttle, a.t_gate) == (b.t_shuttle, b.t_gate)
 
 
 def test_report_and_csv_rows():
