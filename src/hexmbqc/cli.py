@@ -48,6 +48,7 @@ __all__ = ["main", "dispatch", "parse_duration", "load_config"]
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PHYSICS = 2
+MAX_RATE_POINTS = 10_000  # the most irradiances ``ionize rates`` tabulates
 
 
 class _UsageError(ValueError):
@@ -355,6 +356,8 @@ def _geomspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _ionize_rates(args, eff):
+    if eff["points"] > MAX_RATE_POINTS:
+        raise ValueError(f"points={eff['points']} is past the limit of {MAX_RATE_POINTS}")
     cal = ionization.load_calibration()
 
     def triple(irr):

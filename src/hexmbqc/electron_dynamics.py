@@ -70,6 +70,7 @@ __all__ = [
     "PropagationResult", "Snapshot",
     "saddle_potential", "gaussian_wavepacket", "propagate",
     "classical_trajectory",
+    "MAX_GRID_POINTS", "MAX_STEPS",
     "MATHIEU_STEP_BUDGET", "mathieu_q", "mathieu_stable", "stability_boundary",
     "TimescaleEstimate", "electron_timescale",
 ]
@@ -82,6 +83,10 @@ M_CA40 = 39.962590863 * 1.66053906660e-27
 # velocity spread of a 10 nm minimum-uncertainty electron packet (m/s);
 # the invariant the hbar_eff surrogate preserves
 SIGMA_V_DEFAULT = HBAR / (2.0 * M_ELECTRON * 10e-9)
+# the most grid points per axis and steps one propagation may take: 16 and
+# 33 times the default 512-point axis and 3 ns / 0.1 ps run
+MAX_GRID_POINTS = 1 << 13
+MAX_STEPS = 1_000_000
 
 
 class ConfigurationError(Exception):
@@ -108,8 +113,9 @@ class TrapConfig:
     def __post_init__(self):
         if not (self.extent_x > 0 and self.extent_y > 0):
             raise ValueError("grid extents must be positive")
-        if self.points_x < 2 or self.points_y < 2:
-            raise ValueError("need at least 2 grid points per axis")
+        for npts, label in ((self.points_x, "points_x"), (self.points_y, "points_y")):
+            if not 2 <= npts <= MAX_GRID_POINTS:
+                raise ValueError(f"{label}={npts} must lie in [2, {MAX_GRID_POINTS}]")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if not 0.0 <= self.absorber_width_frac < 0.5:
@@ -187,6 +193,8 @@ def gaussian_wavepacket(
     By default the width is set from the velocity spread: sigma0 =
     hbar_eff/(2 m sigma_v), minimum-uncertainty under the configured
     hbar_eff.  Passing sigma0 pins the grid-space width directly.
+    ConfigurationError when k0 = m v0 / hbar_eff is past float range;
+    ``propagate`` checks every other resolution limit.
     """
     import numpy as np
     if sigma0 is None:
@@ -195,8 +203,10 @@ def gaussian_wavepacket(
         sigma0 = config.hbar_eff / (2.0 * config.mass * sigma_v)
     if not 0.0 < sigma0 < math.inf:
         raise ValueError("sigma0 must be positive and finite")
-    x = config.x_axis()
     k0 = config.mass * v0 / config.hbar_eff
+    if not math.isfinite(k0):  # past any Nyquist wavenumber; exp(1j k0 x) would be NaN
+        _momentum_check(config, v0, sigma0)
+    x = config.x_axis()
     spread = 4.0 * _square(sigma0)
     psi_x = np.exp(-((x - center[0]) ** 2) / spread) * np.exp(1j * k0 * x)
     psi_y = np.exp(-((config.y_axis() - center[1]) ** 2) / spread).astype(
@@ -236,6 +246,16 @@ class PropagationResult:
     snapshots: tuple[Snapshot, ...] = ()
 
 
+def _momentum_check(config: TrapConfig, v0: float, sigma0: float) -> None:
+    k0 = config.mass * abs(v0) / config.hbar_eff
+    k_spread = 1.0 / (2.0 * sigma0)
+    k_nyq = math.pi / config.dx
+    if k0 + 4.0 * k_spread > 0.9 * k_nyq:
+        raise ConfigurationError(
+            f"momentum content k0+4sk = {k0 + 4 * k_spread:.3e} rad/m exceeds "
+            f"90% of the grid Nyquist wavenumber {k_nyq:.3e} rad/m")
+
+
 def _resolution_checks(wp: Wavepacket, config: TrapConfig) -> None:
     for npts, label in ((config.points_x, "points_x"), (config.points_y, "points_y")):
         if npts & (npts - 1):
@@ -246,13 +266,7 @@ def _resolution_checks(wp: Wavepacket, config: TrapConfig) -> None:
             f"initial width {wp.sigma0:.3e} m under-resolved: need >= 2 grid "
             f"spacings ({2 * max(config.dx, config.dy):.3e} m); a larger "
             "hbar_scale or finer grid is required")
-    k0 = config.mass * abs(wp.v0) / config.hbar_eff
-    k_spread = 1.0 / (2.0 * wp.sigma0)
-    k_nyq = math.pi / config.dx
-    if k0 + 4.0 * k_spread > 0.9 * k_nyq:
-        raise ConfigurationError(
-            f"momentum content k0+4sk = {k0 + 4 * k_spread:.3e} rad/m exceeds "
-            f"90% of the grid Nyquist wavenumber {k_nyq:.3e} rad/m")
+    _momentum_check(config, wp.v0, wp.sigma0)
     # phase advanced per step by the potential corners / kinetic Nyquist edge
     v_corner = abs(saddle_potential(
         config, config.extent_x / 2.0, config.extent_y / 2.0, 0.0))
@@ -335,6 +349,9 @@ def propagate(
         raise ValueError("t_final must be positive")
     if sample_interval < config.dt:
         raise ValueError("sample_interval must be >= dt")
+    if not t_final / config.dt <= MAX_STEPS:  # inf past float range
+        raise ValueError(f"t_final/dt = {t_final!r}/{config.dt!r} is past the limit "
+                         f"of {MAX_STEPS} steps")
     _resolution_checks(wp, config)
 
     dt = config.dt
@@ -391,8 +408,6 @@ def propagate(
 
     psi = stack(wp.psi_x, wp.psi_y).astype(np.complex128, copy=False)
     half_out = half * mask
-    if not math.isfinite(t_final / dt):
-        raise ValueError(f"t_final/dt = {t_final!r}/{dt!r} is past float range")
     n_steps = int(round(t_final / dt))
     # a sample interval or snapshot time past t_final falls on the last step
     stride = max(1, int(round(min(sample_interval, t_final) / dt)))

@@ -9,20 +9,23 @@ destabilizers are not kept.
 Storage is the CHP layout (Aaronson & Gottesman, quant-ph/0406196)
 transposed for column updates: qubit q's X column and Z column are each one
 bitset over the generators, bit g in word g // 64 of row q of an
-(n, ceil(n/64)) uint64 array.  A CZ is two XORs of ceil(n/64) words, and
-the tableau costs about n/4 bytes per qubit (25 MB at 10 080 sites).
-``x`` and ``z`` are read-only (n, n) 0/1 copies [generator, qubit],
-unpacked on each access; ``phase`` is a plain writable uint8 vector.
+(n, ceil(n/64)) uint64 array.  The tableau costs about n/4 bytes per qubit
+(25 MB at 10 080 sites).  ``x`` and ``z`` are read-only (n, n) 0/1 copies
+[generator, qubit], unpacked on each access; ``phase`` is a plain writable
+uint8 vector.
 
 A tableau built from |+>^n by CZs is in graph form: x = I and z symmetric
 (the adjacency matrix), because a CZ never writes x.  The tableau keeps
 that as a flag, set by ``new_plus_state`` or found by the constructor and
-cleared by a measurement that changes the state.  In graph form a Pauli that
-commutes with every generator and has a single X, on qubit a, is +/- the
-generator a, so its sign is ``phase[a]``; this decides every cluster
-stabilizer K_a = X_a prod_{b~a} Z_b.  Any other membership question is
-solved by GF(2) elimination over the packed columns, one masked XOR per
-pivot, with the sign from CHP's rowsum.  Qubits are 0-indexed.
+cleared by a measurement that changes the state.  In graph form qubit b's X
+column is the single bit b, so CZ(a, b) flips bit b of a's Z column and bit
+a of b's: two one-word XORs whatever n, about 1 us a gate from Python.
+Outside it a CZ is two XORs of ceil(n/64) words plus a sign term.  In graph
+form a Pauli that commutes with every generator and has a single X, on
+qubit a, is +/- the generator a, so its sign is ``phase[a]``; this decides
+every cluster stabilizer K_a = X_a prod_{b~a} Z_b.  Any other membership
+question is solved by GF(2) elimination over the packed columns, one masked
+XOR per pivot, with the sign from CHP's rowsum.  Qubits are 0-indexed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = ["StabilizerTableau", "new_plus_state", "verify_cluster"]
 
 _PAULI_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _WORD = np.dtype("<u8")
+_BIT = np.uint64(1) << np.arange(64, dtype=_WORD)  # _BIT[k]: bit k of a word
 # CHP's g: exponent of i in sigma(x1, z1) sigma(x2, z2) for one qubit,
 # indexed by 8*x1 + 4*z1 + 2*x2 + z2 (sigma(1, 1) = Y)
 _G = np.array([0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int64)
@@ -109,13 +113,16 @@ class StabilizerTableau:
         for q in (a, b):
             if not 0 <= q < self.n:
                 raise ValueError(f"qubit {q} out of range for n={self.n}")
+        if self._graph_form:  # x = I: qubit b's X column is the single bit b
+            self._zc[a, b >> 6] ^= _BIT[b & 63]
+            self._zc[b, a >> 6] ^= _BIT[a & 63]
+            return
         xa, za = self._xc[a], self._zc[a]
         xb, zb = self._xc[b], self._zc[b]
-        if not self._graph_form:  # x = I: no generator has X on both qubits
-            both = xa & xb
-            if both.any():
-                # sign flips when one qubit carries Y and the other X
-                self.phase ^= _unpack(both & (za ^ zb), self.n)
+        both = xa & xb
+        if both.any():
+            # sign flips when one qubit carries Y and the other X
+            self.phase ^= _unpack(both & (za ^ zb), self.n)
         za ^= xb
         zb ^= xa
 

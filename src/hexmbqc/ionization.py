@@ -35,6 +35,7 @@ __all__ = [
     "I_ATOMIC_UNIT_W_CM2",
     "ATOMIC_TIME_S",
     "HC_EV_NM",
+    "MAX_PHOTONS",
     "SingularResonanceError",
     "UndefinedRatioError",
     "Level",
@@ -59,6 +60,7 @@ __all__ = [
 I_ATOMIC_UNIT_W_CM2 = 3.50945e16  # 1 a.u. of irradiance in W/cm^2
 ATOMIC_TIME_S = 2.4188843265857e-17
 HC_EV_NM = 1239.841984  # photon energy (eV) * wavelength (nm)
+MAX_PHOTONS = 64  # highest resonance order a scan looks at
 _FOUR_PI = 4.0 * math.pi
 
 
@@ -223,8 +225,8 @@ def find_resonances(
     lo, hi = wavelength_range_nm
     if not (0.0 < lo < hi):
         raise ValueError("wavelength range must satisfy 0 < lo < hi")
-    if max_photons < 1:
-        raise ValueError("max_photons must be >= 1")
+    if not 1 <= max_photons <= MAX_PHOTONS:
+        raise ValueError(f"max_photons={max_photons} must lie in [1, {MAX_PHOTONS}]")
     if detuning_cut_ev <= 0.0:
         raise ValueError("detuning cut must be positive")
 

@@ -14,6 +14,11 @@ Distances between entangling partners are quoted in the channel metric
 shuttles, and it is the length that fixes transport time.  Euclidean
 in-layer spacing is ``sqrt(3) * n * d``.
 
+A ``HexArray`` holds the per-site fields the preparation path reads, and
+only those: ``keys`` (id -> triangular coordinate) and ``index`` (the
+inverse).  ``HexArray.position`` computes a site's Cartesian coordinates
+when asked; trap-channel adjacency is not stored.
+
 Triangular coordinates: vertex ``(f, i, j)`` sits at ``i*T1 + j*T2 + f*delta``
 with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
 (``|delta| = d``).  Family-A vertex ``(0, i, j)`` neighbors B vertices
@@ -34,17 +39,20 @@ __all__ = [
     "interlayer_edges",
     "cluster_edges",
     "assignment_report",
+    "MAX_SITES",
 ]
+
+# the most sites an array may have: twenty times the paper's 10**4-site array
+MAX_SITES = 200_000
 
 
 @dataclass(frozen=True)
 class HexArray:
     """Finite block of hexagonal cells.
 
-    ``sites`` are integer ids 0..N-1 in a deterministic order.  ``keys``
-    maps each id to its ``(family, i, j)`` triangular coordinate and
-    ``position`` to Cartesian coordinates in meters.  ``adjacency`` lists
-    the trap-channel neighbors (honeycomb edges) of each site.
+    ``sites`` are integer ids 0..N-1 in ascending order of ``keys``, which
+    maps each id to its ``(family, i, j)`` triangular coordinate; ``index``
+    is the inverse map.  ``position`` gives a site's Cartesian coordinates.
     """
 
     rows: int
@@ -52,12 +60,17 @@ class HexArray:
     d: float
     sites: tuple[int, ...]
     keys: tuple[tuple[int, int, int], ...]
-    position: dict[int, tuple[float, float]]
-    adjacency: dict[int, tuple[int, ...]] = field(repr=False)
     index: dict[tuple[int, int, int], int] = field(repr=False)
 
     def site_count(self) -> int:
         return len(self.sites)
+
+    def position(self, s: int) -> tuple[float, float]:
+        """Cartesian (x, y) of site ``s`` in meters: i*T1 + j*T2 + f*delta."""
+        f, i, j = self.keys[s]
+        u = math.sqrt(3.0) * self.d  # T1 = (u, 0), T2 = (u/2, 3d/2), delta = (T1 + T2)/3
+        return (i * u + j * (u * 0.5) + f * ((u + u * 0.5) / 3.0),
+                j * (1.5 * self.d) + f * (1.5 * self.d / 3.0))
 
 
 @dataclass(frozen=True)
@@ -82,60 +95,27 @@ def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
     """Build a rows x cols block of hexagonal cells with edge length d.
 
     Site count follows the closed form 2*(rows*cols + rows + cols).
-    Raises ValueError for non-positive rows, cols or d.
+    Raises ValueError for non-positive rows, cols or d, and for more than
+    MAX_SITES sites.
     """
     if rows <= 0 or cols <= 0:
         raise ValueError(f"rows and cols must be positive, got {rows} x {cols}")
+    sites = 2 * (rows * cols + rows + cols)
+    if sites > MAX_SITES:
+        raise ValueError(f"rows x cols = {rows} x {cols} makes {sites} sites, "
+                         f"past the limit of {MAX_SITES}")
     if not (d > 0.0) or not math.isfinite(d):
         raise ValueError(f"spacing d must be positive and finite, got {d}")
 
-    # Vertices of hexagon (i, j): A(i,j), B(i,j), A(i+1,j), B(i+1,j-1),
-    # A(i+1,j-1), B(i,j-1).  Collect over the block and deduplicate.
-    keyset: set[tuple[int, int, int]] = set()
-    for i in range(cols):
-        for j in range(rows):
-            keyset.update(
-                [
-                    (0, i, j),
-                    (1, i, j),
-                    (0, i + 1, j),
-                    (1, i + 1, j - 1),
-                    (0, i + 1, j - 1),
-                    (1, i, j - 1),
-                ]
-            )
-    keys = tuple(sorted(keyset))
-    index = {k: s for s, k in enumerate(keys)}
-
-    s3 = math.sqrt(3.0)
-    t1 = (s3 * d, 0.0)
-    t2 = (s3 * d * 0.5, 1.5 * d)  # sqrt(3) d at 60 deg: (sqrt(3)/2, 3/2) d
-    delta = ((t1[0] + t2[0]) / 3.0, (t1[1] + t2[1]) / 3.0)
-
-    position: dict[int, tuple[float, float]] = {}
-    for s, (f, i, j) in enumerate(keys):
-        x = i * t1[0] + j * t2[0] + f * delta[0]
-        y = i * t1[1] + j * t2[1] + f * delta[1]
-        position[s] = (x, y)
-
-    adjacency: dict[int, tuple[int, ...]] = {}
-    for s, (f, i, j) in enumerate(keys):
-        if f == 0:
-            cand = [(1, i, j), (1, i - 1, j), (1, i, j - 1)]
-        else:
-            cand = [(0, i, j), (0, i + 1, j), (0, i, j + 1)]
-        adjacency[s] = tuple(index[k] for k in cand if k in index)
-
-    return HexArray(
-        rows=rows,
-        cols=cols,
-        d=d,
-        sites=tuple(range(len(keys))),
-        keys=keys,
-        position=position,
-        adjacency=adjacency,
-        index=index,
-    )
+    # Hexagon (i, j) has vertices A(i,j), B(i,j), A(i+1,j), B(i+1,j-1),
+    # A(i+1,j-1) and B(i,j-1).  Over the block their union is every (f, i, j)
+    # with 0 <= i <= cols and -1 <= j < rows, less A(0, -1) and B(cols, rows-1);
+    # listed in sorted order, so ids ascend with keys.
+    keys = tuple((f, i, j) for f in (0, 1) for i in range(cols + 1)
+                 for j in range(0 if (f, i) == (0, 0) else -1,
+                                rows - 1 if (f, i) == (1, cols) else rows))
+    return HexArray(rows=rows, cols=cols, d=d, sites=tuple(range(len(keys))), keys=keys,
+                    index={k: s for s, k in enumerate(keys)})
 
 
 def _serpentine(n: int) -> list[tuple[int, int]]:
@@ -272,7 +252,7 @@ def assignment_report(assign: LayerAssignment) -> dict:
     sites = []
     for s in array.sites:
         f, i, j = array.keys[s]
-        x, y = array.position[s]
+        x, y = array.position(s)
         sites.append(
             {
                 "id": s,

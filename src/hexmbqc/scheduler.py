@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import LayerAssignment, interlayer_edges, intra_layer_edges
+from .lattice import LayerAssignment, _layer_shift
 
-__all__ = ["GateSchedule", "ScheduleInfeasibleError", "build_schedule", "check_rounds",
-           "prep_time", "schedule_report", "schedule_csv_rows"]
+__all__ = ["GateSchedule", "build_schedule", "check_rounds", "prep_time", "schedule_report",
+           "schedule_csv_rows"]
 
 ROUND_NAMES = (
     "intra-u-even",
@@ -30,10 +30,6 @@ ROUND_NAMES = (
     "inter-odd-layer",
     "inter-even-layer",
 )
-
-
-class ScheduleInfeasibleError(ValueError):
-    """No valid six-round schedule exists for the requested topology."""
 
 
 @dataclass(frozen=True)
@@ -46,9 +42,6 @@ class GateSchedule:
     t_gate: float
     periodic: bool
     layer_count: int
-
-    def edge_union(self) -> set[tuple[int, int]]:
-        return {e for rnd in self.rounds for e in rnd}
 
     def pair_counts(self) -> tuple[int, ...]:
         return tuple(len(rnd) for rnd in self.rounds)
@@ -63,38 +56,35 @@ def build_schedule(
     """Partition the 3D cluster edge set into six parallel rounds."""
     if t_gate < 0 or t_shuttle < 0:
         raise ValueError("round times must be nonnegative")
-    if periodic and assign.layer_count % 2 != 0:
-        # 2 n**2 is always even; guarded in case of exotic assignments.
-        raise ScheduleInfeasibleError(
-            f"periodic closure with odd layer count {assign.layer_count} "
-            "would force two rounds onto one layer"
-        )
 
-    rounds: list[set[tuple[int, int]]] = [set() for _ in range(6)]
-    coord = assign.coord_of
-    layer = assign.layer_of
-
-    for a, b in intra_layer_edges(assign):
-        (ax, ay), (bx, by) = coord[a], coord[b]
-        if ay == by:  # u step
-            src = min(ax, bx)
-            rounds[0 if src % 2 == 0 else 1].add((a, b))
-        else:  # v step
-            src = min(ay, by)
-            rounds[2 if src % 2 == 0 else 3].add((a, b))
-
-    inter = interlayer_edges(assign, periodic)
-    for a, b in sorted(inter):
-        la, lb = layer[a], layer[b]
-        # source = lower layer, except for the wrap edge (last -> first)
-        if {la, lb} == {1, assign.layer_count} and assign.layer_count > 2:
-            src = assign.layer_count
-        else:
-            src = min(la, lb)
-        rounds[4 if src % 2 == 1 else 5].add((a, b))
+    # One pass in ascending site id.  Each site's u partner (f, i+n, j) and v
+    # partner (f, i, j+n) have larger ids, so rounds 1-4 come out sorted; its
+    # next-layer partner may not, so rounds 5-6 are sorted at the end.  The
+    # source layer is the site's own, the wrap's too (2 n**2, even).  For n=1
+    # the wrap repeats layer 1's edges, so it is left out.
+    array, n, count = assign.array, assign.n, assign.layer_count
+    index, layer_of = array.index, assign.layer_of
+    last = count if periodic and count > 2 else count - 1
+    shift = {ell: _layer_shift(assign, ell) for ell in range(1, last + 1)}
+    rounds: list[list[tuple[int, int]]] = [[] for _ in range(6)]
+    for s, (f, i, j) in enumerate(array.keys):
+        other = index.get((f, i + n, j))
+        if other is not None:  # u step: parity of the source coordinate i // n
+            rounds[(i // n) % 2].append((s, other))
+        other = index.get((f, i, j + n))
+        if other is not None:  # v step
+            rounds[2 + (j // n) % 2].append((s, other))
+        ell = layer_of[s]
+        if ell <= last:
+            f1, di, dj = shift[ell]
+            other = index.get((f1, i + di, j + dj))
+            if other is not None:
+                rounds[5 - ell % 2].append((s, other) if s < other else (other, s))
+    rounds[4].sort()
+    rounds[5].sort()
 
     return GateSchedule(
-        rounds=tuple(tuple(sorted(rnd)) for rnd in rounds),
+        rounds=tuple(map(tuple, rounds)),
         t_shuttle=t_shuttle,
         t_gate=t_gate,
         periodic=periodic,

@@ -5,10 +5,13 @@ matrices, with row-by-row GF(2) elimination and the rowsum phase rule
 written out per qubit; ``statevector_oracle`` and ``pauli_expectation``
 build and probe the dense state vector of a graph state on up to 16
 qubits.  In statevectors qubit 0 is the most significant bit of the
-amplitude index.  ``channel_distance`` measures a shuttle path on the
-trap array by breadth-first search over its channels.  ``packet_psi`` and
-``packet_moments`` read the grid amplitudes, norm, mean position and widths
-of a product wavepacket from its two factors.
+amplitude index.  ``adjacency`` lists the trap channels of a hex array and
+``channel_distance`` measures a shuttle path by breadth-first search over
+them.  ``schedule_rounds`` is the six-round schedule found by classifying
+each cluster edge by its endpoints' layer coordinates, and ``edge_union``
+the gates of a schedule as one set.  ``packet_psi`` and ``packet_moments``
+read the grid amplitudes, norm, mean position and widths of a product
+wavepacket from its two factors.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from collections import deque
 from collections.abc import Iterable
 
 import numpy as np
+
+from hexmbqc.lattice import interlayer_edges, intra_layer_edges
 
 _PAULI_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -211,15 +216,61 @@ def pauli_expectation(
     return float(np.real(np.vdot(state, transformed)))
 
 
+def adjacency(array) -> dict[int, tuple[int, ...]]:
+    """Trap-channel (honeycomb) neighbors of each site: A(i, j) joins B(i, j),
+    B(i-1, j) and B(i, j-1) where present."""
+    out = {}
+    for s, (f, i, j) in enumerate(array.keys):
+        if f == 0:
+            cand = [(1, i, j), (1, i - 1, j), (1, i, j - 1)]
+        else:
+            cand = [(0, i, j), (0, i + 1, j), (0, i, j + 1)]
+        out[s] = tuple(array.index[k] for k in cand if k in array.index)
+    return out
+
+
+def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rounds of the six-round schedule from the lattice's edge sets: an
+    in-layer edge goes by its direction and source coordinate parity, an
+    interlayer edge by its source layer parity (the wrap's source is the
+    last layer)."""
+    rounds: list[set[tuple[int, int]]] = [set() for _ in range(6)]
+    coord = assign.coord_of
+    layer = assign.layer_of
+    for a, b in intra_layer_edges(assign):
+        (ax, ay), (bx, by) = coord[a], coord[b]
+        if ay == by:  # u step
+            src = min(ax, bx)
+            rounds[0 if src % 2 == 0 else 1].add((a, b))
+        else:  # v step
+            src = min(ay, by)
+            rounds[2 if src % 2 == 0 else 3].add((a, b))
+    for a, b in sorted(interlayer_edges(assign, periodic)):
+        la, lb = layer[a], layer[b]
+        # source = lower layer, except for the wrap edge (last -> first)
+        if {la, lb} == {1, assign.layer_count} and assign.layer_count > 2:
+            src = assign.layer_count
+        else:
+            src = min(la, lb)
+        rounds[4 if src % 2 == 1 else 5].add((a, b))
+    return tuple(tuple(sorted(rnd)) for rnd in rounds)
+
+
+def edge_union(schedule) -> set[tuple[int, int]]:
+    """Every gate of ``schedule``, in one set."""
+    return {e for rnd in schedule.rounds for e in rnd}
+
+
 def channel_distance(array, a: int, b: int) -> float:
     """Shuttling distance between two sites: hops along trap channels times d."""
     if a == b:
         return 0.0
+    nbrs = adjacency(array)
     seen = {a: 0}
     queue = deque([a])
     while queue:
         cur = queue.popleft()
-        for nb in array.adjacency[cur]:
+        for nb in nbrs[cur]:
             if nb not in seen:
                 seen[nb] = seen[cur] + 1
                 if nb == b:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from oracles import packet_moments, pauli_expectation, statevector_oracle
+from oracles import edge_union, packet_moments, pauli_expectation, statevector_oracle
 
 from hexmbqc import electron_dynamics as ed
 from hexmbqc import graphstate as gs
@@ -52,7 +52,7 @@ def test_01_constant_depth_schedule(report):
                 touched = [s for e in rnd for s in e]
                 if len(touched) != len(set(touched)):
                     failures.append(f"{tag}: round {k + 1} is not a matching")
-            if sched.edge_union() != lattice.cluster_edges(asg, periodic=False):
+            if edge_union(sched) != lattice.cluster_edges(asg, periodic=False):
                 failures.append(f"{tag}: union of rounds != cluster edges")
     elapsed = time.perf_counter() - t0
     if elapsed >= 10.0:

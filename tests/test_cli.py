@@ -373,6 +373,44 @@ def test_non_finite_values_exit_without_artifacts(tmp_path, capsys, argv, code, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["ionize", "rates", "--points", "100000000"], "points=100000000"),
+    (["lattice", "--rows", "100000"], "rows x cols = 100000 x 4"),
+    (["schedule", "--rows", "400", "--cols", "400"], "rows x cols = 400 x 400"),
+    (["ionize", "resonances", "--max-photons", "100000000"], "max_photons=100000000"),
+    (["electron", "propagate", "--t-final", "18446744073709551616"],
+     "t_final/dt = 1.8446744073709552e+19/1e-13"),
+    (["electron", "propagate", "--points-x", "16384"], "points_x=16384"),
+    (["electron", "propagate", "--points-y", "1000000000"], "points_y=1000000000"),
+], ids=["rates points", "lattice rows", "schedule sites", "resonances max_photons",
+        "propagate steps", "propagate points_x", "propagate points_y"])
+def test_work_past_its_limit_exits_1_at_once(tmp_path, capsys, argv, needle):
+    # each ran out of memory or time before the flags that set the amount of
+    # work had limits
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, stdout, needle in err) == (1, "", True), err
+    assert "past the limit" in err or "must lie in" in err
+    assert not out.exists()
+
+
+def test_momentum_past_nyquist_exits_1_without_numpy_warnings(tmp_path):
+    # k0 is infinite at --v0 1e308: the check runs before the packet is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"electron": {"propagate": {
+        "points_x": 64, "points_y": 32, "hbar_scale": 640.0, "dt": 2e-13, "t_final": 2e-11}}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexmbqc.cli", "electron", "propagate", "--v0", "1e308",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Nyquist" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, artifact, inputs", [
     (["lattice", "--d", "1e308"], "lattice_full.json", "d=1e+308"),
     (["ionize", "rates", "--i-max", "1e300"], "rates.csv", "i_max=1e+300"),
@@ -428,6 +466,21 @@ GOLDEN = [
         "stdout": "944ebaf372948bf20aca5293c159b85ec62b4634f08f9f547be48e5aa15d74ba",
         "schedule.csv": "cab49f2af868d2641f16ad92ae0d33230ec2350f6642ef00b5369b41318b392a",
         "schedule.json": "dfc064368048653b5972a48a01b9a67982b549365c9eb299be4be1e90f05df11"}),
+    (["schedule", "--rows", "70", "--cols", "70", "--n", "1", "--periodic"], {
+        "stdout": "d87f83b4b6a0d2561531cdd6bb37723ec09b1e80032e0c8045d8d6da19cbd70c",
+        "schedule.csv": "0856b5ea59f0ed08a61284d010bef0d778d1afb556086e965393ca48221c562e",
+        "schedule.json": "c43145faa9eabde7d765c81044b833e539444bb77995714a7af24328ffcb7e10"}),
+    (["schedule", "--rows", "70", "--cols", "70", "--n", "2", "--periodic"], {
+        "stdout": "cf4f48125657a06b73b9eefce873d5831e538e9208c830247c2128772e4b3499",
+        "schedule.csv": "bc9b7e74550060f9b38430ab9e53b50098ddb713136731aece32a25d38c6c868",
+        "schedule.json": "42891d240dc3077518c5a338ac7979778e12e7187a8a8f58ee3a86750ddef86f"}),
+    (["lattice", "--rows", "12", "--cols", "9", "--n", "3"], {
+        "stdout": "c2ed6fc2d6bae0f90ca58c1556c8be80341319ef7b6e3002601028d64329c4ee",
+        "lattice.json": "c2ed6fc2d6bae0f90ca58c1556c8be80341319ef7b6e3002601028d64329c4ee",
+        "lattice_full.json": "a4d6da4242523605c25819f043a73a04391cd902cb3501063d4dfdd473caae6b"}),
+    (["verify", "--rows", "8", "--cols", "8", "--n", "2", "--periodic"], {
+        "stdout": "c5963815eded543af7dfae6882912efe1602cb5e04b9b02ca6ce2aa9a057c692",
+        "verification.json": "c5963815eded543af7dfae6882912efe1602cb5e04b9b02ca6ce2aa9a057c692"}),
     (["verify", "--rows", "3", "--cols", "3", "--n", "2"], {
         "stdout": "1893b52bd2f0b12f53dd7bc17575e61462eed23803d0414a0e143c5479b9fe94",
         "verification.json": "1893b52bd2f0b12f53dd7bc17575e61462eed23803d0414a0e143c5479b9fe94"}),

@@ -1,8 +1,9 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import DenseTableau, pauli_expectation, statevector_oracle
 
@@ -395,15 +396,33 @@ def test_x_and_z_are_read_only_copies_and_phase_is_writable():
 _SIZES = st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, 140)
 
 
+def _word_edge_gates(tab, ref, n):
+    """CZs among qubits 0, 63, 64 and n - 1: on bit 63 of a word and across
+    words, on both tableaus; then the two agree bit for bit."""
+    ends = sorted({q for q in (0, 63, 64, n - 1) if q < n})
+    for a, b in itertools.combinations(ends, 2):
+        tab.apply_cphase(b, a)
+        ref.apply_cphase(b, a)
+    for name in ("x", "z", "phase"):
+        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_SIZES, st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(64, 1, 20, 1).via("one word, bit 63")
+@example(65, 2, 20, 2).via("bit 63 and the second word")
+@example(130, 3, 20, 3).via("three words")
 def test_packed_engine_matches_dense_oracle(n, busy, length, seed):
     """Random CZs and X/Y/Z measurements (forced, or drawn from a seeded rng)
     agree bit for bit with the dense oracle.  Half the qubits are drawn from
     the first ``busy`` ones, so that gates meet generators that measurements
-    left with X on several qubits, where a CZ flips signs."""
+    left with X on several qubits, where a CZ flips signs.  CZs on word
+    edges run first in graph form and last after a Z measurement, which
+    always clears graph form."""
     rng = np.random.default_rng(seed)
     tab, ref = gs.new_plus_state(n), DenseTableau.plus_state(n)
+    _word_edge_gates(tab, ref, n)
+    assert tab._graph_form
 
     def qubits(k):
         return rng.choice(min(n, busy) if rng.random() < 0.5 and busy >= k else n,
@@ -423,6 +442,9 @@ def test_packed_engine_matches_dense_oracle(n, busy, length, seed):
             assert got == want
         for name in ("x", "z", "phase"):
             np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
+    assert tab.measure(0, "Z", forced=-1) == ref.measure(0, "Z", forced=-1)
+    assert not tab._graph_form
+    _word_edge_gates(tab, ref, n)
     # Paulis in the group (products of two or of many generators) with both
     # signs, and random ones
     for _ in range(3):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hexmbqc import lattice
-from oracles import channel_distance
+from oracles import adjacency, channel_distance
 
 
 def test_site_count_closed_form():
@@ -31,14 +31,15 @@ def test_build_validation():
 
 def test_adjacency_honeycomb_structure():
     arr = lattice.build_hex_array(5, 4, 1.0)
+    adj = adjacency(arr)
     # symmetric, degree <= 3 (Y-junction), neighbors opposite-family only
     for s in arr.sites:
-        nbrs = arr.adjacency[s]
+        nbrs = adj[s]
         assert 1 <= len(nbrs) <= 3
         assert len(set(nbrs)) == len(nbrs)
         fam = arr.keys[s][0]
         for b in nbrs:
-            assert s in arr.adjacency[b]
+            assert s in adj[b]
             assert arr.keys[b][0] != fam
     # A(i,j) connects exactly to B(i,j), B(i-1,j), B(i,j-1) where present
     for s in arr.sites:
@@ -50,16 +51,17 @@ def test_adjacency_honeycomb_structure():
             for k in [(1, i, j), (1, i - 1, j), (1, i, j - 1)]
             if k in arr.index
         }
-        assert set(arr.adjacency[s]) == expected
+        assert set(adj[s]) == expected
 
 
 def test_adjacent_sites_at_spacing_d():
     d = 2.5e-6
     arr = lattice.build_hex_array(4, 3, d)
+    adj = adjacency(arr)
     for s in arr.sites:
-        x0, y0 = arr.position[s]
-        for b in arr.adjacency[s]:
-            x1, y1 = arr.position[b]
+        x0, y0 = arr.position(s)
+        for b in adj[s]:
+            x1, y1 = arr.position(b)
             assert math.hypot(x1 - x0, y1 - y0) == pytest.approx(d, rel=1e-12)
 
 
@@ -131,8 +133,8 @@ def test_intra_layer_channel_distance_2n_d():
             assert channel_distance(arr, a, b) == pytest.approx(
                 2 * n * d, rel=1e-12
             )
-            x0, y0 = arr.position[a]
-            x1, y1 = arr.position[b]
+            x0, y0 = arr.position(a)
+            x1, y1 = arr.position(b)
             assert math.hypot(x1 - x0, y1 - y0) == pytest.approx(
                 math.sqrt(3) * n * d, rel=1e-12
             )
@@ -190,7 +192,7 @@ def test_channel_distance_basics():
     arr = lattice.build_hex_array(4, 4, 0.5)
     a = arr.sites[0]
     assert channel_distance(arr, a, a) == 0.0
-    b = arr.adjacency[a][0]
+    b = adjacency(arr)[a][0]
     assert channel_distance(arr, a, b) == pytest.approx(0.5)
     assert channel_distance(arr, b, a) == pytest.approx(0.5)
 

@@ -17,7 +17,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hexmbqc import cli, lattice, mbqc, scheduler
+from hexmbqc import cli, ionization, lattice, mbqc, scheduler
+from hexmbqc import electron_dynamics as ed
 
 leaves = (st.none() | st.booleans() | st.integers(-2, 5) | st.floats(width=32)
           | st.text(max_size=3))
@@ -185,15 +186,22 @@ def test_valid_documents_still_run():
 
 
 # every flag of every (command, mode) takes these values; the flags that set
-# the amount of work draw small ones instead, since a huge value there is a
-# valid request for more time or memory (propagate's step count t_final / dt
-# among them: the config's 2e-13 s step leaves only 2**64 s too long to run)
+# the amount of work draw small ones, ones at their limit where that runs in
+# milliseconds, and ones past it, which exit 1 at once: rows or cols of
+# MAX_SITES // 4 passes the site limit whatever the other is, and propagate's
+# step count t_final / dt passes its limit with the config's 2e-13 s step
 EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2**64)
-WORK = {"rows": st.integers(-1, 4), "cols": st.integers(-1, 4),
-        "points": st.integers(-1, 30), "max_photons": st.integers(-1, 6),
-        "points_x": st.sampled_from((-1, 0, 3, 16, 64)),
-        "points_y": st.sampled_from((-1, 0, 3, 16, 32)),
-        "t_final": st.sampled_from([v for v in EDGES if v != 2**64])}
+WORK = {"rows": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
+        "cols": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
+        "points": st.integers(-1, 30) | st.sampled_from(
+            (cli.MAX_RATE_POINTS, cli.MAX_RATE_POINTS + 1, 2**64)),
+        "max_photons": st.integers(-1, 6) | st.sampled_from(
+            (ionization.MAX_PHOTONS, ionization.MAX_PHOTONS + 1, 2**64)),
+        "points_x": st.sampled_from((-1, 0, 3, 16, 64, ed.MAX_GRID_POINTS,
+                                     2 * ed.MAX_GRID_POINTS, 2**64)),
+        "points_y": st.sampled_from((-1, 0, 3, 16, 32, ed.MAX_GRID_POINTS,
+                                     2 * ed.MAX_GRID_POINTS, 2**64)),
+        "t_final": st.sampled_from((*EDGES, 2e-13 * ed.MAX_STEPS * 1.001))}
 PROPAGATE_64x32 = {"electron": {"propagate": {
     "points_x": 64, "points_y": 32, "hbar_scale": 640.0, "dt": 2e-13, "t_final": 2e-11}}}
 

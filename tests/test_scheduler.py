@@ -2,8 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexmbqc import lattice, scheduler
+from oracles import edge_union, schedule_rounds
 
 
 def make_assignment(rows=4, cols=4, n=2):
@@ -20,9 +23,9 @@ def test_six_disjoint_rounds_cover_cluster(n, periodic):
     for rnd in sched.rounds:
         touched = [s for e in rnd for s in e]
         assert len(touched) == len(set(touched))  # matching: no site reused
-    assert sched.edge_union() == lattice.cluster_edges(asg, periodic=periodic)
+    assert edge_union(sched) == lattice.cluster_edges(asg, periodic=periodic)
     total = sum(len(r) for r in sched.rounds)
-    assert total == len(sched.edge_union())  # no edge scheduled twice
+    assert total == len(edge_union(sched))  # no edge scheduled twice
     assert scheduler.check_rounds(sched.rounds,
                                   lattice.cluster_edges(asg, periodic=periodic)) is None
 
@@ -111,4 +114,23 @@ def test_periodic_wrap_scheduled_once():
         for e in rnd:
             assert e not in seen, f"edge {e} in rounds {seen[e]} and {k}"
             seen[e] = k
-    assert sched.edge_union() == lattice.cluster_edges(asg, periodic=True)
+    assert edge_union(sched) == lattice.cluster_edges(asg, periodic=True)
+
+
+def _rounds_or_error(schedule, rows, cols, n, periodic):
+    try:
+        assign = lattice.decompose_sublattices(lattice.build_hex_array(rows, cols, 1.0), n)
+        return schedule(assign, periodic)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.booleans())
+def test_one_pass_schedule_matches_edge_classifying_oracle(rows, cols, n, periodic):
+    """The one-pass scheduler lists the same gates in the same order as the
+    oracle that classifies the lattice's edge sets by layer coordinates, and
+    an array with no full elementary cell raises the same error."""
+    got = _rounds_or_error(lambda a, p: scheduler.build_schedule(a, periodic=p).rounds,
+                           rows, cols, n, periodic)
+    assert got == _rounds_or_error(schedule_rounds, rows, cols, n, periodic)
