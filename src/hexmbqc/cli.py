@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PHYSICS = 2
 MAX_RATE_POINTS = 10_000  # the most irradiances ``ionize rates`` tabulates
+MAX_VERIFY_SITES = 110_000  # the most sites ``verify`` simulates (~n**2/4 tableau bytes)
 
 
 class _UsageError(ValueError):
@@ -242,17 +243,16 @@ def _cmd_lattice(args, eff):
     return doc, {"lattice.json": doc, "lattice_full.json": lattice.assignment_report(assign)}
 
 
-def _schedule_doc(eff: dict):
-    array, assign = _build_assignment(eff)
-    sched = scheduler.build_schedule(assign, periodic=eff["periodic"],
-                                     t_gate=eff["t_gate"], t_shuttle=eff["t_shuttle"])
-    doc = scheduler.schedule_report(sched)
-    doc["lattice"] = {key: eff[key] for key in _LATTICE}
-    return array, assign, sched, doc
+def _build_schedule(eff: dict, assign):
+    return scheduler.build_schedule(assign, periodic=eff["periodic"],
+                                    t_gate=eff["t_gate"], t_shuttle=eff["t_shuttle"])
 
 
 def _cmd_schedule(args, eff):
-    array, _, sched, doc = _schedule_doc(eff)
+    array, assign = _build_assignment(eff)
+    sched = _build_schedule(eff, assign)
+    doc = scheduler.schedule_report(sched)
+    doc["lattice"] = {key: eff[key] for key in _LATTICE}
     rows = [f"{k},{count},{dur:.9e}"
             for k, count, dur in scheduler.schedule_csv_rows(sched)]
     summary = {"schema_version": 1, "rounds": len(sched.rounds),
@@ -262,6 +262,7 @@ def _cmd_schedule(args, eff):
 
 
 def _cmd_verify(args, eff):
+    rounds = None
     if eff["schedule_file"]:
         with open(eff["schedule_file"]) as fh:
             doc = json.load(fh)
@@ -270,22 +271,27 @@ def _cmd_verify(args, eff):
         lat = {key: eff[key] for key in _LATTICE}
         eff = {**eff, **_merge("schedule.lattice", lat, doc["lattice"])}
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
-        array, assign = _build_assignment(eff)
-    else:
-        array, assign, sched, _ = _schedule_doc(eff)
-        rounds = sched.rounds
+    array = lattice.build_hex_array(eff["rows"], eff["cols"], eff["d"])
+    sites = array.site_count()
+    if sites > MAX_VERIFY_SITES:  # two bit-packed n x n matrices and a phase byte each
+        raise ValueError(f"rows x cols = {eff['rows']} x {eff['cols']} makes {sites} sites, "
+                         f"past verify's limit of {MAX_VERIFY_SITES}: their tableau "
+                         f"would take {2 * sites * -(-sites // 64) * 8 + sites} bytes")
+    assign = lattice.decompose_sublattices(array, eff["n"])
+    if rounds is None:
+        rounds = _build_schedule(eff, assign).rounds
     target = lattice.cluster_edges(assign, periodic=eff["periodic"])
     failure = scheduler.check_rounds(rounds, target)
     if failure is None:
         from . import graphstate
-        tab = graphstate.new_plus_state(array.site_count())
+        tab = graphstate.new_plus_state(sites)
         for rnd in rounds:
             for a, b in rnd:
                 tab.apply_cphase(a, b)
         if not graphstate.verify_cluster(tab, target):
             failure = "a cluster stabilizer does not hold"
     doc = {"schema_version": 1, "verified": failure is None,
-           "sites": array.site_count(), "rounds": len(rounds),
+           "sites": sites, "rounds": len(rounds),
            "target_edges": len(target)}
     if failure is not None:
         doc["failure"] = failure

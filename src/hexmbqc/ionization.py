@@ -287,21 +287,16 @@ def raman_irradiance(ref: RabiReference, detuning_linewidths: float,
 # ---------------------------------------------------------------------------
 # bundled data
 
-def load_bundled_data(path: str | None = None) -> dict:
-    if path is None:
-        src = resources.files("hexmbqc.data").joinpath("ca_ii_levels.json")
-        doc = json.loads(src.read_text())
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
+def load_bundled_data() -> dict:
+    doc = json.loads(resources.files("hexmbqc.data").joinpath("ca_ii_levels.json").read_text())
     for key in ("levels", "ionization_threshold_ev", "calibration", "rabi_reference"):
         if key not in doc:
             raise ValueError(f"data file missing key {key!r}")
     return doc
 
 
-def load_level_table(path: str | None = None) -> LevelTable:
-    doc = load_bundled_data(path)
+def load_level_table() -> LevelTable:
+    doc = load_bundled_data()
     levels = tuple(
         Level(name=lv["name"], energy_ev=float(lv["energy_ev"]),
               linewidth_hz=float(lv["linewidth_hz"]), label=lv["label"])
@@ -311,25 +306,23 @@ def load_level_table(path: str | None = None) -> LevelTable:
                       ionization_threshold_ev=float(doc["ionization_threshold_ev"]))
 
 
-def load_calibration(path: str | None = None) -> dict:
-    return load_bundled_data(path)["calibration"]
+def load_calibration() -> dict:
+    return load_bundled_data()["calibration"]
 
 
-def calibrated_inputs(irradiance_w_cm2: float, state: str,
-                      calibration: dict | None = None) -> RateInputs:
-    """RateInputs for the shipped calibration; state 's' carries the resonant term."""
-    cal = load_calibration() if calibration is None else calibration
+def calibrated_inputs(irradiance_w_cm2: float, state: str, calibration: dict) -> RateInputs:
+    """RateInputs for ``calibration``; state 's' carries the resonant term."""
     if state == "s":
-        return RateInputs(irradiance_w_cm2, dict(cal["j_channels_s"]),
-                          k_resonant=float(cal["k_resonant"]),
-                          l_denominator=float(cal["l_denominator"]))
+        return RateInputs(irradiance_w_cm2, dict(calibration["j_channels_s"]),
+                          k_resonant=float(calibration["k_resonant"]),
+                          l_denominator=float(calibration["l_denominator"]))
     if state == "d":
-        return RateInputs(irradiance_w_cm2, dict(cal["j_channels_d"]))
+        return RateInputs(irradiance_w_cm2, dict(calibration["j_channels_d"]))
     raise ValueError(f"state must be 's' or 'd', got {state!r}")
 
 
-def load_rabi_reference(path: str | None = None) -> RabiReference:
-    doc = load_bundled_data(path)["rabi_reference"]
+def load_rabi_reference() -> RabiReference:
+    doc = load_bundled_data()["rabi_reference"]
     return RabiReference(
         rabi_hz=float(doc["rabi_hz"]),
         irradiance_w_cm2=float(doc["irradiance_w_cm2"]),

@@ -19,6 +19,9 @@ only those: ``keys`` (id -> triangular coordinate) and ``index`` (the
 inverse).  ``HexArray.position`` computes a site's Cartesian coordinates
 when asked; trap-channel adjacency is not stored.
 
+``cluster_partners`` alone knows the 3D cluster's neighbour rule (each
+site's u, v and next-layer partner); the edge sets and the scheduler read it.
+
 Triangular coordinates: vertex ``(f, i, j)`` sits at ``i*T1 + j*T2 + f*delta``
 with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
 (``|delta| = d``).  Family-A vertex ``(0, i, j)`` neighbors B vertices
@@ -28,6 +31,7 @@ with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "LayerAssignment",
     "build_hex_array",
     "decompose_sublattices",
+    "cluster_partners",
     "intra_layer_edges",
     "interlayer_edges",
     "cluster_edges",
@@ -189,19 +194,6 @@ def decompose_sublattices(array: HexArray, n: int) -> LayerAssignment:
     )
 
 
-def intra_layer_edges(assign: LayerAssignment) -> set[tuple[int, int]]:
-    """All in-layer cluster edges, as sorted site-id pairs."""
-    edges: set[tuple[int, int]] = set()
-    array = assign.array
-    n = assign.n
-    for s, (f, i, j) in enumerate(array.keys):
-        for di, dj in ((n, 0), (0, n)):
-            other = array.index.get((f, i + di, j + dj))
-            if other is not None:
-                edges.add((s, other) if s < other else (other, s))
-    return edges
-
-
 def _layer_shift(assign: LayerAssignment, layer: int) -> tuple[int, int, int]:
     """Family flip and (di, dj) step taking layer ``layer`` onto
     layer ``layer + 1`` (cyclically)."""
@@ -218,32 +210,47 @@ def _layer_shift(assign: LayerAssignment, layer: int) -> tuple[int, int, int]:
     return f1, wrap(p1 - p0), wrap(q1 - q0)
 
 
-def interlayer_edges(assign: LayerAssignment, periodic: bool) -> set[tuple[int, int]]:
-    """One edge per (site, corresponding site in the next layer).
+def cluster_partners(assign: LayerAssignment, periodic: bool = False
+                     ) -> Iterator[tuple[int, int | None, int | None, int | None]]:
+    """Yield ``(s, u, v, up)`` for every site ``s`` in ascending id, None
+    where a partner is absent.
 
-    The correspondence is the nearest coset translate, so each site gains
-    at most one upward and one downward edge.  With ``periodic`` the last
-    layer links back to the first; for n=1 that wrap duplicates the
-    forward edges and collapses away.
+    ``u`` is the site at ``(f, i+n, j)`` and ``v`` the one at ``(f, i, j+n)``;
+    both have larger ids than ``s``.  ``up`` is the nearest coset translate
+    in the next layer, so each site gains at most one upward and one
+    downward interlayer edge.  The last layer has a next layer only with
+    ``periodic``, and then not for n=1, where the wrap would repeat layer 1's
+    edges.
     """
-    array = assign.array
-    edges: set[tuple[int, int]] = set()
-    last = assign.layer_count if periodic else assign.layer_count - 1
+    array, n, count = assign.array, assign.n, assign.layer_count
+    index, layer_of = array.index, assign.layer_of
+    last = count if periodic and count > 2 else count - 1
     shift = {ell: _layer_shift(assign, ell) for ell in range(1, last + 1)}
     for s, (f, i, j) in enumerate(array.keys):
-        ell = assign.layer_of[s]
-        if ell > last:
-            continue
-        f1, di, dj = shift[ell]
-        other = array.index.get((f1, i + di, j + dj))
-        if other is not None:
-            edges.add((s, other) if s < other else (other, s))
-    return edges
+        # a layer with no next layer looks up family None, which no site has
+        f1, di, dj = shift.get(layer_of[s], (None, 0, 0))
+        yield (s, index.get((f, i + n, j)), index.get((f, i, j + n)),
+               index.get((f1, i + di, j + dj)))
+
+
+def intra_layer_edges(assign: LayerAssignment) -> set[tuple[int, int]]:
+    """All in-layer cluster edges, as sorted site-id pairs."""
+    return {(s, t) for s, u, v, _ in cluster_partners(assign) for t in (u, v)
+            if t is not None}
+
+
+def interlayer_edges(assign: LayerAssignment, periodic: bool) -> set[tuple[int, int]]:
+    """One edge per (site, corresponding site in the next layer), as sorted
+    site-id pairs; with ``periodic`` the last layer links back to the first."""
+    return {(s, up) if s < up else (up, s)
+            for s, _, _, up in cluster_partners(assign, periodic) if up is not None}
 
 
 def cluster_edges(assign: LayerAssignment, periodic: bool = False) -> set[tuple[int, int]]:
     """Full 3D cluster edge set: in-layer plus interlayer."""
-    return intra_layer_edges(assign) | interlayer_edges(assign, periodic)
+    return {(s, t) if s < t else (t, s)
+            for s, u, v, up in cluster_partners(assign, periodic)
+            for t in (u, v, up) if t is not None}
 
 
 def assignment_report(assign: LayerAssignment) -> dict:

@@ -10,14 +10,16 @@ the same round.  Six rounds always suffice, independent of array size:
                  even).
 
 Each round is a matching by construction, so the schedule depth is a
-constant 6 and preparation time is size-independent.
+constant 6 and preparation time is size-independent.  This module only
+assigns rounds: which sites are partners is ``lattice.cluster_partners``'s
+to say.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import LayerAssignment, _layer_shift
+from .lattice import LayerAssignment, cluster_partners
 
 __all__ = ["GateSchedule", "build_schedule", "check_rounds", "prep_time", "schedule_report",
            "schedule_csv_rows"]
@@ -57,29 +59,20 @@ def build_schedule(
     if t_gate < 0 or t_shuttle < 0:
         raise ValueError("round times must be nonnegative")
 
-    # One pass in ascending site id.  Each site's u partner (f, i+n, j) and v
-    # partner (f, i, j+n) have larger ids, so rounds 1-4 come out sorted; its
-    # next-layer partner may not, so rounds 5-6 are sorted at the end.  The
-    # source layer is the site's own, the wrap's too (2 n**2, even).  For n=1
-    # the wrap repeats layer 1's edges, so it is left out.
-    array, n, count = assign.array, assign.n, assign.layer_count
-    index, layer_of = array.index, assign.layer_of
-    last = count if periodic and count > 2 else count - 1
-    shift = {ell: _layer_shift(assign, ell) for ell in range(1, last + 1)}
+    # One pass over the lattice's partners in ascending site id.  The u and v
+    # partners have larger ids, so rounds 1-4 come out sorted; the next-layer
+    # partner may not, so rounds 5-6 are sorted at the end.  The source layer
+    # is the site's own, the wrap's too (2 n**2, even).
+    coord_of, layer_of = assign.coord_of, assign.layer_of
     rounds: list[list[tuple[int, int]]] = [[] for _ in range(6)]
-    for s, (f, i, j) in enumerate(array.keys):
-        other = index.get((f, i + n, j))
-        if other is not None:  # u step: parity of the source coordinate i // n
-            rounds[(i // n) % 2].append((s, other))
-        other = index.get((f, i, j + n))
-        if other is not None:  # v step
-            rounds[2 + (j // n) % 2].append((s, other))
-        ell = layer_of[s]
-        if ell <= last:
-            f1, di, dj = shift[ell]
-            other = index.get((f1, i + di, j + dj))
-            if other is not None:
-                rounds[5 - ell % 2].append((s, other) if s < other else (other, s))
+    for s, u, v, up in cluster_partners(assign, periodic):
+        a, b = coord_of[s]  # (i // n, j // n)
+        if u is not None:  # u step: parity of the source coordinate
+            rounds[a % 2].append((s, u))
+        if v is not None:  # v step
+            rounds[2 + b % 2].append((s, v))
+        if up is not None:
+            rounds[5 - layer_of[s] % 2].append((s, up) if s < up else (up, s))
     rounds[4].sort()
     rounds[5].sort()
 

@@ -7,11 +7,13 @@ build and probe the dense state vector of a graph state on up to 16
 qubits.  In statevectors qubit 0 is the most significant bit of the
 amplitude index.  ``adjacency`` lists the trap channels of a hex array and
 ``channel_distance`` measures a shuttle path by breadth-first search over
-them.  ``schedule_rounds`` is the six-round schedule found by classifying
-each cluster edge by its endpoints' layer coordinates, and ``edge_union``
-the gates of a schedule as one set.  ``packet_psi`` and ``packet_moments``
-read the grid amplitudes, norm, mean position and widths of a product
-wavepacket from its two factors.
+them.  ``reference_intra_edges`` and ``reference_interlayer_edges`` are
+the 3D cluster's edge sets found by coordinate lookup, apart from the
+lattice's ``cluster_partners``; ``schedule_rounds`` is the six-round
+schedule found by classifying each of those edges by its endpoints' layer
+coordinates, and ``edge_union`` the gates of a schedule as one set.
+``packet_psi`` and ``packet_moments`` read the grid amplitudes, norm, mean
+position and widths of a product wavepacket from its two factors.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from collections import deque
 from collections.abc import Iterable
 
 import numpy as np
-
-from hexmbqc.lattice import interlayer_edges, intra_layer_edges
 
 _PAULI_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -229,15 +229,63 @@ def adjacency(array) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def reference_intra_edges(assign) -> set[tuple[int, int]]:
+    """In-layer cluster edges by lookup: each site joins the sites of its own
+    family at (i + n, j) and (i, j + n)."""
+    edges: set[tuple[int, int]] = set()
+    array = assign.array
+    n = assign.n
+    for s, (f, i, j) in enumerate(array.keys):
+        for di, dj in ((n, 0), (0, n)):
+            other = array.index.get((f, i + di, j + dj))
+            if other is not None:
+                edges.add((s, other) if s < other else (other, s))
+    return edges
+
+
+def _next_layer_step(assign, layer: int) -> tuple[int, int, int]:
+    """Family and nearest (di, dj) taking layer ``layer`` onto the next one
+    (cyclically), from the two layers' coset labels."""
+    nxt = layer % assign.layer_count + 1
+    f0, (p0, q0) = assign.layer_labels[layer]
+    f1, (p1, q1) = assign.layer_labels[nxt]
+    n = assign.n
+
+    def wrap(delta: int) -> int:
+        delta %= n
+        return delta - n if delta > n // 2 else delta
+
+    return f1, wrap(p1 - p0), wrap(q1 - q0)
+
+
+def reference_interlayer_edges(assign, periodic: bool) -> set[tuple[int, int]]:
+    """One edge per (site, nearest coset translate in the next layer); with
+    ``periodic`` the last layer links back to the first, and for n=1 that
+    wrap repeats the forward edges and the set collapses it."""
+    array = assign.array
+    edges: set[tuple[int, int]] = set()
+    last = assign.layer_count if periodic else assign.layer_count - 1
+    shift = {ell: _next_layer_step(assign, ell) for ell in range(1, last + 1)}
+    for s, (f, i, j) in enumerate(array.keys):
+        ell = assign.layer_of[s]
+        if ell > last:
+            continue
+        f1, di, dj = shift[ell]
+        other = array.index.get((f1, i + di, j + dj))
+        if other is not None:
+            edges.add((s, other) if s < other else (other, s))
+    return edges
+
+
 def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Rounds of the six-round schedule from the lattice's edge sets: an
+    """Rounds of the six-round schedule from the reference edge sets: an
     in-layer edge goes by its direction and source coordinate parity, an
     interlayer edge by its source layer parity (the wrap's source is the
     last layer)."""
     rounds: list[set[tuple[int, int]]] = [set() for _ in range(6)]
     coord = assign.coord_of
     layer = assign.layer_of
-    for a, b in intra_layer_edges(assign):
+    for a, b in reference_intra_edges(assign):
         (ax, ay), (bx, by) = coord[a], coord[b]
         if ay == by:  # u step
             src = min(ax, bx)
@@ -245,7 +293,7 @@ def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, in
         else:  # v step
             src = min(ay, by)
             rounds[2 if src % 2 == 0 else 3].add((a, b))
-    for a, b in sorted(interlayer_edges(assign, periodic)):
+    for a, b in sorted(reference_interlayer_edges(assign, periodic)):
         la, lb = layer[a], layer[b]
         # source = lower layer, except for the wrap edge (last -> first)
         if {la, lb} == {1, assign.layer_count} and assign.layer_count > 2:

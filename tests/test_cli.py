@@ -396,6 +396,27 @@ def test_work_past_its_limit_exits_1_at_once(tmp_path, capsys, argv, needle):
     assert not out.exists()
 
 
+def test_verify_past_its_site_limit_exits_1_before_allocating(tmp_path):
+    # 181 200 sites is under lattice.MAX_SITES, but their tableau is 8.2 GB:
+    # under a 2 GB address-space cap numpy raised _ArrayMemoryError
+    assert 2 * (300 * 300 + 600) > cli.MAX_VERIFY_SITES >= 10 * 10_080
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+            "from hexmbqc import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--rows", "300", "--cols", "300",
+         "--n", "1", "--out", str(out)],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 2.0
+    assert (proc.returncode, proc.stdout, "Traceback" in proc.stderr) == (1, "", False), proc.stderr
+    assert "rows x cols = 300 x 300 makes 181200 sites" in proc.stderr
+    assert "8210715600 bytes" in proc.stderr
+    assert not out.exists()
+
+
 def test_momentum_past_nyquist_exits_1_without_numpy_warnings(tmp_path):
     # k0 is infinite at --v0 1e308: the check runs before the packet is built
     cfg = tmp_path / "cfg.json"

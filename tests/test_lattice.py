@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hexmbqc import lattice
-from oracles import adjacency, channel_distance
+from oracles import (adjacency, channel_distance, reference_interlayer_edges,
+                     reference_intra_edges)
 
 
 def test_site_count_closed_form():
@@ -174,6 +177,24 @@ def test_cluster_edges_union():
     intra = lattice.intra_layer_edges(asg)
     inter = lattice.interlayer_edges(asg, periodic=False)
     assert lattice.cluster_edges(asg, periodic=False) == intra | inter
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.booleans())
+def test_edge_sets_match_reference_lookup(rows, cols, n, periodic):
+    """The edge sets read from cluster_partners equal the oracle's coordinate
+    lookups, and for n=1 the periodic wrap adds no edge."""
+    try:
+        asg = lattice.decompose_sublattices(lattice.build_hex_array(rows, cols, 1.0), n)
+    except ValueError:
+        assume(False)
+    intra = reference_intra_edges(asg)
+    inter = reference_interlayer_edges(asg, periodic)
+    assert lattice.intra_layer_edges(asg) == intra
+    assert lattice.interlayer_edges(asg, periodic) == inter
+    assert lattice.cluster_edges(asg, periodic) == intra | inter
+    if n == 1:
+        assert lattice.interlayer_edges(asg, True) == lattice.interlayer_edges(asg, False)
 
 
 def test_cluster_interior_degree_six():
