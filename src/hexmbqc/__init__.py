@@ -3,7 +3,7 @@
 Submodules
 ----------
 lattice            hexagonal trap array, rhombic sublattice layers, cluster edges
-graphstate         stabilizer tableau, CPHASE conjugation, cluster verification
+graphstate         graph-state tableau, CPHASE conjugation, cluster verification
 scheduler          constant-depth six-round entangling schedule
 mbqc               adaptive measurement patterns on small clusters
 ionization         multiphoton ionization rates, resonances, pulse irradiances

@@ -3,7 +3,7 @@
 Subcommands map onto the library modules: ``lattice`` and ``schedule``
 build the trap-array geometry and its six-round entangling schedule,
 ``verify`` checks a schedule's structure, rebuilds the scheduled state on
-the stabilizer simulator and checks every cluster stabilizer, ``mbqc``
+the graph-state tableau and checks every cluster stabilizer, ``mbqc``
 executes a measurement-pattern file, ``ionize`` evaluates
 rate/ratio/resonance/irradiance queries, ``electron`` runs the wavepacket,
 classical, Mathieu and timescale calculations, and ``resources`` prints the
@@ -49,7 +49,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PHYSICS = 2
 MAX_RATE_POINTS = 10_000  # the most irradiances ``ionize rates`` tabulates
-MAX_VERIFY_SITES = 110_000  # the most sites ``verify`` simulates (~n**2/4 tableau bytes)
+MAX_VERIFY_SITES = 110_000  # the most sites ``verify`` simulates (~n**2/8 tableau bytes)
 
 
 class _UsageError(ValueError):
@@ -273,10 +273,10 @@ def _cmd_verify(args, eff):
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
     array = lattice.build_hex_array(eff["rows"], eff["cols"], eff["d"])
     sites = array.site_count()
-    if sites > MAX_VERIFY_SITES:  # two bit-packed n x n matrices and a phase byte each
+    if sites > MAX_VERIFY_SITES:  # one bit-packed n x n matrix and a phase byte each
         raise ValueError(f"rows x cols = {eff['rows']} x {eff['cols']} makes {sites} sites, "
                          f"past verify's limit of {MAX_VERIFY_SITES}: their tableau "
-                         f"would take {2 * sites * -(-sites // 64) * 8 + sites} bytes")
+                         f"would take {sites * -(-sites // 64) * 8 + sites} bytes")
     assign = lattice.decompose_sublattices(array, eff["n"])
     if rounds is None:
         rounds = _build_schedule(eff, assign).rounds

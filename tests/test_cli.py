@@ -397,7 +397,7 @@ def test_work_past_its_limit_exits_1_at_once(tmp_path, capsys, argv, needle):
 
 
 def test_verify_past_its_site_limit_exits_1_before_allocating(tmp_path):
-    # 181 200 sites is under lattice.MAX_SITES, but their tableau is 8.2 GB:
+    # 181 200 sites is under lattice.MAX_SITES, but their tableau is 4.1 GB:
     # under a 2 GB address-space cap numpy raised _ArrayMemoryError
     assert 2 * (300 * 300 + 600) > cli.MAX_VERIFY_SITES >= 10 * 10_080
     code = ("import resource, sys\n"
@@ -413,7 +413,7 @@ def test_verify_past_its_site_limit_exits_1_before_allocating(tmp_path):
     assert time.perf_counter() - t0 < 2.0
     assert (proc.returncode, proc.stdout, "Traceback" in proc.stderr) == (1, "", False), proc.stderr
     assert "rows x cols = 300 x 300 makes 181200 sites" in proc.stderr
-    assert "8210715600 bytes" in proc.stderr
+    assert "4105448400 bytes" in proc.stderr
     assert not out.exists()
 
 

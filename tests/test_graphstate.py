@@ -87,10 +87,10 @@ def test_tableau_agrees_with_statevector_oracle(rng):
 
 
 def test_measure_deterministic_and_random():
-    tab = gs.new_plus_state(1)
+    tab = DenseTableau.plus_state(1)
     out, p = tab.measure(0, "X")
     assert (out, p) == (1, 1.0)
-    tab = gs.new_plus_state(1)
+    tab = DenseTableau.plus_state(1)
     out, p = tab.measure(0, "Z", forced=-1)
     assert out == -1 and p == 0.5
     # post-measurement state is the Z eigenstate
@@ -99,7 +99,7 @@ def test_measure_deterministic_and_random():
 
 
 def test_measure_impossible_forced_outcome():
-    tab = gs.new_plus_state(1)
+    tab = DenseTableau.plus_state(1)
     tab.measure(0, "Z", forced=+1)
     out, p = tab.measure(0, "Z", forced=-1)
     assert p == 0.0
@@ -109,27 +109,17 @@ def test_measure_impossible_forced_outcome():
 
 
 def test_measure_y_basis(rng):
-    tab = gs.new_plus_state(1)
+    tab = DenseTableau.plus_state(1)
     out, p = tab.measure(0, "Y", rng=rng)
     assert p == 0.5 and out in (-1, 1)
     out2, p2 = tab.measure(0, "Y")
     assert (out2, p2) == (out, 1.0)
 
 
-def test_measure_validation():
-    tab = gs.new_plus_state(2)
-    with pytest.raises(ValueError):
-        tab.measure(0, "Q")
-    with pytest.raises(ValueError):
-        tab.measure(5, "X")
-    with pytest.raises(ValueError):
-        tab.measure(0, "X", forced=0)
-
-
 def test_graph_state_correlation():
     # edge state: X0 Z1 is a stabilizer, so X0 then Z1 agree
     for forced in (+1, -1):
-        tab = gs.new_plus_state(2)
+        tab = DenseTableau.plus_state(2)
         tab.apply_cphase(0, 1)
         m0, p0 = tab.measure(0, "X", forced=forced)
         assert p0 == 0.5 and m0 == forced
@@ -143,7 +133,7 @@ def test_measurement_chain_matches_dense_probabilities(rng):
         n = int(rng.integers(2, 7))
         edges = random_graph(rng, n, p=0.5)
         psi = statevector_oracle(edges, n)
-        tab = gs.new_plus_state(n)
+        tab = DenseTableau.plus_state(n)
         for a, b in edges:
             tab.apply_cphase(a, b)
         p_dense = 1.0
@@ -204,14 +194,6 @@ def test_verify_cluster_validation():
         gs.verify_cluster(tab, [(0, 7)])
 
 
-def test_copy_is_independent():
-    tab = gs.new_plus_state(2)
-    cp = tab.copy()
-    tab.apply_cphase(0, 1)
-    assert gs.verify_cluster(cp, [])
-    assert gs.verify_cluster(tab, [(0, 1)])
-
-
 def _eliminates_to(tab, xs, zs, sign):
     """Membership by the dense oracle's GF(2) elimination, the oracle for contains."""
     return DenseTableau(tab.x, tab.z, tab.phase).contains(xs, zs, sign)
@@ -241,20 +223,6 @@ def _graph_tableau(n, edges):
     return tab
 
 
-def _with_y(tab, q):
-    """tab with generator q's Z bit on qubit q set (X_q becomes Y_q)."""
-    z = tab.z.copy()
-    z[q, q] = 1
-    return gs.StabilizerTableau(tab.x, z, tab.phase)
-
-
-def _multiplied(tab, r, s):
-    """tab with generator s multiplied into generator r: the same group."""
-    dense = DenseTableau(tab.x, tab.z, tab.phase)
-    dense._mul_into(r, dense.x[s].copy(), dense.z[s].copy(), int(dense.phase[s]))
-    return gs.StabilizerTableau(dense.x, dense.z, dense.phase)
-
-
 def test_verify_cluster_matches_elimination(rng):
     cases = []
     for _ in range(30):
@@ -271,11 +239,9 @@ def test_verify_cluster_matches_elimination(rng):
         if missing:
             cases.append((_graph_tableau(n, edges + missing[:1]), edges))
             cases.append((_graph_tableau(n, edges[1:] + missing[:1]), edges))
-        q = int(rng.integers(n))
-        flipped = tab.copy()
-        flipped.phase[q] ^= 1
+        flipped = _graph_tableau(n, edges)
+        flipped.phase[int(rng.integers(n))] ^= 1
         cases.append((flipped, edges))
-        cases.append((_with_y(tab, q), edges))
     accepted = 0
     for tab, edges in cases:
         got = gs.verify_cluster(tab, edges)
@@ -286,68 +252,39 @@ def test_verify_cluster_matches_elimination(rng):
 
 
 def test_contains_matches_elimination_on_any_pauli(rng):
+    """A Pauli with at most one X gets elimination's answer for both signs;
+    any other raises ValueError."""
     paulis = 0
     for _ in range(20):
         n = int(rng.integers(2, 9))
         tab = _graph_tableau(n, random_graph(rng, n))
-        for q in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
-            tab.measure(int(q), "XYZ"[int(rng.integers(3))], rng=rng)
-        r, s = (int(q) for q in rng.choice(n, size=2, replace=False))
-        product = _multiplied(tab, r, s)
-        candidates = [(tab.x[r], tab.z[r]), (product.x[r], product.z[r]),
+        tab.phase ^= rng.integers(0, 2, n, dtype=np.uint8)
+        r = int(rng.integers(n))
+        near = tab.z[r].copy()
+        near[rng.integers(n)] ^= 1
+        candidates = [(tab.x[r], tab.z[r]), (tab.x[r], near),
                       (np.zeros(n, np.uint8), np.zeros(n, np.uint8))]
+        candidates += [(tab.x[rng.integers(n)], rng.integers(0, 2, n, dtype=np.uint8))
+                       for _ in range(2)]
         candidates += [tuple(rng.integers(0, 2, size=(2, n), dtype=np.uint8))
-                       for _ in range(4)]
+                       for _ in range(2)]
         for xs, zs in candidates:
+            if np.count_nonzero(xs) > 1:
+                with pytest.raises(ValueError, match="at most one X"):
+                    tab.contains(xs, zs)
+                continue
             answers = [tab.contains(xs, zs, sign) for sign in (0, 1)]
             assert answers == [_eliminates_to(tab, xs, zs, sign) for sign in (0, 1)]
             paulis += any(answers)
-    assert paulis >= 60
+    assert paulis >= 40  # K_r and the identity in every round
 
 
-def _spy_on_elimination(monkeypatch):
-    eliminations = []
-    reduce = gs.StabilizerTableau._reduce
-    monkeypatch.setattr(gs.StabilizerTableau, "_reduce",
-                        lambda tab, xs, zs: eliminations.append(1) or reduce(tab, xs, zs))
-    return eliminations
-
-
-def test_graph_form_is_decided_without_elimination(rng, monkeypatch):
-    eliminations = _spy_on_elimination(monkeypatch)
-    for _ in range(10):
-        n = int(rng.integers(3, 9))
-        edges = random_graph(rng, n, p=0.5) or [(0, 1)]
-        tab = _graph_tableau(n, edges)
-        assert gs.verify_cluster(tab, edges) is True
-        assert gs.verify_cluster(tab, edges[1:]) is False
-        assert gs.verify_cluster(_graph_tableau(n, edges[1:]), edges) is False
-        assert gs.verify_cluster(_with_y(tab, 0), edges) is False
-        tab.phase[n - 1] = 1
-        assert gs.verify_cluster(tab, edges) is False
-        rebuilt = gs.StabilizerTableau(tab.x, tab.z, np.zeros(n, np.uint8))
-        assert gs.verify_cluster(rebuilt, edges) is True
-    assert eliminations == []
-
-
-def test_fallback_accepts_same_group_outside_graph_form(rng, monkeypatch):
-    eliminations = _spy_on_elimination(monkeypatch)
-    for _ in range(10):
-        n = int(rng.integers(3, 9))
-        edges = random_graph(rng, n, p=0.5)
-        r, s = (int(q) for q in rng.choice(n, size=2, replace=False))
-        multiplied = _multiplied(_graph_tableau(n, edges), r, s)
-        assert np.count_nonzero(multiplied.x) == n + 1
-        graph = _graph_tableau(n, edges)
-        order = np.arange(n)
-        order[[r, s]] = [s, r]
-        swapped = gs.StabilizerTableau(graph.x[order], graph.z[order], graph.phase[order])
-        for tab in (multiplied, swapped):
-            del eliminations[:]
-            assert gs.verify_cluster(tab, edges) is True
-            assert eliminations
-            tab.phase[s] ^= 1
-            assert gs.verify_cluster(tab, edges) is False
+def test_contains_refuses_a_pauli_with_two_xs():
+    # K_0 K_2 = X_0 X_2 is in the path's group, but outside what contains decides
+    tab = _graph_tableau(3, [(0, 1), (1, 2)])
+    assert _eliminates_to(tab, np.array([1, 0, 1]), np.zeros(3), 0)
+    with pytest.raises(ValueError, match="X on 2 qubits"):
+        tab.contains(np.array([1, 0, 1], np.uint8), np.zeros(3, np.uint8))
 
 
 def _scheduled_448_site_cluster():
@@ -371,17 +308,6 @@ def test_448_site_cluster_verifies_in_under_a_second():
     assert gs.verify_cluster(tab, target) is False
 
 
-def test_reduce_outside_graph_form_at_448_sites_is_fast():
-    tab, _, _ = _scheduled_448_site_cluster()
-    k_0 = tab.x[0], tab.z[0]
-    far = int(np.flatnonzero(k_0[1] == 0)[-1])
-    tab.measure(far, "X", forced=-1)  # leaves graph form; K_0 still holds
-    assert np.count_nonzero(tab.x) > tab.n
-    t0 = time.perf_counter()
-    assert tab._reduce(*k_0) == (True, 0)
-    assert time.perf_counter() - t0 < 0.25
-
-
 def test_x_and_z_are_read_only_copies_and_phase_is_writable():
     tab = _graph_tableau(3, [(0, 1)])
     for name in ("x", "z"):
@@ -397,63 +323,43 @@ _SIZES = st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, 140)
 
 
 def _word_edge_gates(tab, ref, n):
-    """CZs among qubits 0, 63, 64 and n - 1: on bit 63 of a word and across
-    words, on both tableaus; then the two agree bit for bit."""
+    """CZs among qubits 0, 63, 64 and n - 1 (on bit 63 of a word and across
+    words), on both tableaus."""
     ends = sorted({q for q in (0, 63, 64, n - 1) if q < n})
     for a, b in itertools.combinations(ends, 2):
         tab.apply_cphase(b, a)
         ref.apply_cphase(b, a)
-    for name in ("x", "z", "phase"):
-        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_SIZES, st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
-@example(64, 1, 20, 1).via("one word, bit 63")
-@example(65, 2, 20, 2).via("bit 63 and the second word")
-@example(130, 3, 20, 3).via("three words")
-def test_packed_engine_matches_dense_oracle(n, busy, length, seed):
-    """Random CZs and X/Y/Z measurements (forced, or drawn from a seeded rng)
-    agree bit for bit with the dense oracle.  Half the qubits are drawn from
-    the first ``busy`` ones, so that gates meet generators that measurements
-    left with X on several qubits, where a CZ flips signs.  CZs on word
-    edges run first in graph form and last after a Z measurement, which
-    always clears graph form."""
+@given(_SIZES, st.integers(0, 40), st.integers(0, 2**32 - 1))
+@example(64, 20, 1).via("one word, bit 63")
+@example(65, 20, 2).via("bit 63 and the second word")
+@example(130, 20, 3).via("three words")
+def test_packed_engine_matches_dense_oracle(n, length, seed):
+    """Random CZs, with CZs on word edges before and after them, agree bit
+    for bit with the dense oracle.  After random sign flips ``contains``
+    agrees with the oracle's elimination, for both signs, on generators,
+    generators with one Z bit flipped, the identity and Z-only Paulis."""
     rng = np.random.default_rng(seed)
     tab, ref = gs.new_plus_state(n), DenseTableau.plus_state(n)
     _word_edge_gates(tab, ref, n)
-    assert tab._graph_form
-
-    def qubits(k):
-        return rng.choice(min(n, busy) if rng.random() < 0.5 and busy >= k else n,
-                          size=k, replace=False)
-
-    for _ in range(length):
-        if n > 1 and rng.random() < 2 / 3:
-            a, b = (int(q) for q in qubits(2))
-            tab.apply_cphase(a, b)
-            ref.apply_cphase(a, b)
-        else:
-            q, basis = int(qubits(1)[0]), "XYZ"[int(rng.integers(3))]
-            forced = (None, 1, -1)[int(rng.integers(3))]
-            draw_seed = int(rng.integers(2**32))
-            got = tab.measure(q, basis, rng=np.random.default_rng(draw_seed), forced=forced)
-            want = ref.measure(q, basis, rng=np.random.default_rng(draw_seed), forced=forced)
-            assert got == want
-        for name in ("x", "z", "phase"):
-            np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
-    assert tab.measure(0, "Z", forced=-1) == ref.measure(0, "Z", forced=-1)
-    assert not tab._graph_form
+    for _ in range(length if n > 1 else 0):
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        tab.apply_cphase(a, b)
+        ref.apply_cphase(a, b)
     _word_edge_gates(tab, ref, n)
-    # Paulis in the group (products of two or of many generators) with both
-    # signs, and random ones
-    for _ in range(3):
-        pick = rng.integers(0, 2, n).astype(bool)
-        pair = rng.integers(0, n, 2)
-        paulis = [(np.bitwise_xor.reduce(ref.x[pick], axis=0, initial=0),
-                   np.bitwise_xor.reduce(ref.z[pick], axis=0, initial=0)),
-                  (ref.x[pair[0]] ^ ref.x[pair[1]], ref.z[pair[0]] ^ ref.z[pair[1]]),
-                  tuple(rng.integers(0, 2, size=(2, n), dtype=np.uint8))]
-        for xs, zs in paulis:
-            for sign in (0, 1):
-                assert tab.contains(xs, zs, sign) == ref.contains(xs, zs, sign)
+    for name in ("x", "z", "phase"):
+        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
+    flips = rng.integers(0, 2, n, dtype=np.uint8)
+    tab.phase ^= flips
+    ref.phase ^= flips
+    none = np.zeros(n, np.uint8)
+    paulis = [(none, none), (none, rng.integers(0, 2, n, dtype=np.uint8))]
+    for a in rng.choice(n, size=min(n, 2), replace=False):
+        near = ref.z[a].copy()
+        near[rng.integers(n)] ^= 1
+        paulis += [(ref.x[a], ref.z[a]), (ref.x[a], near)]
+    for xs, zs in paulis:
+        for sign in (0, 1):
+            assert tab.contains(xs, zs, sign) == ref.contains(xs, zs, sign)

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from oracles import DenseTableau
 
-from hexmbqc import graphstate as gs
 from hexmbqc import mbqc
 
 CHAIN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -75,7 +75,7 @@ def test_clifford_branches_match_stabilizer_probabilities():
         for branch in itertools.product((0, 1), repeat=4):
             res = mbqc.run_pattern(5, CHAIN_EDGES, pattern,
                                    forced_outcomes=list(branch))
-            tab = gs.new_plus_state(5)
+            tab = DenseTableau.plus_state(5)
             for a, b in CHAIN_EDGES:
                 tab.apply_cphase(a, b)
             p_tab = 1.0
