@@ -44,9 +44,9 @@ class StabilizerTableau:
     """Stabilizer generators of an n-qubit graph state, bit-packed; made by
     ``new_plus_state``."""
 
-    n: int
-    phase: np.ndarray
-    _zc: np.ndarray
+    def __init__(self, n: int):
+        self.n, self.phase = n, np.zeros(n, np.uint8)
+        self._zc = np.zeros((n, -(-n // 64)), dtype=_WORD)
 
     x = property(lambda self: _read_only(np.eye(self.n, dtype=np.uint8)),
                  doc="X bits, the identity as a new read-only (n, n) 0/1 array.")
@@ -70,8 +70,12 @@ class StabilizerTableau:
 
         With X on qubit a it holds iff its Z part is generator a's and
         ``phase[a]`` equals ``sign``; with no X iff it is the identity with
-        + sign.  A Pauli with X on two or more qubits raises ValueError.
+        + sign.  A Pauli with X on two or more qubits, or with xs or zs not
+        n long, raises ValueError.
         """
+        if not len(xs) == len(zs) == self.n:
+            raise ValueError(f"xs and zs must have length n={self.n}, "
+                             f"got {len(xs)} and {len(zs)}")
         xq = np.asarray(xs, dtype=bool).nonzero()[0]  # ~8x faster than on uint8
         if len(xq) > 1:
             raise ValueError(f"contains decides Paulis with at most one X, "
@@ -80,7 +84,7 @@ class StabilizerTableau:
         if len(xq) == 0:
             return not packed.any() and sign == 0
         a = int(xq[0])
-        row = self._zc[a].view(np.uint8)[:packed.size]
+        row = self._zc[a].view(np.uint8)[:packed.size]  # drop the last word's padding
         return bool(np.array_equal(row, packed)) and int(self.phase[a]) == sign
 
 
@@ -88,10 +92,7 @@ def new_plus_state(n: int) -> StabilizerTableau:
     """|+>^n: generator i is X_i with + sign."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    tab = StabilizerTableau.__new__(StabilizerTableau)
-    tab.n, tab.phase = n, np.zeros(n, np.uint8)
-    tab._zc = np.zeros((n, -(-n // 64)), dtype=_WORD)
-    return tab
+    return StabilizerTableau(n)
 
 
 def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]]) -> bool:

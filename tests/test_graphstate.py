@@ -287,6 +287,14 @@ def test_contains_refuses_a_pauli_with_two_xs():
         tab.contains(np.array([1, 0, 1], np.uint8), np.zeros(3, np.uint8))
 
 
+def test_contains_refuses_xs_or_zs_not_n_long():
+    tab = _graph_tableau(16, [(0, 12)])
+    for xs, zs in [(np.eye(16, dtype=np.uint8)[0], np.zeros(8, np.uint8)),
+                   (np.eye(17, dtype=np.uint8)[0], np.zeros(17, np.uint8))]:
+        with pytest.raises(ValueError, match="length n=16"):
+            tab.contains(xs, zs)
+
+
 def _scheduled_448_site_cluster():
     array = lattice.build_hex_array(14, 14, 1.0)
     assign = lattice.decompose_sublattices(array, 2)
@@ -324,11 +332,13 @@ _SIZES = st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, 140)
 
 def _word_edge_gates(tab, ref, n):
     """CZs among qubits 0, 63, 64 and n - 1 (on bit 63 of a word and across
-    words), on both tableaus."""
+    words) on both tableaus, which then agree bit for bit."""
     ends = sorted({q for q in (0, 63, 64, n - 1) if q < n})
     for a, b in itertools.combinations(ends, 2):
         tab.apply_cphase(b, a)
         ref.apply_cphase(b, a)
+    for name in ("x", "z", "phase"):
+        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,8 +359,6 @@ def test_packed_engine_matches_dense_oracle(n, length, seed):
         tab.apply_cphase(a, b)
         ref.apply_cphase(a, b)
     _word_edge_gates(tab, ref, n)
-    for name in ("x", "z", "phase"):
-        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
     flips = rng.integers(0, 2, n, dtype=np.uint8)
     tab.phase ^= flips
     ref.phase ^= flips
