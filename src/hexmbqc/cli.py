@@ -2,12 +2,13 @@
 
 Subcommands map onto the library modules: ``lattice`` and ``schedule``
 build the trap-array geometry and its six-round entangling schedule,
-``verify`` checks a schedule's structure, rebuilds the scheduled state on
-the graph-state tableau and checks every cluster stabilizer, ``mbqc``
-executes a measurement-pattern file, ``ionize`` evaluates
-rate/ratio/resonance/irradiance queries, ``electron`` runs the wavepacket,
-classical, Mathieu and timescale calculations, and ``resources`` prints the
-operation-count arithmetic.
+``verify`` checks a schedule's structure, rebuilds the scheduled graph
+state (one neighbour set per site, so its memory grows with sites plus
+edges and ``lattice.MAX_SITES`` is its only size limit) and checks every
+cluster stabilizer, ``mbqc`` executes a measurement-pattern file,
+``ionize`` evaluates rate/ratio/resonance/irradiance queries, ``electron``
+runs the wavepacket, classical, Mathieu and timescale calculations, and
+``resources`` prints the operation-count arithmetic.
 
 ``_DEFAULTS`` is the one table behind the CLI: it is the schema of the
 config-file blocks, the source of every flag (``--`` + key with ``_`` ->
@@ -49,7 +50,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PHYSICS = 2
 MAX_RATE_POINTS = 10_000  # the most irradiances ``ionize rates`` tabulates
-MAX_VERIFY_SITES = 110_000  # the most sites ``verify`` simulates (~n**2/8 tableau bytes)
 
 
 class _UsageError(ValueError):
@@ -271,13 +271,8 @@ def _cmd_verify(args, eff):
         lat = {key: eff[key] for key in _LATTICE}
         eff = {**eff, **_merge("schedule.lattice", lat, doc["lattice"])}
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
-    array = lattice.build_hex_array(eff["rows"], eff["cols"], eff["d"])
+    array, assign = _build_assignment(eff)
     sites = array.site_count()
-    if sites > MAX_VERIFY_SITES:  # one bit-packed n x n matrix and a phase byte each
-        raise ValueError(f"rows x cols = {eff['rows']} x {eff['cols']} makes {sites} sites, "
-                         f"past verify's limit of {MAX_VERIFY_SITES}: their tableau "
-                         f"would take {sites * -(-sites // 64) * 8 + sites} bytes")
-    assign = lattice.decompose_sublattices(array, eff["n"])
     if rounds is None:
         rounds = _build_schedule(eff, assign).rounds
     target = lattice.cluster_edges(assign, periodic=eff["periodic"])

@@ -1,9 +1,8 @@
-import itertools
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import DenseTableau, pauli_expectation, statevector_oracle
 
@@ -23,10 +22,8 @@ def random_graph(rng, n, p=0.4):
 def test_plus_state_stabilized_by_x():
     tab = gs.new_plus_state(4)
     for q in range(4):
-        xs = np.zeros(4, dtype=np.uint8)
-        zs = np.zeros(4, dtype=np.uint8)
-        xs[q] = 1
-        assert tab.contains(xs, zs, sign=0)
+        assert tab.contains(q, [], sign=0)
+        assert not tab.contains(q, [], sign=1)
     assert gs.verify_cluster(tab, [])
 
 
@@ -199,6 +196,13 @@ def _eliminates_to(tab, xs, zs, sign):
     return DenseTableau(tab.x, tab.z, tab.phase).contains(xs, zs, sign)
 
 
+def _sparse(xs, zs):
+    """contains' (x, zs) arguments for 0/1 vectors with at most one X."""
+    xq = np.flatnonzero(xs).tolist()
+    assert len(xq) <= 1
+    return (xq[0] if xq else None), np.flatnonzero(zs).tolist()
+
+
 def _elimination_loop(tab, edges):
     """verify_cluster's answer with every K_a decided by elimination."""
     n = tab.n
@@ -252,8 +256,7 @@ def test_verify_cluster_matches_elimination(rng):
 
 
 def test_contains_matches_elimination_on_any_pauli(rng):
-    """A Pauli with at most one X gets elimination's answer for both signs;
-    any other raises ValueError."""
+    """A Pauli with at most one X gets elimination's answer for both signs."""
     paulis = 0
     for _ in range(20):
         n = int(rng.integers(2, 9))
@@ -266,33 +269,24 @@ def test_contains_matches_elimination_on_any_pauli(rng):
                       (np.zeros(n, np.uint8), np.zeros(n, np.uint8))]
         candidates += [(tab.x[rng.integers(n)], rng.integers(0, 2, n, dtype=np.uint8))
                        for _ in range(2)]
-        candidates += [tuple(rng.integers(0, 2, size=(2, n), dtype=np.uint8))
+        candidates += [(np.zeros(n, np.uint8), rng.integers(0, 2, n, dtype=np.uint8))
                        for _ in range(2)]
         for xs, zs in candidates:
-            if np.count_nonzero(xs) > 1:
-                with pytest.raises(ValueError, match="at most one X"):
-                    tab.contains(xs, zs)
-                continue
-            answers = [tab.contains(xs, zs, sign) for sign in (0, 1)]
+            answers = [tab.contains(*_sparse(xs, zs), sign) for sign in (0, 1)]
             assert answers == [_eliminates_to(tab, xs, zs, sign) for sign in (0, 1)]
             paulis += any(answers)
     assert paulis >= 40  # K_r and the identity in every round
 
 
-def test_contains_refuses_a_pauli_with_two_xs():
-    # K_0 K_2 = X_0 X_2 is in the path's group, but outside what contains decides
-    tab = _graph_tableau(3, [(0, 1), (1, 2)])
-    assert _eliminates_to(tab, np.array([1, 0, 1]), np.zeros(3), 0)
-    with pytest.raises(ValueError, match="X on 2 qubits"):
-        tab.contains(np.array([1, 0, 1], np.uint8), np.zeros(3, np.uint8))
-
-
-def test_contains_refuses_xs_or_zs_not_n_long():
+def test_contains_refuses_out_of_range_or_repeated_ids():
     tab = _graph_tableau(16, [(0, 12)])
-    for xs, zs in [(np.eye(16, dtype=np.uint8)[0], np.zeros(8, np.uint8)),
-                   (np.eye(17, dtype=np.uint8)[0], np.zeros(17, np.uint8))]:
-        with pytest.raises(ValueError, match="length n=16"):
-            tab.contains(xs, zs)
+    assert tab.contains(0, [12]) and tab.contains(12, (0,))
+    for x, zs, match in [(16, [], "qubit 16 out of range"), (-1, [], "qubit -1 out of range"),
+                         (0, [12, 16], "qubit 16 out of range"),
+                         (None, [-1], "qubit -1 out of range"),
+                         (0, [12, 12], "must be distinct")]:
+        with pytest.raises(ValueError, match=match):
+            tab.contains(x, zs)
 
 
 def _scheduled_448_site_cluster():
@@ -327,41 +321,24 @@ def test_x_and_z_are_read_only_copies_and_phase_is_writable():
     assert not gs.verify_cluster(tab, [(0, 1)])
 
 
-_SIZES = st.sampled_from([1, 2, 63, 64, 65, 130]) | st.integers(1, 140)
-
-
-def _word_edge_gates(tab, ref, n):
-    """CZs among qubits 0, 63, 64 and n - 1 (on bit 63 of a word and across
-    words) on both tableaus, which then agree bit for bit."""
-    ends = sorted({q for q in (0, 63, 64, n - 1) if q < n})
-    for a, b in itertools.combinations(ends, 2):
-        tab.apply_cphase(b, a)
-        ref.apply_cphase(b, a)
-    for name in ("x", "z", "phase"):
-        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
-
-
 @settings(max_examples=60, deadline=None)
-@given(_SIZES, st.integers(0, 40), st.integers(0, 2**32 - 1))
-@example(64, 20, 1).via("one word, bit 63")
-@example(65, 20, 2).via("bit 63 and the second word")
-@example(130, 20, 3).via("three words")
+@given(st.integers(1, 140), st.integers(0, 40), st.integers(0, 2**32 - 1))
 def test_packed_engine_matches_dense_oracle(n, length, seed):
-    """Random CZs, with CZs on word edges before and after them, agree bit
-    for bit with the dense oracle.  After random sign flips ``contains``
-    agrees with the oracle's elimination, for both signs, on generators,
-    generators with one Z bit flipped, the identity and Z-only Paulis."""
+    """After random CZs and sign flips the engine's x, z and phase equal the
+    dense oracle's, and ``contains`` agrees with the oracle's elimination,
+    for both signs, on generators, generators with one Z bit flipped, the
+    identity and Z-only Paulis."""
     rng = np.random.default_rng(seed)
     tab, ref = gs.new_plus_state(n), DenseTableau.plus_state(n)
-    _word_edge_gates(tab, ref, n)
     for _ in range(length if n > 1 else 0):
         a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
         tab.apply_cphase(a, b)
         ref.apply_cphase(a, b)
-    _word_edge_gates(tab, ref, n)
     flips = rng.integers(0, 2, n, dtype=np.uint8)
     tab.phase ^= flips
     ref.phase ^= flips
+    for name in ("x", "z", "phase"):
+        np.testing.assert_array_equal(getattr(tab, name), getattr(ref, name))
     none = np.zeros(n, np.uint8)
     paulis = [(none, none), (none, rng.integers(0, 2, n, dtype=np.uint8))]
     for a in rng.choice(n, size=min(n, 2), replace=False):
@@ -370,4 +347,4 @@ def test_packed_engine_matches_dense_oracle(n, length, seed):
         paulis += [(ref.x[a], ref.z[a]), (ref.x[a], near)]
     for xs, zs in paulis:
         for sign in (0, 1):
-            assert tab.contains(xs, zs, sign) == ref.contains(xs, zs, sign)
+            assert tab.contains(*_sparse(xs, zs), sign) == ref.contains(xs, zs, sign)
