@@ -4,8 +4,13 @@ Subcommands map onto the library modules: ``lattice`` and ``schedule``
 build the trap-array geometry and its six-round entangling schedule,
 ``verify`` checks a schedule's structure, rebuilds the scheduled graph
 state (one neighbour set per site, so its memory grows with sites plus
-edges and ``lattice.MAX_SITES`` is its only size limit) and checks every
-cluster stabilizer, ``mbqc`` executes a measurement-pattern file,
+edges and ``lattice.MAX_SITES`` is its only size limit) whenever every
+gate joins two distinct sites of the array, even a schedule that failed
+the structural check, and checks every cluster stabilizer; a rejected
+state's ``verification.json`` names the failing stabilizers (their count
+and the first few by site, layer and in-layer coordinate), while
+``failure`` keeps the structural check's message when there is one.
+``mbqc`` executes a measurement-pattern file,
 ``ionize`` evaluates rate/ratio/resonance/irradiance queries, ``electron``
 runs the wavepacket, classical, Mathieu and timescale calculations, and
 ``resources`` prints the operation-count arithmetic.
@@ -27,9 +32,10 @@ result exits 2 naming the output and the inputs, with nothing written.
 Exit codes: 0 success; 1 validation/usage error; 2 physics or
 verification failure (e.g. ``verify`` on a corrupted schedule).
 
-A process imports only what its subcommand runs: numpy is loaded by
-``mbqc``, ``electron propagate`` and a ``verify`` whose schedule passed
-its structural check (``graphstate``), and no subcommand loads scipy.
+A process imports only what its subcommand runs: ``ionization`` is
+loaded by ``ionize``, ``graphstate`` by ``verify`` and ``mbqc`` by
+``mbqc``; numpy is loaded by ``mbqc`` and ``electron propagate`` only,
+and no subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import re
 import sys
 
 from . import electron_dynamics as ed
-from . import ionization, lattice, resources, scheduler
+from . import lattice, resources, scheduler
 
 __all__ = ["main", "dispatch", "parse_duration", "load_config"]
 
@@ -50,6 +56,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PHYSICS = 2
 MAX_RATE_POINTS = 10_000  # the most irradiances ``ionize rates`` tabulates
+MAX_NAMED_STABILIZERS = 5  # failing K_a that ``verify`` lists by site
 
 
 class _UsageError(ValueError):
@@ -277,19 +284,26 @@ def _cmd_verify(args, eff):
         rounds = _build_schedule(eff, assign).rounds
     target = lattice.cluster_edges(assign, periodic=eff["periodic"])
     failure = scheduler.check_rounds(rounds, target)
-    if failure is None:
+    failing = []
+    if all(a != b and 0 <= a < sites and 0 <= b < sites for rnd in rounds for a, b in rnd):
         from . import graphstate
         tab = graphstate.new_plus_state(sites)
         for rnd in rounds:
             for a, b in rnd:
                 tab.apply_cphase(a, b)
         if not graphstate.verify_cluster(tab, target):
-            failure = "a cluster stabilizer does not hold"
+            failing = graphstate.failing_stabilizers(tab, target)
+            failure = failure or "a cluster stabilizer does not hold"
     doc = {"schema_version": 1, "verified": failure is None,
            "sites": sites, "rounds": len(rounds),
            "target_edges": len(target)}
     if failure is not None:
         doc["failure"] = failure
+    if failing:
+        doc["failing_stabilizers"] = {
+            "count": len(failing),
+            "first": [{"site": s, "layer": assign.layer_of[s], "coord": list(assign.coord_of[s])}
+                      for s in failing[:MAX_NAMED_STABILIZERS]]}
     return doc, {"verification.json": doc}, EXIT_OK if failure is None else EXIT_PHYSICS
 
 
@@ -357,6 +371,8 @@ def _geomspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _ionize_rates(args, eff):
+    from . import ionization
+
     if eff["points"] > MAX_RATE_POINTS:
         raise ValueError(f"points={eff['points']} is past the limit of {MAX_RATE_POINTS}")
     cal = ionization.load_calibration()
@@ -380,6 +396,8 @@ def _ionize_rates(args, eff):
 
 
 def _ionize_resonances(args, eff):
+    from . import ionization
+
     table = ionization.load_level_table()
     scan = ionization.find_resonances(
         table, (eff["lambda_min"], eff["lambda_max"]),
@@ -394,6 +412,8 @@ def _ionize_resonances(args, eff):
 
 
 def _ionize_quadrupole(args, eff):
+    from . import ionization
+
     ref = ionization.load_rabi_reference()
     doc = {"schema_version": 1, "t_pulse_s": eff["t_pulse"],
            "irradiance_w_cm2": ionization.quadrupole_irradiance(ref, eff["t_pulse"])}
@@ -401,6 +421,8 @@ def _ionize_quadrupole(args, eff):
 
 
 def _ionize_raman(args, eff):
+    from . import ionization
+
     ref = ionization.load_rabi_reference()
     doc = {"schema_version": 1, "t_pulse_s": eff["t_pulse"],
            "detuning_linewidths": eff["detuning_linewidths"],

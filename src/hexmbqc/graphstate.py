@@ -7,8 +7,11 @@ prod_{b in N_G(a)} Z_b, so the engine stores G as one Python set of
 neighbours per qubit, plus the phase bits: O(n + edges) memory, and a CZ
 on (a, b) toggles b in a's set and a in b's.  ``x`` (the identity) and
 ``z`` (the adjacency matrix) are read-only dense (n, n) 0/1 copies
-[generator, qubit], made on each access; ``phase`` is a plain writable
-uint8 vector.
+[generator, qubit], made on each access; ``phase`` is a writable uint8
+vector, made all zero on its first read, and every later read returns
+that same vector.  Until then every sign is + and ``contains`` reads it
+as 0 without making it.  numpy is imported only by these three dense
+views, so preparing and verifying a cluster never loads it.
 
 The only group element with X on exactly qubit a is +/- generator a, and
 the only one with no X is the identity, so membership of a Pauli with at
@@ -19,10 +22,12 @@ cluster stabilizer K_a = X_a prod_{b~a} Z_b.  Qubits are 0-indexed.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = ["StabilizerTableau", "new_plus_state", "verify_cluster"]
+__all__ = ["StabilizerTableau", "new_plus_state", "verify_cluster", "failing_stabilizers"]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -35,15 +40,31 @@ class StabilizerTableau:
     sets; made by ``new_plus_state``."""
 
     def __init__(self, n: int):
-        self.n, self.phase = n, np.zeros(n, np.uint8)
+        self.n, self._phase = n, None
         self._nbrs: list[set[int]] = [set() for _ in range(n)]
 
-    x = property(lambda self: _read_only(np.eye(self.n, dtype=np.uint8)),
-                 doc="X bits, the identity as a new read-only (n, n) 0/1 array.")
+    @property
+    def phase(self) -> np.ndarray:
+        """Sign bits, a writable uint8 vector made all zero on first read."""
+        if self._phase is None:
+            import numpy as np
+            self._phase = np.zeros(self.n, np.uint8)
+        return self._phase
+
+    @phase.setter
+    def phase(self, value: np.ndarray) -> None:  # ``tab.phase ^= bits`` assigns back
+        self._phase = value
+
+    @property
+    def x(self) -> np.ndarray:
+        """X bits, the identity as a new read-only (n, n) 0/1 array."""
+        import numpy as np
+        return _read_only(np.eye(self.n, dtype=np.uint8))
 
     @property
     def z(self) -> np.ndarray:
         """Z bits, the adjacency matrix as a new read-only (n, n) 0/1 array."""
+        import numpy as np
         z = np.zeros((self.n, self.n), np.uint8)
         degrees = [len(s) for s in self._nbrs]
         cols = np.fromiter((b for s in self._nbrs for b in s), np.intp, sum(degrees))
@@ -78,7 +99,8 @@ class StabilizerTableau:
                 raise ValueError(f"qubit {q} out of range for n={self.n}")
         if x is None:
             return not zset and sign == 0
-        return zset == self._nbrs[x] and int(self.phase[x]) == sign
+        phase = self._phase  # None until first read: every sign is +
+        return zset == self._nbrs[x] and (0 if phase is None else int(phase[x])) == sign
 
 
 def new_plus_state(n: int) -> StabilizerTableau:
@@ -88,9 +110,7 @@ def new_plus_state(n: int) -> StabilizerTableau:
     return StabilizerTableau(n)
 
 
-def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff every K_a = X_a prod_{b~a} Z_b stabilizes the state with + sign."""
-    n = tableau.n
+def _target_neighbours(n: int, edges: Iterable[tuple[int, int]]) -> list[set[int]]:
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for a, b in edges:
         if a == b:
@@ -100,4 +120,18 @@ def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]])
                 raise ValueError(f"edge endpoint {q} out of range for n={n}")
         nbrs[a].add(b)
         nbrs[b].add(a)
-    return all(tableau.contains(a, nbrs[a]) for a in range(n))
+    return nbrs
+
+
+def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]]) -> bool:
+    """True iff every K_a = X_a prod_{b~a} Z_b stabilizes the state with + sign."""
+    nbrs = _target_neighbours(tableau.n, edges)
+    return all(tableau.contains(a, nbrs[a]) for a in range(tableau.n))
+
+
+def failing_stabilizers(tableau: StabilizerTableau,
+                        edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The sites a, in increasing order, whose K_a does not stabilize the
+    state with + sign; empty iff ``verify_cluster`` is True."""
+    nbrs = _target_neighbours(tableau.n, edges)
+    return [a for a in range(tableau.n) if not tableau.contains(a, nbrs[a])]

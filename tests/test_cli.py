@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import pauli_expectation, statevector_oracle
 
-from hexmbqc import cli, mbqc, resources
+from hexmbqc import cli, lattice, mbqc, resources, scheduler
 
 CHAIN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
 
@@ -30,22 +31,9 @@ def _cli_env():
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, capsys):
-    # a cold process imports only what its subcommand runs: these need
-    # neither numpy nor scipy, which cost most of the CLI's start-up
-    run(capsys, "schedule", "--rows", "3", "--cols", "3", "--out", str(tmp_path))
-    doc = json.loads((tmp_path / "schedule.json").read_text())
-    doc["rounds"][0].pop()
-    (tmp_path / "missing_gate.json").write_text(json.dumps(doc))
-    (tmp_path / "bad.json").write_text(json.dumps({"lattice": {"rowz": 3}}))
-    argvs = [(["lattice"], 0), (["schedule"], 0),
-             (["verify", "--schedule", str(tmp_path / "missing_gate.json")], 2),
-             (["lattice", "--config", str(tmp_path / "bad.json")], 1),
-             (["ionize", "rates"], 0), (["ionize", "resonances"], 0),
-             (["ionize", "quadrupole"], 0), (["ionize", "raman"], 0),
-             (["electron", "classical"], 0), (["electron", "mathieu", "--q", "0.5",
-                                              "--boundary"], 0),
-             (["electron", "timescale"], 0), (["resources"], 0)]
+def _modules_after(argvs, out):
+    """Exit codes of ``argvs`` run one after another in one fresh process,
+    and the names of every module loaded at its end."""
     code = (
         "import contextlib, io, json, sys\n"
         "from hexmbqc import cli\n"
@@ -54,13 +42,42 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, capsys):
         "    with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        codes.append(cli.dispatch(argv + ['--out', sys.argv[2]]))\n"
-        "print(json.dumps([codes, sorted({m.split('.')[0] for m in sys.modules})]))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([a for a, _ in argvs]), str(tmp_path / "out")],
-        env=_cli_env(), capture_output=True, text=True, timeout=60, check=True)
-    codes, loaded = json.loads(proc.stdout)
+        "print(json.dumps([codes, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs), str(out)],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, capsys):
+    # a cold process imports only what its subcommand runs: these need
+    # neither numpy nor scipy, which cost most of the CLI's start-up
+    run(capsys, "schedule", "--rows", "3", "--cols", "3", "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    doc["rounds"][0].pop()
+    (tmp_path / "missing_gate.json").write_text(json.dumps(doc))
+    (tmp_path / "bad.json").write_text(json.dumps({"lattice": {"rowz": 3}}))
+    argvs = [(["lattice"], 0), (["schedule"], 0), (["verify", "--n", "2"], 0),
+             (["verify", "--schedule", str(tmp_path / "missing_gate.json")], 2),
+             (["lattice", "--config", str(tmp_path / "bad.json")], 1),
+             (["ionize", "rates"], 0), (["ionize", "resonances"], 0),
+             (["ionize", "quadrupole"], 0), (["ionize", "raman"], 0),
+             (["electron", "classical"], 0), (["electron", "mathieu", "--q", "0.5",
+                                              "--boundary"], 0),
+             (["electron", "timescale"], 0), (["resources"], 0)]
+    codes, modules = _modules_after([a for a, _ in argvs], tmp_path / "out")
     assert codes == [want for _, want in argvs]
+    loaded = {m.split(".")[0] for m in modules}
     assert "numpy" not in loaded and "scipy" not in loaded
+
+
+def test_only_ionize_loads_the_ionization_module(tmp_path):
+    argvs = [["lattice"], ["verify"], ["electron", "timescale"], ["resources"]]
+    codes, modules = _modules_after(argvs, tmp_path)
+    assert codes == [0] * len(argvs)
+    assert "hexmbqc.graphstate" in modules and "hexmbqc.ionization" not in modules
+    _, modules = _modules_after(argvs + [["ionize", "quadrupole"]], tmp_path)
+    assert "hexmbqc.ionization" in modules
 
 
 geomspace_ends = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
@@ -599,6 +616,65 @@ def test_verify_rejects_round_that_is_not_a_matching(tmp_path, capsys):
     assert code == 2
     assert ver["verified"] is False
     assert ver["failure"].startswith("round 1 (intra-u-even): ion ")
+
+
+def _corrupt_2x2(doc, corruption):
+    """Edit the 16-site schedule ``doc`` in place; the one gate edited."""
+    rounds = doc["rounds"]
+    listed = {tuple(sorted(g)) for rnd in rounds for g in rnd}
+    if corruption == "dropped":
+        return rounds[3].pop(1)
+    if corruption == "not a cluster edge":
+        gate = next((a, b) for a in range(16) for b in range(a + 1, 16)
+                    if (a, b) not in listed)
+        rounds[5].append(list(gate))
+        return gate
+    rounds[1].append(rounds[0][2])  # listed twice: the two CZs cancel
+    return rounds[0][2]
+
+
+@pytest.mark.parametrize("corruption", ["dropped", "not a cluster edge", "listed twice"])
+def test_verify_names_the_failing_stabilizers(tmp_path, capsys, corruption):
+    """verify names the K_a that fail, which are the edited gate's endpoints
+    and the ones the statevector oracle finds with expectation below 1;
+    ``failure`` stays the structural check's message."""
+    run(capsys, "schedule", "--rows", "2", "--cols", "2", "--n", "2", "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    gate = _corrupt_2x2(doc, corruption)
+    code, ver = _verify_doc(tmp_path, capsys, doc)
+
+    assign = lattice.decompose_sublattices(lattice.build_hex_array(2, 2, 1.0), 2)
+    target = lattice.cluster_edges(assign)
+    assert (code, ver["verified"], ver["sites"]) == (2, False, 16)
+    assert ver["failure"] == scheduler.check_rounds(doc["rounds"], target)
+    named = ver["failing_stabilizers"]
+    assert named["count"] == 2
+    assert named["first"] == [{"site": s, "layer": assign.layer_of[s],
+                               "coord": list(assign.coord_of[s])} for s in sorted(gate)]
+    psi = statevector_oracle([g for rnd in doc["rounds"] for g in rnd], 16)
+    nbrs = {a: sorted({b for e in target if a in e for b in e} - {a}) for a in range(16)}
+    oracle = [a for a in range(16) if pauli_expectation(psi, [a], nbrs[a]) < 1 - 1e-9]
+    assert oracle == sorted(gate)
+
+
+def test_verify_names_the_first_five_failing_stabilizers(tmp_path, capsys):
+    doc = _schedule_3x3(tmp_path, capsys)
+    dropped = [doc["rounds"][0].pop() for _ in range(3)]  # a matching: six endpoints
+    code, ver = _verify_doc(tmp_path, capsys, doc)
+    assert code == 2 and ver["failure"].startswith("cluster edge ")
+    ends = sorted(q for gate in dropped for q in gate)
+    assert ver["failing_stabilizers"]["count"] == 6
+    assert [f["site"] for f in ver["failing_stabilizers"]["first"]] == ends[:5]
+
+
+@pytest.mark.parametrize("gate", [[0, 10**6], [-1, 0], [4, 4]])
+def test_verify_with_a_gate_off_the_array_names_no_stabilizer(tmp_path, capsys, gate):
+    doc = _schedule_3x3(tmp_path, capsys)
+    doc["rounds"][5].append(gate)
+    code, ver = _verify_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert ver["failure"].endswith("is not a cluster edge")
+    assert "failing_stabilizers" not in ver
 
 
 # --- pattern and schedule documents are validated at the boundary ----------

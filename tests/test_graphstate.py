@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -319,6 +323,71 @@ def test_x_and_z_are_read_only_copies_and_phase_is_writable():
     tab.phase[2] = 1
     assert tab.phase[2] == 1
     assert not gs.verify_cluster(tab, [(0, 1)])
+
+
+def test_failing_stabilizers_match_the_statevector_oracle(rng):
+    """On graphs of up to 10 qubits prepared with one target gate dropped,
+    one extra gate added or one gate listed twice, the K_a named are those
+    whose expectation in the dense state is below 1."""
+    named = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 11))
+        target = random_graph(rng, n)
+        others = sorted({(a, b) for a in range(n) for b in range(a + 1, n)} - set(target))
+        applied = list(target)
+        kind = int(rng.integers(3))
+        if kind == 0 and target:
+            applied.pop(int(rng.integers(len(target))))
+        elif kind == 1 and others:
+            applied.append(others[int(rng.integers(len(others)))])
+        elif target:
+            applied.append(target[int(rng.integers(len(target)))])
+        psi = statevector_oracle(applied, n)
+        nbrs = {q: set() for q in range(n)}
+        for a, b in target:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        oracle = [a for a in range(n)
+                  if pauli_expectation(psi, [a], sorted(nbrs[a])) < 1 - 1e-9]
+        tab = _graph_tableau(n, applied)
+        assert gs.failing_stabilizers(tab, target) == oracle
+        assert gs.verify_cluster(tab, target) == (oracle == [])
+        named += len(oracle)
+    assert named > 0
+
+
+def test_cluster_prepared_and_verified_without_numpy():
+    """Preparing and verifying a cluster loads no numpy; ``phase`` is made on
+    its first read as a writable all-zero uint8 vector, kept, and read by
+    the checks."""
+    code = """
+import json, sys
+from hexmbqc import graphstate as gs, lattice, scheduler
+assign = lattice.decompose_sublattices(lattice.build_hex_array(3, 3, 1.0), 2)
+target = lattice.cluster_edges(assign)
+tab = gs.new_plus_state(len(assign.layer_of))
+for rnd in scheduler.build_schedule(assign).rounds:
+    for a, b in rnd:
+        tab.apply_cphase(a, b)
+out = {"verified": gs.verify_cluster(tab, target),
+       "failing": gs.failing_stabilizers(tab, target), "numpy": "numpy" in sys.modules}
+phase = tab.phase
+out.update(dtype=str(phase.dtype), shape=list(phase.shape), ones=int(phase.sum()),
+           writeable=bool(phase.flags.writeable), same=tab.phase is phase)
+phase[3] = 1
+out.update(after_flip=gs.verify_cluster(tab, target),
+           failing_after_flip=gs.failing_stabilizers(tab, target))
+print(json.dumps(out))
+"""
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == {
+        "verified": True, "failing": [], "numpy": False,
+        "dtype": "uint8", "shape": [30], "ones": 0, "writeable": True, "same": True,
+        "after_flip": False, "failing_after_flip": [3]}
 
 
 @settings(max_examples=60, deadline=None)
