@@ -17,7 +17,10 @@ runs the wavepacket, classical, Mathieu and timescale calculations, and
 
 ``_DEFAULTS`` is the one table behind the CLI: it is the schema of the
 config-file blocks, the source of every flag (``--`` + key with ``_`` ->
-``-``, typed like its default) and the ``--help`` epilog.  Every
+``-``, typed like its default) and the ``--help`` epilog.  It writes only
+the values no library call owns and reads the rest at import, from
+``TrapConfig``'s fields and the keyword-only defaults of
+``gaussian_wavepacket``, ``propagate`` and ``build_schedule``.  Every
 subcommand also accepts ``--config FILE`` (JSON, one block per subcommand,
 unknown keys rejected), ``--seed N``, ``--out DIR`` and ``--dump-config``.
 Effective values resolve as defaults < config file < explicit flags.
@@ -41,6 +44,7 @@ and no subcommand loads scipy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -71,8 +75,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # defaults: {command: values} or {command: {mode: values}}
 
-_LATTICE = {"rows": 4, "cols": 4, "d": 1.0, "n": 1, "periodic": False}
-_SCHEDULE = {**_LATTICE, "t_gate": 1e-5, "t_shuttle": 1e-4}
+# the library's own defaults (``mass`` is the electron's, which no key sets)
+_TRAP = {f.name: f.default for f in dataclasses.fields(ed.TrapConfig) if f.name != "mass"}
+_PACKET = ed.gaussian_wavepacket.__kwdefaults__
+
+_LATTICE = {"rows": 4, "cols": 4, "d": 1.0, "n": 1}
+_SCHEDULE = {**_LATTICE, **scheduler.build_schedule.__kwdefaults__}
+_SCHEDULE_LATTICE = (*_LATTICE, "periodic")  # schedule.json's lattice block
 _DEFAULTS = {
     "lattice": _LATTICE,
     "schedule": _SCHEDULE,
@@ -87,19 +96,14 @@ _DEFAULTS = {
     },
     "electron": {
         "propagate": {
-            "omega_e": 2.5e9, "omega_rf": 2.0 * math.pi * 25e6, "static_mode": True,
-            "extent_x": 100e-6, "extent_y": 50e-6, "points_x": 512, "points_y": 256,
-            "dt": 1e-13, "absorber_width_frac": 0.10, "absorber_gain": 12.0,
-            "detector_gain": 12.0, "hbar_scale": 64.0,
-            "detectors": [[30e-6, 20e-6], [-30e-6, 20e-6]],
-            "v0": 7e3, "sigma_v": ed.SIGMA_V_DEFAULT, "sigma0": None,
-            "t_final": 3e-9, "sample_interval": 5e-12, "snapshot_times": [],
+            **_TRAP, **{key: _PACKET[key] for key in ("v0", "sigma_v", "sigma0")},
+            "t_final": 3e-9, **ed.propagate.__kwdefaults__,
         },
-        "classical": {"omega_e": 2.5e9, "v0": 7e3, "t": 1.5e-9},
+        "classical": {"omega_e": _TRAP["omega_e"], "v0": _PACKET["v0"], "t": 1.5e-9},
         "mathieu": {"a": 0.0, "q": None, "charge": 1.0, "mass": ed.M_CA40,
-                    "v_rf": None, "r0": None, "omega_rf": 2.0 * math.pi * 25e6,
+                    "v_rf": None, "r0": None, "omega_rf": _TRAP["omega_rf"],
                     "boundary": False},
-        "timescale": {"omega_rf": 2.0 * math.pi * 25e6, "m_ion": ed.M_CA40},
+        "timescale": {"omega_rf": _TRAP["omega_rf"], "m_ion": ed.M_CA40},
     },
     "resources": {"bits": 640, "wallclock": "5month", "n_qubits": 10000,
                   "t_meas": 3e-9, "t_coh": 10.0},
@@ -259,7 +263,7 @@ def _cmd_schedule(args, eff):
     array, assign = _build_assignment(eff)
     sched = _build_schedule(eff, assign)
     doc = scheduler.schedule_report(sched)
-    doc["lattice"] = {key: eff[key] for key in _LATTICE}
+    doc["lattice"] = {key: eff[key] for key in _SCHEDULE_LATTICE}
     rows = [f"{k},{count},{dur:.9e}"
             for k, count, dur in scheduler.schedule_csv_rows(sched)]
     summary = {"schema_version": 1, "rounds": len(sched.rounds),
@@ -275,7 +279,7 @@ def _cmd_verify(args, eff):
             doc = json.load(fh)
         if not isinstance(doc, dict) or "lattice" not in doc:
             raise ValueError("schedule file lacks the lattice block")
-        lat = {key: eff[key] for key in _LATTICE}
+        lat = {key: eff[key] for key in _SCHEDULE_LATTICE}
         eff = {**eff, **_merge("schedule.lattice", lat, doc["lattice"])}
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
     array, assign = _build_assignment(eff)
@@ -432,7 +436,7 @@ def _ionize_raman(args, eff):
 
 
 def _electron_propagate(args, eff):
-    trap = {key: eff[key] for key in eff if key in ed.TrapConfig.__dataclass_fields__}
+    trap = {key: eff[key] for key in _TRAP}
     cfg = ed.TrapConfig(**{**trap, "detectors": tuple(map(tuple, eff["detectors"]))})
     wp = ed.gaussian_wavepacket(cfg, v0=eff["v0"], sigma_v=eff["sigma_v"],
                                 sigma0=eff["sigma0"])
@@ -470,8 +474,12 @@ def _electron_classical(args, eff):
 
 def _electron_mathieu(args, eff):
     q = eff["q"]
+    given = [key for key in ("v_rf", "r0") if eff[key] is not None]
+    if q is not None and given:
+        raise ValueError(f"mathieu takes either q or (v_rf and r0), not both: "
+                         f"got q and {' and '.join(given)}")
     if q is None:
-        if eff["v_rf"] is None or eff["r0"] is None:
+        if len(given) < 2:
             raise ValueError("mathieu needs either q or (v_rf and r0)")
         q = ed.mathieu_q(eff["charge"], eff["mass"], eff["v_rf"], eff["r0"],
                          eff["omega_rf"])

@@ -183,6 +183,7 @@ def _norm(psi: np.ndarray, step: float) -> float:
 
 def gaussian_wavepacket(
     config: TrapConfig,
+    *,
     v0: float = 7e3,
     sigma_v: float = SIGMA_V_DEFAULT,
     sigma0: float | None = None,
@@ -332,6 +333,7 @@ def propagate(
     wp: Wavepacket,
     config: TrapConfig,
     t_final: float,
+    *,
     sample_interval: float = 5e-12,
     snapshot_times: tuple[float, ...] = (),
 ) -> PropagationResult:
@@ -541,9 +543,10 @@ def mathieu_stable(a: float, q: float) -> bool:
     return math.isfinite(tr) and abs(tr) <= 2.0 + 1e-9
 
 
-def stability_boundary(a: float = 0.0, q_lo: float = 0.5, q_hi: float = 1.5,
+def stability_boundary(a: float, q_lo: float = 0.5, q_hi: float = 1.5,
                        tol: float = 1e-4) -> float:
-    """Bisect the first stable/unstable transition in q at fixed a."""
+    """Bisect the first stable/unstable transition in q at fixed a.  The
+    CLI's ``electron mathieu`` table holds the one default, a = 0."""
     if not mathieu_stable(a, q_lo) or mathieu_stable(a, q_hi):
         raise ValueError("bracket must satisfy stable(q_lo) and not stable(q_hi)")
     while q_hi - q_lo > tol:

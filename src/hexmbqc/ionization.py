@@ -210,7 +210,7 @@ def find_resonances(
     table: LevelTable,
     wavelength_range_nm: tuple[float, float],
     max_photons: int,
-    detuning_cut_ev: float = 0.03,
+    detuning_cut_ev: float,
 ) -> ResonanceScan:
     """Locate m-photon intermediate resonances inside a wavelength window.
 
@@ -218,7 +218,8 @@ def find_resonances(
     |m * HC/lambda - E| <= detuning_cut_ev, i.e. the window overlaps
     [m*HC/(E+cut), m*HC/(E-cut)].  Output order is (photons, energy),
     independent of table order; zero-energy levels cannot be intermediate
-    resonances and are skipped.
+    resonances and are skipped.  ``detuning_cut_ev`` has no default: the
+    one default, 0.03 eV, lives in the CLI's ``ionize resonances`` table.
     """
     if not table.levels:
         raise ValueError("empty level table")

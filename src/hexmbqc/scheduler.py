@@ -51,6 +51,7 @@ class GateSchedule:
 
 def build_schedule(
     assign: LayerAssignment,
+    *,
     periodic: bool = False,
     t_gate: float = 1e-5,
     t_shuttle: float = 1e-4,

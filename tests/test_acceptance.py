@@ -219,7 +219,7 @@ def test_06_rate_scaling_laws(report, rng):
 def test_07_resonance_identification(report):
     failures = []
     table = ion.load_level_table()
-    scan = ion.find_resonances(table, (380.0, 410.0), 4)
+    scan = ion.find_resonances(table, (380.0, 410.0), 4, 0.03)
     got = {(h.level, h.photons) for h in scan.hits}
     want = {("4P1/2", 1), ("5S1/2", 2), ("6P1/2", 3), ("6P3/2", 3)}
     if got != want:
@@ -309,7 +309,7 @@ def test_10_propagator_properties(report):
 
 def test_11_mathieu_stability(report):
     failures = []
-    q_star = ed.stability_boundary()
+    q_star = ed.stability_boundary(0.0)
     if abs(q_star - 0.908) > 2e-3:
         failures.append(f"boundary {q_star:.5f} outside 0.908 +/- 0.002")
     # independent oracle: a = 0 crossing of the b_1 characteristic curve

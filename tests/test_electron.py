@@ -438,7 +438,7 @@ def test_mathieu_stability_classification():
 
 
 def test_stability_boundary_location():
-    q_star = ed.stability_boundary()
+    q_star = ed.stability_boundary(0.0)
     assert q_star == pytest.approx(0.908, abs=2e-3)
     with pytest.raises(ValueError):
         ed.stability_boundary(0.0, q_lo=1.2, q_hi=1.5)  # no sign change
@@ -480,7 +480,7 @@ def test_mathieu_stable_agrees_with_oracle_at_large_parameters(a, q):
 
 def test_stability_boundary_keeps_its_bits():
     # the values the adaptive DOP853 trace gave before the RK4 replaced it
-    assert ed.stability_boundary() == 0.908050537109375
+    assert ed.stability_boundary(0.0) == 0.908050537109375
     assert ed.stability_boundary(0.1) == 0.823577880859375
 
 

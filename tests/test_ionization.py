@@ -116,7 +116,7 @@ def test_rate_inputs_validation():
 
 def test_resonance_scan_default_window():
     table = ion.load_level_table()
-    scan = ion.find_resonances(table, (380.0, 410.0), 4)
+    scan = ion.find_resonances(table, (380.0, 410.0), 4, 0.03)
     got = {(h.level, h.photons) for h in scan.hits}
     assert got == {("4P1/2", 1), ("5S1/2", 2), ("6P1/2", 3), ("6P3/2", 3)}
     assert scan.ionizing_throughout is True
@@ -132,7 +132,7 @@ def test_resonance_scan_default_window():
 
 def test_resonance_window_clipping():
     table = ion.load_level_table()
-    scan = ion.find_resonances(table, (380.0, 396.0), 1)
+    scan = ion.find_resonances(table, (380.0, 396.0), 1, 0.03)
     assert len(scan.hits) == 1
     h = scan.hits[0]
     assert h.level == "4P1/2"
@@ -150,13 +150,13 @@ def test_resonance_scan_skips_ground_level():
 def test_resonance_scan_validation():
     table = ion.load_level_table()
     with pytest.raises(ValueError):
-        ion.find_resonances(table, (410.0, 380.0), 4)
+        ion.find_resonances(table, (410.0, 380.0), 4, 0.03)
     with pytest.raises(ValueError):
-        ion.find_resonances(table, (380.0, 410.0), 0)
+        ion.find_resonances(table, (380.0, 410.0), 0, 0.03)
     with pytest.raises(ValueError):
         ion.find_resonances(table, (380.0, 410.0), 4, detuning_cut_ev=0.0)
     with pytest.raises(ValueError):
-        ion.find_resonances(ion.LevelTable((), 11.87), (380.0, 410.0), 4)
+        ion.find_resonances(ion.LevelTable((), 11.87), (380.0, 410.0), 4, 0.03)
 
 
 def test_quadrupole_irradiance_pin_and_scaling():

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import pathlib
 
 import hexmbqc
@@ -57,3 +59,72 @@ def test_only_mbqc_imports_numpy_at_module_level():
     assert len(modules) > 5
     users = [path.name for path in modules if "numpy" in _module_level_imports(path)]
     assert users == ["mbqc.py"]
+
+
+def _library_defaults() -> dict:
+    """{CLI key: library default} over the fields and parameters the CLI's
+    handlers pass through.  ``TrapConfig.mass`` is left out: it is the
+    electron's mass, which no CLI key sets, while ``mathieu``'s ``mass`` is
+    the ion's."""
+    from hexmbqc import electron_dynamics as ed
+    from hexmbqc import ionization, scheduler
+
+    found = {f.name: f.default for f in dataclasses.fields(ed.TrapConfig) if f.name != "mass"}
+    functions = (ed.gaussian_wavepacket, ed.propagate, ed.classical_trajectory,
+                 ed.mathieu_q, ed.stability_boundary, ed.electron_timescale,
+                 scheduler.build_schedule, ionization.find_resonances,
+                 ionization.quadrupole_irradiance, ionization.raman_irradiance)
+    renamed = {"detuning_cut_ev": "detuning_cut"}
+    for fn in functions:
+        for param in inspect.signature(fn).parameters.values():
+            if param.default is not param.empty:
+                key = renamed.get(param.name, param.name)
+                assert found.setdefault(key, param.default) == param.default, key
+    return found
+
+
+def _is_literal(node: ast.AST) -> bool:
+    """A value written out in the source: numbers, booleans, lists of them and
+    arithmetic on them and on ``math`` constants.  ``None`` is the CLI's mark
+    for a value the user has not given, so it is not a literal here."""
+    if isinstance(node, ast.Constant) and node.value is None:
+        return False
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "math"
+    return not isinstance(node, (ast.Name, ast.Call, ast.Subscript, ast.Starred)) and all(
+        map(_is_literal, ast.iter_child_nodes(node)))
+
+
+def _restated_defaults(source: str, library: dict) -> list[str]:
+    """``table.key`` for every key of cli's ``_LATTICE``, ``_SCHEDULE`` and
+    ``_DEFAULTS`` whose value is written out while the library owns a
+    default of that name."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in ("_LATTICE", "_SCHEDULE",
+                                                             "_DEFAULTS")):
+            continue
+        for table in ast.walk(node.value):
+            if isinstance(table, ast.Dict):
+                found += [f"{node.targets[0].id}.{key.value}"
+                          for key, value in zip(table.keys, table.values)
+                          if isinstance(key, ast.Constant) and key.value in library
+                          and _is_literal(value)]
+    return found
+
+
+def test_cli_table_reads_the_defaults_the_library_owns():
+    # a default the library owns has one copy: the CLI reads it, so changing
+    # it in the library changes every subcommand that passes it through
+    from hexmbqc import cli
+
+    library = _library_defaults()
+    assert _restated_defaults((PACKAGE / "cli.py").read_text(), library) == []
+    tables = [cli._LATTICE, cli._SCHEDULE]
+    for block in cli._DEFAULTS.values():
+        tables += block.values() if isinstance(next(iter(block.values())), dict) else [block]
+    shared = [(key, value) for table in tables for key, value in table.items()
+              if key in library]
+    assert [(key, value) for key, value in shared if value != library[key]] == []
+    assert {key for key, _ in shared} >= {"omega_e", "omega_rf", "v0", "periodic", "dt"}
