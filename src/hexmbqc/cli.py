@@ -280,7 +280,12 @@ def _cmd_verify(args, eff):
         if not isinstance(doc, dict) or "lattice" not in doc:
             raise ValueError("schedule file lacks the lattice block")
         lat = {key: eff[key] for key in _SCHEDULE_LATTICE}
-        eff = {**eff, **_merge("schedule.lattice", lat, doc["lattice"])}
+        block = _merge("schedule.lattice", lat, doc["lattice"])
+        for key in _SCHEDULE_LATTICE:  # an explicit flag the file contradicts
+            if getattr(args, key) is not None and block[key] != lat[key]:
+                raise ValueError(f"{_flag(key)} {lat[key]!r} disagrees with the schedule "
+                                 f"file's lattice block, where {key} is {block[key]!r}")
+        eff = {**eff, **block}
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
     array, assign = _build_assignment(eff)
     sites = array.site_count()

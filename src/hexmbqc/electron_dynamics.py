@@ -198,9 +198,9 @@ def gaussian_wavepacket(
     ``propagate`` checks every other resolution limit.
     """
     import numpy as np
+    if not 0.0 < sigma_v < math.inf:
+        raise ValueError(f"sigma_v must be positive and finite, got {sigma_v}")
     if sigma0 is None:
-        if sigma_v <= 0:
-            raise ValueError("sigma_v must be positive")
         sigma0 = config.hbar_eff / (2.0 * config.mass * sigma_v)
     if not 0.0 < sigma0 < math.inf:
         raise ValueError("sigma0 must be positive and finite")

@@ -5,7 +5,7 @@ always the graph state |G> of the gates applied an odd number of times
 (Hein et al., quant-ph/0602096).  Generator a is (-1)**phase[a] X_a
 prod_{b in N_G(a)} Z_b, so the engine stores G as one Python set of
 neighbours per qubit, plus the phase bits: O(n + edges) memory, and a CZ
-on (a, b) toggles b in a's set and a in b's.  ``x`` (the identity) and
+on (a, b) toggles b in a's set and a in b's in place.  ``x`` (the identity) and
 ``z`` (the adjacency matrix) are read-only dense (n, n) 0/1 copies
 [generator, qubit], made on each access; ``phase`` is a writable uint8
 vector, made all zero on its first read, and every later read returns
@@ -73,13 +73,16 @@ class StabilizerTableau:
 
     def apply_cphase(self, a: int, b: int) -> None:
         """Conjugate every generator by CPHASE on qubits (a, b)."""
-        if a == b:
-            raise ValueError("CPHASE needs two distinct qubits")
-        for q in (a, b):
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for n={self.n}")
-        self._nbrs[a] ^= {b}
-        self._nbrs[b] ^= {a}
+        if not (0 <= a < self.n and 0 <= b < self.n and a != b):
+            raise ValueError("CPHASE needs two distinct qubits" if a == b else
+                             f"qubit {b if 0 <= a < self.n else a} out of range for n={self.n}")
+        na, nb = self._nbrs[a], self._nbrs[b]
+        if b in na:
+            na.discard(b)
+            nb.discard(a)
+        else:
+            na.add(b)
+            nb.add(a)
 
     def contains(self, x: int | None, zs: Collection[int], sign: int = 0) -> bool:
         """Membership of (-1)**sign X_x prod_{b in zs} Z_b in the stabilizer

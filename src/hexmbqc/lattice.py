@@ -20,7 +20,8 @@ inverse).  ``HexArray.position`` computes a site's Cartesian coordinates
 when asked; trap-channel adjacency is not stored.
 
 ``cluster_partners`` alone knows the 3D cluster's neighbour rule (each
-site's u, v and next-layer partner); the edge sets and the scheduler read it.
+site's u, v and next-layer partner) and computes its partner table once per
+assignment and closure; the edge sets and the scheduler read that table.
 
 Triangular coordinates: vertex ``(f, i, j)`` sits at ``i*T1 + j*T2 + f*delta``
 with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
@@ -94,6 +95,8 @@ class LayerAssignment:
     coord_of: dict[int, tuple[int, int]]
     # layer -> (family, (p, q)) coset labels, index 0 unused
     layer_labels: tuple[tuple[int, tuple[int, int]] | None, ...] = field(repr=False)
+    # bool(periodic) -> cluster_partners' list of (s, u, v, up), made on first use
+    _partners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
@@ -150,20 +153,9 @@ def decompose_sublattices(array: HexArray, n: int) -> LayerAssignment:
     imax = max(k[1] for k in array.keys)
     jmin = min(k[2] for k in array.keys)
     jmax = max(k[2] for k in array.keys)
-    found = False
-    for i0 in range(imin, imax - n + 2):
-        for j0 in range(jmin, jmax - n + 2):
-            if all(
-                (f, i0 + p, j0 + q) in array.index
-                for f in (0, 1)
-                for p in range(n)
-                for q in range(n)
-            ):
-                found = True
-                break
-        if found:
-            break
-    if not found:
+    if not any(all((f, i0 + p, j0 + q) in array.index
+                   for f in (0, 1) for p in range(n) for q in range(n))
+               for i0 in range(imin, imax - n + 2) for j0 in range(jmin, jmax - n + 2)):
         raise ValueError(
             f"array of {array.site_count()} sites holds no full elementary "
             f"cell for n={n}; increase rows/cols"
@@ -220,17 +212,21 @@ def cluster_partners(assign: LayerAssignment, periodic: bool = False
     in the next layer, so each site gains at most one upward and one
     downward interlayer edge.  The last layer has a next layer only with
     ``periodic``, and then not for n=1, where the wrap would repeat layer 1's
-    edges.
+    edges.  The table is made once per assignment and closure.
     """
-    array, n, count = assign.array, assign.n, assign.layer_count
-    index, layer_of = array.index, assign.layer_of
-    last = count if periodic and count > 2 else count - 1
-    shift = {ell: _layer_shift(assign, ell) for ell in range(1, last + 1)}
-    for s, (f, i, j) in enumerate(array.keys):
+    table = assign._partners.get(bool(periodic))
+    if table is None:
+        array, n, count = assign.array, assign.n, assign.layer_count
+        index, layer_of = array.index, assign.layer_of
+        last = count if periodic and count > 2 else count - 1
+        shift = {ell: _layer_shift(assign, ell) for ell in range(1, last + 1)}
         # a layer with no next layer looks up family None, which no site has
-        f1, di, dj = shift.get(layer_of[s], (None, 0, 0))
-        yield (s, index.get((f, i + n, j)), index.get((f, i, j + n)),
-               index.get((f1, i + di, j + dj)))
+        table = assign._partners[bool(periodic)] = [
+            (s, index.get((f, i + n, j)), index.get((f, i, j + n)),
+             index.get((f1, i + di, j + dj)))
+            for s, (f, i, j) in enumerate(array.keys)
+            for f1, di, dj in (shift.get(layer_of[s], (None, 0, 0)),)]
+    return iter(table)
 
 
 def intra_layer_edges(assign: LayerAssignment) -> set[tuple[int, int]]:

@@ -720,6 +720,39 @@ def test_malformed_pattern_exits_1(tmp_path, capsys, case):
     assert message in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--rows", "9", "--cols", "9"), "--rows 9 disagrees with the schedule file's lattice "
+                                     "block, where rows is 4"),
+    (("--n", "1"), "--n 1 disagrees"),
+    (("--d", "2.5"), "--d 2.5 disagrees"),
+    (("--periodic",), "--periodic True disagrees"),
+], ids=["rows-cols", "n", "d", "periodic"])
+def test_verify_flag_contradicting_the_schedule_file_exits_1(tmp_path, capsys, flags, named):
+    run(capsys, "schedule", "--rows", "4", "--cols", "4", "--n", "2", "--out", str(tmp_path))
+    path = str(tmp_path / "schedule.json")
+    code, out, err = run(capsys, "verify", "--schedule", path, *flags,
+                         "--out", str(tmp_path / "ver"))
+    assert (code, out) == (1, "")
+    assert named in err
+    assert not (tmp_path / "ver").exists()
+    # flags that agree with the file pass
+    code, out, _ = run(capsys, "verify", "--schedule", path, "--rows", "4", "--cols", "4",
+                       "--n", "2", "--d", "1.0", "--no-periodic", "--out", str(tmp_path / "ok"))
+    assert code == 0
+    assert json.loads(out)["sites"] == 48
+
+
+def test_electron_propagate_config_with_bad_sigma_v_and_sigma0_exits_1(tmp_path, capsys):
+    for sigma_v in (-1.0, 0.0):
+        code, _, err = _with_config(
+            tmp_path, capsys, {"electron": {"propagate": {"sigma_v": sigma_v, "sigma0": 3e-6}}},
+            "electron", "propagate", "--points-x", "64", "--points-y", "32",
+            "--t-final", "2e-12", "--dt", "2e-13", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "sigma_v must be positive and finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("change, message", [
     ({"lattice": [3, 3]}, "schedule.lattice must be a JSON object"),
     ({"rounds": 6}, "schedule.rounds must be"),

@@ -66,6 +66,14 @@ def test_gaussian_wavepacket_moments():
         ed.gaussian_wavepacket(cfg, sigma0=-1e-6)
 
 
+@pytest.mark.parametrize("sigma_v", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma0", [None, 3e-6])
+def test_bad_sigma_v_is_named_whatever_sigma0_is(sigma_v, sigma0):
+    cfg = ed.TrapConfig(points_x=128, points_y=64)
+    with pytest.raises(ValueError, match="sigma_v must be positive and finite"):
+        ed.gaussian_wavepacket(cfg, sigma_v=sigma_v, sigma0=sigma0)
+
+
 def test_default_sigma_v_value():
     # velocity spread of a 10 nm ground-state-sized source at literal hbar
     assert ed.SIGMA_V_DEFAULT == pytest.approx(

@@ -39,11 +39,24 @@ def test_cphase_involution():
 
 
 def test_cphase_validation():
-    tab = gs.new_plus_state(3)
-    with pytest.raises(ValueError):
-        tab.apply_cphase(0, 0)
-    with pytest.raises(ValueError):
-        tab.apply_cphase(0, 3)
+    n = 3
+    tab = gs.new_plus_state(n)
+    tab.apply_cphase(0, 1)
+    before = tab.z
+    for a, b, message in [
+        (0, 0, "CPHASE needs two distinct qubits"),
+        (n, n, "CPHASE needs two distinct qubits"),
+        (0, n, f"qubit {n} out of range for n={n}"),
+        (n, 0, f"qubit {n} out of range for n={n}"),
+        (-1, 2, f"qubit -1 out of range for n={n}"),  # not wrapped to n-1
+        (2, -1, f"qubit -1 out of range for n={n}"),
+        (-1, n, f"qubit -1 out of range for n={n}"),  # the first bad id is named
+        (n, -1, f"qubit {n} out of range for n={n}"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            tab.apply_cphase(a, b)
+        assert str(err.value) == message
+        np.testing.assert_array_equal(tab.z, before)
 
 
 def test_verify_cluster_path_ring_complete():
@@ -393,14 +406,19 @@ print(json.dumps(out))
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 140), st.integers(0, 40), st.integers(0, 2**32 - 1))
 def test_packed_engine_matches_dense_oracle(n, length, seed):
-    """After random CZs and sign flips the engine's x, z and phase equal the
+    """After random CZs (among them gates on qubits 0 and n-1, and gates
+    applied twice) and sign flips the engine's x, z and phase equal the
     dense oracle's, and ``contains`` agrees with the oracle's elimination,
     for both signs, on generators, generators with one Z bit flipped, the
     identity and Z-only Paulis."""
     rng = np.random.default_rng(seed)
     tab, ref = gs.new_plus_state(n), DenseTableau.plus_state(n)
-    for _ in range(length if n > 1 else 0):
-        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+    gates = [tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+             for _ in range(length if n > 1 else 0)]
+    if n > 1:  # the end qubits, and gates applied again, some reversed
+        gates += [(0, n - 1), (n - 1, 0), (0, n - 1)] + gates[:length // 2]
+        gates += [(b, a) for a, b in gates[:length // 4]]
+    for a, b in gates:
         tab.apply_cphase(a, b)
         ref.apply_cphase(a, b)
     flips = rng.integers(0, 2, n, dtype=np.uint8)

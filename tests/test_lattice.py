@@ -197,6 +197,38 @@ def test_edge_sets_match_reference_lookup(rows, cols, n, periodic):
         assert lattice.interlayer_edges(asg, True) == lattice.interlayer_edges(asg, False)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.booleans())
+def test_partner_table_serves_both_closures_in_either_order(rows, cols, n, first):
+    """One assignment asked for both closures, in either order, gives the
+    edge sets of a fresh assignment and of the oracle each time."""
+    array = lattice.build_hex_array(rows, cols, 1.0)
+    try:
+        asg = lattice.decompose_sublattices(array, n)
+    except ValueError:
+        assume(False)
+    intra = reference_intra_edges(asg)
+    for periodic in (first, not first, first):
+        inter = reference_interlayer_edges(asg, periodic)
+        fresh = lattice.decompose_sublattices(array, n)
+        assert lattice.cluster_edges(asg, periodic) == intra | inter
+        assert lattice.cluster_edges(fresh, periodic) == intra | inter
+        assert lattice.interlayer_edges(asg, periodic) == inter
+        assert lattice.intra_layer_edges(asg) == intra
+        assert list(lattice.cluster_partners(asg, periodic)) == list(
+            lattice.cluster_partners(fresh, int(periodic)))
+
+
+def test_partner_table_is_not_part_of_equality_or_repr():
+    array = lattice.build_hex_array(4, 4, 1.0)
+    used, unused = (lattice.decompose_sublattices(array, 2) for _ in range(2))
+    lattice.cluster_edges(used, periodic=True)
+    lattice.cluster_edges(used, periodic=False)
+    assert used == unused
+    assert repr(used) == repr(unused)
+    assert "_partners" not in repr(used)
+
+
 def test_cluster_interior_degree_six():
     # bulk sites of the 3D cluster touch 4 in-layer + 2 interlayer partners
     arr = lattice.build_hex_array(9, 9, 1.0)

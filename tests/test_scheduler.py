@@ -134,3 +134,22 @@ def test_one_pass_schedule_matches_edge_classifying_oracle(rows, cols, n, period
     got = _rounds_or_error(lambda a, p: scheduler.build_schedule(a, periodic=p).rounds,
                            rows, cols, n, periodic)
     assert got == _rounds_or_error(schedule_rounds, rows, cols, n, periodic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.booleans())
+def test_schedule_after_edges_equals_schedule_alone(rows, cols, n, periodic):
+    """The partner table that cluster_edges leaves on an assignment, for
+    either closure, gives build_schedule the gates it finds on its own."""
+    def schedule(before):
+        asg = lattice.decompose_sublattices(lattice.build_hex_array(rows, cols, 1.0), n)
+        for p in before:
+            lattice.cluster_edges(asg, p)
+        return scheduler.build_schedule(asg, periodic=periodic)
+
+    try:
+        alone = schedule(())
+    except ValueError:
+        return
+    assert schedule((periodic,)) == alone
+    assert schedule((not periodic, periodic)) == alone
