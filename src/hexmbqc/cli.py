@@ -2,18 +2,12 @@
 
 Subcommands map onto the library modules: ``lattice`` and ``schedule``
 build the trap-array geometry and its six-round entangling schedule,
-``verify`` checks a schedule's structure, rebuilds the scheduled graph
-state (one neighbour set per site, so its memory grows with sites plus
-edges and ``lattice.MAX_SITES`` is its only size limit) whenever every
-gate joins two distinct sites of the array, even a schedule that failed
-the structural check, and checks every cluster stabilizer; a rejected
-state's ``verification.json`` names the failing stabilizers (their count
-and the first few by site, layer and in-layer coordinate), while
-``failure`` keeps the structural check's message when there is one.
-``mbqc`` executes a measurement-pattern file,
-``ionize`` evaluates rate/ratio/resonance/irradiance queries, ``electron``
-runs the wavepacket, classical, Mathieu and timescale calculations, and
-``resources`` prints the operation-count arithmetic.
+``verify`` audits a schedule with ``scheduler.audit_rounds`` and reports
+its first fault and its failing cluster stabilizers, ``mbqc`` executes a
+measurement-pattern file, ``ionize`` evaluates rate/ratio/resonance/
+irradiance queries, ``electron`` runs the wavepacket, classical, Mathieu
+and timescale calculations, and ``resources`` prints the operation-count
+arithmetic.
 
 ``_DEFAULTS`` is the one table behind the CLI: it is the schema of the
 config-file blocks, the source of every flag (``--`` + key with ``_`` ->
@@ -36,9 +30,9 @@ Exit codes: 0 success; 1 validation/usage error; 2 physics or
 verification failure (e.g. ``verify`` on a corrupted schedule).
 
 A process imports only what its subcommand runs: ``ionization`` is
-loaded by ``ionize``, ``graphstate`` by ``verify`` and ``mbqc`` by
-``mbqc``; numpy is loaded by ``mbqc`` and ``electron propagate`` only,
-and no subcommand loads scipy.
+loaded by ``ionize`` and ``mbqc`` by ``mbqc``; numpy is loaded by
+``mbqc`` and ``electron propagate`` only, and no subcommand loads
+``graphstate`` or scipy.
 """
 
 from __future__ import annotations
@@ -204,15 +198,18 @@ def _merge(label: str, table: dict, block) -> dict:
     return eff
 
 
+def _read_json(path: str | None):
+    """The JSON document in the file at ``path``; {} for no path or an empty file."""
+    if path is None:
+        return {}
+    with open(path) as fh:
+        return json.loads(fh.read().strip() or "{}")
+
+
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the JSON config file at ``path``, every value
     typed: ``{"seed", "out", command: values or {mode: values}}``."""
-    doc = {}
-    if path is not None:
-        with open(path) as fh:
-            text = fh.read()
-        doc = json.loads(text) if text.strip() else {}
-    return _merge("config", {**_TOP, **_DEFAULTS}, doc)
+    return _merge("config", {**_TOP, **_DEFAULTS}, _read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -275,37 +272,26 @@ def _cmd_schedule(args, eff):
 def _cmd_verify(args, eff):
     rounds = None
     if eff["schedule_file"]:
-        with open(eff["schedule_file"]) as fh:
-            doc = json.load(fh)
+        doc = _read_json(eff["schedule_file"])
         if not isinstance(doc, dict) or "lattice" not in doc:
             raise ValueError("schedule file lacks the lattice block")
         lat = {key: eff[key] for key in _SCHEDULE_LATTICE}
         block = _merge("schedule.lattice", lat, doc["lattice"])
-        for key in _SCHEDULE_LATTICE:  # an explicit flag the file contradicts
-            if getattr(args, key) is not None and block[key] != lat[key]:
-                raise ValueError(f"{_flag(key)} {lat[key]!r} disagrees with the schedule "
+        configured = _read_json(args.config).get("verify", {})
+        for key in _SCHEDULE_LATTICE:  # a flag or config value the file contradicts
+            given = (_flag(key) if getattr(args, key) is not None
+                     else f"config.verify.{key}" if key in configured else None)
+            if given and block[key] != lat[key]:
+                raise ValueError(f"{given} {lat[key]!r} disagrees with the schedule "
                                  f"file's lattice block, where {key} is {block[key]!r}")
         eff = {**eff, **block}
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
     array, assign = _build_assignment(eff)
-    sites = array.site_count()
     if rounds is None:
         rounds = _build_schedule(eff, assign).rounds
-    target = lattice.cluster_edges(assign, periodic=eff["periodic"])
-    failure = scheduler.check_rounds(rounds, target)
-    failing = []
-    if all(a != b and 0 <= a < sites and 0 <= b < sites for rnd in rounds for a, b in rnd):
-        from . import graphstate
-        tab = graphstate.new_plus_state(sites)
-        for rnd in rounds:
-            for a, b in rnd:
-                tab.apply_cphase(a, b)
-        if not graphstate.verify_cluster(tab, target):
-            failing = graphstate.failing_stabilizers(tab, target)
-            failure = failure or "a cluster stabilizer does not hold"
+    failure, failing, edges = scheduler.audit_rounds(rounds, assign, eff["periodic"])
     doc = {"schema_version": 1, "verified": failure is None,
-           "sites": sites, "rounds": len(rounds),
-           "target_edges": len(target)}
+           "sites": array.site_count(), "rounds": len(rounds), "target_edges": edges}
     if failure is not None:
         doc["failure"] = failure
     if failing:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["StabilizerTableau", "new_plus_state", "verify_cluster", "failing_stabilizers"]
+__all__ = ["StabilizerTableau", "new_plus_state", "verify_cluster"]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -130,11 +130,3 @@ def verify_cluster(tableau: StabilizerTableau, edges: Iterable[tuple[int, int]])
     """True iff every K_a = X_a prod_{b~a} Z_b stabilizes the state with + sign."""
     nbrs = _target_neighbours(tableau.n, edges)
     return all(tableau.contains(a, nbrs[a]) for a in range(tableau.n))
-
-
-def failing_stabilizers(tableau: StabilizerTableau,
-                        edges: Iterable[tuple[int, int]]) -> list[int]:
-    """The sites a, in increasing order, whose K_a does not stabilize the
-    state with + sign; empty iff ``verify_cluster`` is True."""
-    nbrs = _target_neighbours(tableau.n, edges)
-    return [a for a in range(tableau.n) if not tableau.contains(a, nbrs[a])]

@@ -10,9 +10,9 @@ the same round.  Six rounds always suffice, independent of array size:
                  even).
 
 Each round is a matching by construction, so the schedule depth is a
-constant 6 and preparation time is size-independent.  This module only
-assigns rounds: which sites are partners is ``lattice.cluster_partners``'s
-to say.
+constant 6 and preparation time is size-independent.  This module assigns
+the rounds and audits any schedule against the cluster; which sites are
+partners is ``lattice.cluster_partners``'s to say.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .lattice import LayerAssignment, cluster_partners
 
-__all__ = ["GateSchedule", "build_schedule", "check_rounds", "prep_time", "schedule_report",
+__all__ = ["GateSchedule", "audit_rounds", "build_schedule", "prep_time", "schedule_report",
            "schedule_csv_rows"]
 
 ROUND_NAMES = (
@@ -86,33 +86,55 @@ def build_schedule(
     )
 
 
-def check_rounds(rounds, target: set[tuple[int, int]]) -> str | None:
-    """None if ``rounds`` is a valid schedule of the edge set ``target``.
+def audit_rounds(rounds, assign: LayerAssignment, periodic: bool = False
+                 ) -> tuple[str | None, list[int], int]:
+    """Check ``rounds`` against the cluster of ``assign`` in one pass over
+    its partner table: ``(failure, failing, target_edges)``.
 
-    Valid means exactly six rounds, each round site-disjoint, no gate
-    listed twice, and the gates together exactly ``target`` (sorted pairs).
-    Otherwise the first fault found, naming its round and ion or gate.
+    ``failure`` is None if six site-disjoint rounds list each cluster edge
+    once and nothing else, else the first fault by round and ion or gate.
+    ``failing`` is the sorted sites whose K_a fails on the graph state of
+    the gates applied an odd number of times (CZs on |+>^n commute and undo
+    themselves): the ends of the edges where that graph and the cluster
+    differ, or none if a gate leaves the array or joins a site to itself.
     """
-    if len(rounds) != len(ROUND_NAMES):
-        return f"{len(rounds)} rounds, expected {len(ROUND_NAMES)}"
-    seen: set[tuple[int, int]] = set()
-    for k, (name, rnd) in enumerate(zip(ROUND_NAMES, rounds), start=1):
-        busy: set[int] = set()
+    table = list(cluster_partners(assign, periodic))
+    sites = len(table)
+    # slot 3 s + j of (s, u, v, up): 0 unapplied, 1 odd count or no partner, 2 even
+    applied = bytearray(t is None for row in table for t in row[1:])
+    edges = len(applied) - applied.count(1)
+    stamp, odd = [0] * sites, set()  # each ion's last round; off-cluster gates
+    failure = (None if len(rounds) == len(ROUND_NAMES)
+               else f"{len(rounds)} rounds, expected {len(ROUND_NAMES)}")
+    simple = True  # every gate joins two distinct sites of the array
+    for k, rnd in enumerate(rounds, start=1):
+        where = f"round {k} ({ROUND_NAMES[k - 1]})" if failure is None else None
         for a, b in rnd:
-            gate = (min(a, b), max(a, b))
-            if gate in seen:
-                return f"round {k} ({name}): gate {list(gate)} listed twice"
-            if gate not in target:
-                return f"round {k} ({name}): gate {list(gate)} is not a cluster edge"
-            for ion in gate:
-                if ion in busy:
-                    return f"round {k} ({name}): ion {ion} is in two gates"
-                busy.add(ion)
-            seen.add(gate)
-    missing = sorted(target - seen)
-    if missing:
-        return f"cluster edge {list(missing[0])} is in no round ({len(missing)} missing)"
-    return None
+            if a > b:
+                a, b = b, a
+            on = 0 <= a and b < sites  # both ends on the array
+            _, u, v, up = table[a] if on else (None,) * 4
+            slot = (3 * a if b == u else 3 * a + 1 if b == v else 3 * a + 2 if b == up
+                    else 3 * b + 2 if on and table[b][3] == a else -1)
+            if slot < 0:
+                failure = failure or f"{where}: gate {[a, b]} is not a cluster edge"
+                simple = simple and on and a != b
+                odd ^= {(a, b)}
+                continue
+            if failure is None:
+                if applied[slot]:
+                    failure = f"{where}: gate {[a, b]} listed twice"
+                elif k in (stamp[a], stamp[b]):
+                    failure = f"{where}: ion {a if stamp[a] == k else b} is in two gates"
+                stamp[a] = stamp[b] = k
+            applied[slot] = 2 if applied[slot] == 1 else 1
+    differ = [(i // 3, table[i // 3][i % 3 + 1], count)
+              for i, count in enumerate(applied) if count != 1]
+    missing = [(min(s, t), max(s, t)) for s, t, count in differ if not count]
+    ends = {q for gate in odd for q in gate} | {q for s, t, _ in differ for q in (s, t)}
+    if failure is None and missing:
+        failure = f"cluster edge {list(min(missing))} is in no round ({len(missing)} missing)"
+    return failure, sorted(ends) if simple else [], edges
 
 
 def prep_time(schedule: GateSchedule) -> float:

@@ -12,6 +12,8 @@ the 3D cluster's edge sets found by coordinate lookup, apart from the
 lattice's ``cluster_partners``; ``schedule_rounds`` is the six-round
 schedule found by classifying each of those edges by its endpoints' layer
 coordinates, and ``edge_union`` the gates of a schedule as one set.
+``check_rounds`` is the schedule's structural check written over edge
+sets, the reference for ``scheduler.audit_rounds``' fault messages.
 ``packet_psi`` and ``packet_moments`` read the grid amplitudes, norm, mean
 position and widths of a product wavepacket from its two factors.
 """
@@ -23,6 +25,8 @@ from collections import deque
 from collections.abc import Iterable
 
 import numpy as np
+
+from hexmbqc.scheduler import ROUND_NAMES
 
 _PAULI_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -307,6 +311,35 @@ def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, in
 def edge_union(schedule) -> set[tuple[int, int]]:
     """Every gate of ``schedule``, in one set."""
     return {e for rnd in schedule.rounds for e in rnd}
+
+
+def check_rounds(rounds, target: set[tuple[int, int]]) -> str | None:
+    """None if ``rounds`` is a valid schedule of the edge set ``target``.
+
+    Valid means exactly six rounds, each round site-disjoint, no gate
+    listed twice, and the gates together exactly ``target`` (sorted pairs).
+    Otherwise the first fault found, naming its round and ion or gate.
+    """
+    if len(rounds) != len(ROUND_NAMES):
+        return f"{len(rounds)} rounds, expected {len(ROUND_NAMES)}"
+    seen: set[tuple[int, int]] = set()
+    for k, (name, rnd) in enumerate(zip(ROUND_NAMES, rounds), start=1):
+        busy: set[int] = set()
+        for a, b in rnd:
+            gate = (min(a, b), max(a, b))
+            if gate in seen:
+                return f"round {k} ({name}): gate {list(gate)} listed twice"
+            if gate not in target:
+                return f"round {k} ({name}): gate {list(gate)} is not a cluster edge"
+            for ion in gate:
+                if ion in busy:
+                    return f"round {k} ({name}): ion {ion} is in two gates"
+                busy.add(ion)
+            seen.add(gate)
+    missing = sorted(target - seen)
+    if missing:
+        return f"cluster edge {list(missing[0])} is in no round ({len(missing)} missing)"
+    return None
 
 
 def channel_distance(array, a: int, b: int) -> float:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import pauli_expectation, statevector_oracle
+from oracles import check_rounds, pauli_expectation, statevector_oracle
 
-from hexmbqc import cli, lattice, mbqc, resources, scheduler
+from hexmbqc import cli, lattice, mbqc, resources
 
 CHAIN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4)]
 
@@ -75,7 +75,7 @@ def test_only_ionize_loads_the_ionization_module(tmp_path):
     argvs = [["lattice"], ["verify"], ["electron", "timescale"], ["resources"]]
     codes, modules = _modules_after(argvs, tmp_path)
     assert codes == [0] * len(argvs)
-    assert "hexmbqc.graphstate" in modules and "hexmbqc.ionization" not in modules
+    assert "hexmbqc.graphstate" not in modules and "hexmbqc.ionization" not in modules
     _, modules = _modules_after(argvs + [["ionize", "quadrupole"]], tmp_path)
     assert "hexmbqc.ionization" in modules
 
@@ -433,6 +433,23 @@ def test_verify_110448_sites_under_a_2_gb_address_space_cap(tmp_path):
     assert (doc["verified"], doc["sites"]) == (True, 110_448)
 
 
+def test_verify_300x300_n3_under_a_400_mb_address_space_cap(tmp_path):
+    # 181 200 sites: the audit keeps one byte per partner slot and one round
+    # stamp per ion, so the lattice and the schedule set the peak
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 * 10**6, 400 * 10**6))\n"
+            "from hexmbqc import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--rows", "300", "--cols", "300",
+         "--n", "3", "--out", str(out)],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads((out / "verification.json").read_text())
+    assert (doc["verified"], doc["sites"]) == (True, 181_200)
+
+
 def test_momentum_past_nyquist_exits_1_without_numpy_warnings(tmp_path):
     # k0 is infinite at --v0 1e308: the check runs before the packet is built
     cfg = tmp_path / "cfg.json"
@@ -637,7 +654,7 @@ def _corrupt_2x2(doc, corruption):
 def test_verify_names_the_failing_stabilizers(tmp_path, capsys, corruption):
     """verify names the K_a that fail, which are the edited gate's endpoints
     and the ones the statevector oracle finds with expectation below 1;
-    ``failure`` stays the structural check's message."""
+    ``failure`` is the edge-set oracle's message."""
     run(capsys, "schedule", "--rows", "2", "--cols", "2", "--n", "2", "--out", str(tmp_path))
     doc = json.loads((tmp_path / "schedule.json").read_text())
     gate = _corrupt_2x2(doc, corruption)
@@ -646,7 +663,7 @@ def test_verify_names_the_failing_stabilizers(tmp_path, capsys, corruption):
     assign = lattice.decompose_sublattices(lattice.build_hex_array(2, 2, 1.0), 2)
     target = lattice.cluster_edges(assign)
     assert (code, ver["verified"], ver["sites"]) == (2, False, 16)
-    assert ver["failure"] == scheduler.check_rounds(doc["rounds"], target)
+    assert ver["failure"] == check_rounds(doc["rounds"], target)
     named = ver["failing_stabilizers"]
     assert named["count"] == 2
     assert named["first"] == [{"site": s, "layer": assign.layer_of[s],
@@ -720,26 +737,35 @@ def test_malformed_pattern_exits_1(tmp_path, capsys, case):
     assert message in err
 
 
-@pytest.mark.parametrize("flags, named", [
-    (("--rows", "9", "--cols", "9"), "--rows 9 disagrees with the schedule file's lattice "
-                                     "block, where rows is 4"),
-    (("--n", "1"), "--n 1 disagrees"),
-    (("--d", "2.5"), "--d 2.5 disagrees"),
-    (("--periodic",), "--periodic True disagrees"),
-], ids=["rows-cols", "n", "d", "periodic"])
-def test_verify_flag_contradicting_the_schedule_file_exits_1(tmp_path, capsys, flags, named):
+@pytest.mark.parametrize("flags, config, named", [
+    (("--rows", "9", "--cols", "9"), None, "--rows 9 disagrees with the schedule file's "
+                                           "lattice block, where rows is 4"),
+    (("--n", "1"), None, "--n 1 disagrees"),
+    (("--d", "2.5"), None, "--d 2.5 disagrees"),
+    (("--periodic",), None, "--periodic True disagrees"),
+    ((), {"rows": 9, "cols": 9}, "config.verify.rows 9 disagrees with the schedule file's "
+                                 "lattice block, where rows is 4"),
+], ids=["rows-cols", "n", "d", "periodic", "config-rows-cols"])
+def test_verify_flag_contradicting_the_schedule_file_exits_1(tmp_path, capsys, flags, config,
+                                                             named):
     run(capsys, "schedule", "--rows", "4", "--cols", "4", "--n", "2", "--out", str(tmp_path))
     path = str(tmp_path / "schedule.json")
+    if config:
+        (tmp_path / "cfg.json").write_text(json.dumps({"verify": config}))
+        flags += ("--config", str(tmp_path / "cfg.json"))
     code, out, err = run(capsys, "verify", "--schedule", path, *flags,
                          "--out", str(tmp_path / "ver"))
     assert (code, out) == (1, "")
     assert named in err
     assert not (tmp_path / "ver").exists()
-    # flags that agree with the file pass
+    # flags, and config values, that agree with the file pass
     code, out, _ = run(capsys, "verify", "--schedule", path, "--rows", "4", "--cols", "4",
                        "--n", "2", "--d", "1.0", "--no-periodic", "--out", str(tmp_path / "ok"))
-    assert code == 0
-    assert json.loads(out)["sites"] == 48
+    assert (code, json.loads(out)["sites"]) == (0, 48)
+    code, out, _ = _with_config(tmp_path, capsys, {"verify": {
+        "rows": 4, "cols": 4, "n": 2, "d": 1.0, "periodic": False}},
+        "verify", "--schedule", path, "--out", str(tmp_path / "ok"))
+    assert (code, json.loads(out)["sites"]) == (0, 48)
 
 
 def test_electron_propagate_config_with_bad_sigma_v_and_sigma0_exits_1(tmp_path, capsys):

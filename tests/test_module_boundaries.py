@@ -61,6 +61,20 @@ def test_only_mbqc_imports_numpy_at_module_level():
     assert users == ["mbqc.py"]
 
 
+def test_no_module_imports_graphstate():
+    # verify audits schedules on the partner table; the tableau stays only
+    # for the benchmark and the tests, so no module may come to need it
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                base = getattr(node, "module", None) or ""
+                names = [f"{base}.{alias.name}" for alias in node.names]
+                if any("graphstate" in name.split(".") for name in names):
+                    importers.add(path.name)
+    assert importers == set()
+
+
 def _library_defaults() -> dict:
     """{CLI key: library default} over the fields and parameters the CLI's
     handlers pass through.  ``TrapConfig.mass`` is left out: it is the

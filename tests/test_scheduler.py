@@ -1,12 +1,13 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexmbqc import lattice, scheduler
-from oracles import edge_union, schedule_rounds
+from hexmbqc import graphstate, lattice, scheduler
+from oracles import check_rounds, edge_union, schedule_rounds
 
 
 def make_assignment(rows=4, cols=4, n=2):
@@ -26,8 +27,7 @@ def test_six_disjoint_rounds_cover_cluster(n, periodic):
     assert edge_union(sched) == lattice.cluster_edges(asg, periodic=periodic)
     total = sum(len(r) for r in sched.rounds)
     assert total == len(edge_union(sched))  # no edge scheduled twice
-    assert scheduler.check_rounds(sched.rounds,
-                                  lattice.cluster_edges(asg, periodic=periodic)) is None
+    assert scheduler.audit_rounds(sched.rounds, asg, periodic) == (None, [], total)
 
 
 def test_rounds_split_intra_then_inter():
@@ -56,11 +56,15 @@ def test_prep_time_past_float_range_is_inf():
     assert scheduler.prep_time(sched) == math.inf
 
 
-def test_check_rounds_names_each_fault():
+def test_audit_names_each_fault():
     asg = make_assignment()
-    target = lattice.cluster_edges(asg)
     r = [list(rnd) for rnd in scheduler.build_schedule(asg).rounds]
     (a, b), (c, d) = r[0][0], r[2][0]
+    # an interlayer edge found from its larger end, and a gate found later
+    # in site order whose smaller end lies between its ends
+    low = next((up, s) for s, _, _, up in lattice.cluster_partners(asg)
+               if up is not None and up < s)
+    later = next(g for rnd in r for g in rnd if low[0] < g[0] < low[1])
     faults = {
         "7 rounds, expected 6": r + [[]],
         "round 5 (inter-odd-layer): gate [%d, %d] listed twice" % (a, b):
@@ -70,9 +74,94 @@ def test_check_rounds_names_each_fault():
         "round 1 (intra-u-even): ion": [r[0] + r[2]] + r[1:2] + [[]] + r[3:],
         "cluster edge [%d, %d] is in no round (1 missing)" % (c, d):
             r[:2] + [r[2][1:]] + r[3:],
+        "cluster edge [%d, %d] is in no round (2 missing)" % low:
+            [[g for g in rnd if g not in (low, later)] for rnd in r],
     }
     for expected, rounds in faults.items():
-        assert scheduler.check_rounds(rounds, target).startswith(expected)
+        assert scheduler.audit_rounds(rounds, asg)[0].startswith(expected)
+
+
+FAULTS = ("expected 6", "listed twice", "not a cluster edge", "in two gates", "in no round")
+
+
+def _edit(rng, rounds, sites, target):
+    """Apply one random edit to the mutable schedule ``rounds``."""
+    gates = [(k, i) for k, rnd in enumerate(rounds) for i in range(len(rnd))]
+    k = rng.randrange(len(rounds))
+    a = rng.randrange(sites)
+    kind = rng.choice(["dropped", "repeated", "off-cluster", "off-array", "self-loop",
+                       "reversed", "moved", "merged", "seventh round"])
+    if kind in ("dropped", "repeated", "reversed", "moved") and gates:
+        j, i = rng.choice(gates)
+        gate = rounds[j][i]
+        if kind == "reversed":
+            rounds[j][i] = gate[::-1]
+        if kind in ("dropped", "moved"):
+            del rounds[j][i]
+        if kind in ("repeated", "moved"):
+            rounds[k].insert(rng.randrange(len(rounds[k]) + 1), gate)
+    elif kind == "off-cluster" and sites > 2:
+        b = rng.choice([b for b in range(sites) if b != a and (min(a, b), max(a, b))
+                        not in target] or [a])
+        rounds[k].append((a, b) if rng.random() < 0.5 else (b, a))
+    elif kind == "off-array":
+        rounds[k].append(rng.choice([(a, sites + rng.randrange(3)), (-1 - rng.randrange(3), a)]))
+    elif kind == "self-loop":
+        rounds[k].insert(rng.randrange(len(rounds[k]) + 1), (a, a))
+    elif kind == "merged" and len(rounds) > 1:
+        j = rng.choice([j for j in range(len(rounds)) if j != k])
+        rounds[k] += rounds[j]
+        rounds[j] = []
+        if rng.random() < 0.5:
+            del rounds[j]
+    elif kind == "seventh round":
+        rounds.append([rounds[j][i] for j, i in rng.sample(gates, min(len(gates), 2))])
+
+
+def test_audit_matches_edge_set_and_tableau_oracles():
+    """On 2 000 seeded schedules, each with up to three edits (a dropped,
+    repeated, off-cluster, off-array, self-loop, reversed or moved gate,
+    two merged rounds, a seventh round), the audit's fault is the oracle's,
+    its failing sites are those whose K_a the tableau refuses after the
+    gates, and it counts the cluster edges."""
+    rng = random.Random(16)
+    cache, kinds, failing, checked = {}, set(), 0, 0
+    while checked < 2000:
+        rows, cols, n, periodic = (rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3),
+                                   rng.random() < 0.5)
+        key = (rows, cols, n, periodic)
+        if key not in cache:
+            try:
+                asg = lattice.decompose_sublattices(lattice.build_hex_array(rows, cols, 1.0), n)
+            except ValueError:  # no full elementary cell
+                cache[key] = None
+                continue
+            target = lattice.cluster_edges(asg, periodic)
+            nbrs = [set() for _ in asg.layer_of]
+            for a, b in target:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            cache[key] = asg, target, nbrs, scheduler.build_schedule(asg, periodic=periodic)
+        if cache[key] is None:
+            continue
+        asg, target, nbrs, sched = cache[key]
+        sites = len(nbrs)
+        rounds = [list(rnd) for rnd in sched.rounds]
+        for _ in range(rng.randint(0, 3)):
+            _edit(rng, rounds, sites, target)
+        want = []
+        if all(a != b and 0 <= min(a, b) and max(a, b) < sites for rnd in rounds for a, b in rnd):
+            tab = graphstate.new_plus_state(sites)
+            for rnd in rounds:
+                for a, b in rnd:
+                    tab.apply_cphase(a, b)
+            want = [a for a in range(sites) if not tab.contains(a, nbrs[a])]
+        fault = check_rounds(rounds, target)
+        assert scheduler.audit_rounds(rounds, asg, periodic) == (fault, want, len(target))
+        kinds.add(fault and next(kind for kind in FAULTS if kind in fault))
+        failing += bool(want)
+        checked += 1
+    assert kinds == {*FAULTS, None} and failing > 400
 
 
 def test_build_validation():
