@@ -297,7 +297,7 @@ def _cmd_verify(args, eff):
     if failing:
         doc["failing_stabilizers"] = {
             "count": len(failing),
-            "first": [{"site": s, "layer": assign.layer_of[s], "coord": list(assign.coord_of[s])}
+            "first": [{"site": s, "layer": assign.layer(s), "coord": list(assign.coord(s))}
                       for s in failing[:MAX_NAMED_STABILIZERS]]}
     return doc, {"verification.json": doc}, EXIT_OK if failure is None else EXIT_PHYSICS
 

@@ -17,7 +17,10 @@ in-layer spacing is ``sqrt(3) * n * d``.
 A ``HexArray`` holds the per-site fields the preparation path reads, and
 only those: ``keys`` (id -> triangular coordinate) and ``index`` (the
 inverse).  ``HexArray.position`` computes a site's Cartesian coordinates
-when asked; trap-channel adjacency is not stored.
+when asked; trap-channel adjacency is not stored.  Likewise a
+``LayerAssignment`` stores nothing per site: ``layer`` and ``coord`` read a
+site's layer and in-layer coordinate off its key, since the layers are the
+cosets ``(f, i mod n, j mod n)``.
 
 ``cluster_partners`` alone knows the 3D cluster's neighbour rule (each
 site's u, v and next-layer partner) and computes its partner table once per
@@ -64,12 +67,15 @@ class HexArray:
     rows: int
     cols: int
     d: float
-    sites: tuple[int, ...]
     keys: tuple[tuple[int, int, int], ...]
     index: dict[tuple[int, int, int], int] = field(repr=False)
 
+    @property
+    def sites(self) -> range:
+        return range(len(self.keys))
+
     def site_count(self) -> int:
-        return len(self.sites)
+        return len(self.keys)
 
     def position(self, s: int) -> tuple[float, float]:
         """Cartesian (x, y) of site ``s`` in meters: i*T1 + j*T2 + f*delta."""
@@ -83,20 +89,31 @@ class HexArray:
 class LayerAssignment:
     """Partition of a HexArray into 2 n**2 rhombic layers.
 
-    ``layer_of`` maps site id -> layer in 1..layer_count, ``coord_of``
-    maps site id -> integer in-layer (a, b) coordinate along the layer's
-    two primitive directions.
+    Site ``(f, i, j)`` lies in layer ``2 k + 1 + f``, where ``k`` is the
+    serpentine position of its coset ``(i mod n, j mod n)``, at in-layer
+    coordinate ``(i // n, j // n)``.
     """
 
     array: HexArray
     n: int
     layer_count: int
-    layer_of: dict[int, int]
-    coord_of: dict[int, tuple[int, int]]
     # layer -> (family, (p, q)) coset labels, index 0 unused
     layer_labels: tuple[tuple[int, tuple[int, int]] | None, ...] = field(repr=False)
     # bool(periodic) -> cluster_partners' list of (s, u, v, up), made on first use
     _partners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def layer(self, s: int) -> int:
+        """Layer of site ``s``, in 1..layer_count."""
+        f, i, j = self.array.keys[s]
+        n = self.n
+        p, q = i % n, j % n
+        return 2 * (p * n + (q if p % 2 == 0 else n - 1 - q)) + 1 + f
+
+    def coord(self, s: int) -> tuple[int, int]:
+        """Integer in-layer (a, b) coordinate of site ``s`` along the layer's
+        two primitive directions."""
+        _, i, j = self.array.keys[s]
+        return i // self.n, j // self.n
 
 
 def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
@@ -122,7 +139,7 @@ def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
     keys = tuple((f, i, j) for f in (0, 1) for i in range(cols + 1)
                  for j in range(0 if (f, i) == (0, 0) else -1,
                                 rows - 1 if (f, i) == (1, cols) else rows))
-    return HexArray(rows=rows, cols=cols, d=d, sites=tuple(range(len(keys))), keys=keys,
+    return HexArray(rows=rows, cols=cols, d=d, keys=keys,
                     index={k: s for s, k in enumerate(keys)})
 
 
@@ -148,42 +165,21 @@ def decompose_sublattices(array: HexArray, n: int) -> LayerAssignment:
         raise ValueError(f"cell scale n must be >= 1, got {n}")
 
     # The array must contain at least one full elementary cell: an n x n
-    # block of (i, j) offsets present for both families.
-    imin = min(k[1] for k in array.keys)
-    imax = max(k[1] for k in array.keys)
-    jmin = min(k[2] for k in array.keys)
-    jmax = max(k[2] for k in array.keys)
-    if not any(all((f, i0 + p, j0 + q) in array.index
-                   for f in (0, 1) for p in range(n) for q in range(n))
-               for i0 in range(imin, imax - n + 2) for j0 in range(jmin, jmax - n + 2)):
+    # block of (i, j) offsets present for both families.  The keys fill
+    # 0 <= i <= cols, -1 <= j < rows less A(0, -1) and B(cols, rows-1), so
+    # the block fits if it is at most cols x rows, or spans all cols+1
+    # columns but misses both end rows, or all rows+1 rows but both end columns.
+    rows, cols = array.rows, array.cols
+    if not ((n <= cols - 1 and n <= rows + 1) or (n <= cols and n <= rows)
+            or (n <= cols + 1 and n <= rows - 1)):
         raise ValueError(
             f"array of {array.site_count()} sites holds no full elementary "
             f"cell for n={n}; increase rows/cols"
         )
 
-    cosets = _serpentine(n)
-    layer_index: dict[tuple[int, int, int], int] = {}
-    labels: list[tuple[int, tuple[int, int]] | None] = [None]
-    for k, (p, q) in enumerate(cosets):
-        for f in (0, 1):
-            layer_index[(f, p, q)] = 2 * k + 1 + f
-            labels.append((f, (p, q)))
-
-    layer_of: dict[int, int] = {}
-    coord_of: dict[int, tuple[int, int]] = {}
-    for s, (f, i, j) in enumerate(array.keys):
-        p, q = i % n, j % n
-        layer_of[s] = layer_index[(f, p, q)]
-        coord_of[s] = (i // n, j // n)
-
-    return LayerAssignment(
-        array=array,
-        n=n,
-        layer_count=2 * n * n,
-        layer_of=layer_of,
-        coord_of=coord_of,
-        layer_labels=tuple(labels),
-    )
+    labels = [None] + [(f, pq) for pq in _serpentine(n) for f in (0, 1)]
+    return LayerAssignment(array=array, n=n, layer_count=2 * n * n,
+                           layer_labels=tuple(labels))
 
 
 def _layer_shift(assign: LayerAssignment, layer: int) -> tuple[int, int, int]:
@@ -217,15 +213,17 @@ def cluster_partners(assign: LayerAssignment, periodic: bool = False
     table = assign._partners.get(bool(periodic))
     if table is None:
         array, n, count = assign.array, assign.n, assign.layer_count
-        index, layer_of = array.index, assign.layer_of
+        index = array.index
         last = count if periodic and count > 2 else count - 1
-        shift = {ell: _layer_shift(assign, ell) for ell in range(1, last + 1)}
+        # step to the next layer, keyed by each layer's coset (f, p, q)
+        shift = {(f, p, q): _layer_shift(assign, ell)
+                 for ell, (f, (p, q)) in enumerate(assign.layer_labels[1:last + 1], start=1)}
         # a layer with no next layer looks up family None, which no site has
         table = assign._partners[bool(periodic)] = [
             (s, index.get((f, i + n, j)), index.get((f, i, j + n)),
              index.get((f1, i + di, j + dj)))
             for s, (f, i, j) in enumerate(array.keys)
-            for f1, di, dj in (shift.get(layer_of[s], (None, 0, 0)),)]
+            for f1, di, dj in (shift.get((f, i % n, j % n), (None, 0, 0)),)]
     return iter(table)
 
 
@@ -264,8 +262,8 @@ def assignment_report(assign: LayerAssignment) -> dict:
                 "family": f,
                 "tri_i": i,
                 "tri_j": j,
-                "layer": assign.layer_of[s],
-                "coord": list(assign.coord_of[s]),
+                "layer": assign.layer(s),
+                "coord": list(assign.coord(s)),
             }
         )
     return {

@@ -16,14 +16,7 @@ onto the next qubit, which fixes every byproduct rule below.
 
 Byproduct corrections are recorded, not applied: each correction is a
 Pauli (X or Z) on an output qubit raised to the XOR of a domain of
-outcome bits.  ``apply_byproduct`` undoes them when a corrected state is
-wanted.
-
-The five-qubit linear cluster implements an arbitrary Euler rotation:
-measuring qubits 0..3 of the chain 0-1-2-3-4 at nominal angles
-(a0, a1, a2, a3) with s_j = m_{j-1} and t_j = m_{j-2} leaves qubit 4 in
-
-    X**m3 Z**m2  Rx(-a3) Rz(-a2) Rx(-a1) Rz(-a0) |psi>.
+outcome bits.
 
 Capped at 20 qubits; exact within floating point.
 """
@@ -42,9 +35,6 @@ __all__ = [
     "MeasurementPattern",
     "PatternResult",
     "run_pattern",
-    "apply_byproduct",
-    "linear_cluster_gate",
-    "euler_unitary",
     "pattern_from_dict",
     "pattern_to_dict",
 ]
@@ -244,74 +234,6 @@ def run_pattern(
         outputs=pattern.outputs,
         byproduct_x=bx,
         byproduct_z=bz,
-    )
-
-
-def apply_byproduct(result: PatternResult) -> np.ndarray:
-    """Undo the recorded byproduct Paulis on the residual state."""
-    k = len(result.outputs)
-    psi = result.state.reshape((2,) * k) if k else result.state
-    for pos, q in enumerate(result.outputs):
-        if result.byproduct_z.get(q, 0):
-            sl = [slice(None)] * k
-            sl[pos] = 1
-            psi = psi.copy()
-            psi[tuple(sl)] *= -1.0
-        if result.byproduct_x.get(q, 0):
-            psi = np.flip(psi, axis=pos)
-    return psi.reshape(-1)
-
-
-def euler_unitary(angles: tuple[float, float, float, float]) -> np.ndarray:
-    """Rx(-a3) Rz(-a2) Rx(-a1) Rz(-a0): the gate realized by the 5-qubit chain."""
-    a0, a1, a2, a3 = angles
-
-    def rz(t):
-        return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * t)]], dtype=np.complex128)
-
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-    rx = lambda t: h @ rz(t) @ h
-    return rx(-a3) @ rz(-a2) @ rx(-a1) @ rz(-a0)
-
-
-def linear_cluster_pattern(angles: tuple[float, float, float, float]) -> MeasurementPattern:
-    """Pattern for the 5-qubit chain gate with standard feedforward."""
-    steps = []
-    for j, a in enumerate(angles):
-        s_dom = frozenset({j - 1}) if j >= 1 else frozenset()
-        t_dom = frozenset({j - 2}) if j >= 2 else frozenset()
-        steps.append(MeasurementStep(qubit=j, angle=a, s_domain=s_dom, t_domain=t_dom))
-    return MeasurementPattern(
-        steps=tuple(steps),
-        outputs=(4,),
-        corrections=(
-            Correction(qubit=4, kind="X", domain=frozenset({3})),
-            Correction(qubit=4, kind="Z", domain=frozenset({2})),
-        ),
-    )
-
-
-def linear_cluster_gate(
-    angles: tuple[float, float, float, float],
-    input_state: np.ndarray,
-    rng: np.random.Generator | None = None,
-    forced_outcomes: list[int] | None = None,
-) -> PatternResult:
-    """Run the universal single-qubit gate on the 5-qubit linear cluster.
-
-    After undoing the recorded byproduct, the residual equals
-    ``euler_unitary(angles) @ input_state`` up to global phase, on every
-    outcome branch.
-    """
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    return run_pattern(
-        5,
-        edges,
-        linear_cluster_pattern(angles),
-        input_state=np.asarray(input_state, dtype=np.complex128),
-        input_qubits=(0,),
-        rng=rng,
-        forced_outcomes=forced_outcomes,
     )
 
 

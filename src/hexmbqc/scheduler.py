@@ -5,9 +5,11 @@ the same round.  Six rounds always suffice, independent of array size:
 
     rounds 1-4:  in-layer edges, split by primitive direction (u or v)
                  and by the parity of the source coordinate along it;
-    rounds 5-6:  interlayer edges, split by source-layer parity (round 6
-                 carries the periodic wrap, whose source layer 2 n**2 is
-                 even).
+    rounds 5-6:  interlayer edges, split by the source site's family: a
+                 layer's parity is its family's (layer 2k + 1 + f), so
+                 round 5 takes the family-A sources and round 6 the
+                 family-B ones, the periodic wrap's included (its source
+                 layer 2 n**2 is family B).
 
 Each round is a matching by construction, so the schedule depth is a
 constant 6 and preparation time is size-independent.  This module assigns
@@ -62,18 +64,18 @@ def build_schedule(
 
     # One pass over the lattice's partners in ascending site id.  The u and v
     # partners have larger ids, so rounds 1-4 come out sorted; the next-layer
-    # partner may not, so rounds 5-6 are sorted at the end.  The source layer
-    # is the site's own, the wrap's too (2 n**2, even).
-    coord_of, layer_of = assign.coord_of, assign.layer_of
+    # partner may not, so rounds 5-6 are sorted at the end.  The source is the
+    # site itself, for the wrap too, and its key gives its in-layer coordinate
+    # (i // n, j // n) and its family f.
+    n = assign.n
     rounds: list[list[tuple[int, int]]] = [[] for _ in range(6)]
-    for s, u, v, up in cluster_partners(assign, periodic):
-        a, b = coord_of[s]  # (i // n, j // n)
+    for (s, u, v, up), (f, i, j) in zip(cluster_partners(assign, periodic), assign.array.keys):
         if u is not None:  # u step: parity of the source coordinate
-            rounds[a % 2].append((s, u))
+            rounds[i // n % 2].append((s, u))
         if v is not None:  # v step
-            rounds[2 + b % 2].append((s, v))
+            rounds[2 + j // n % 2].append((s, v))
         if up is not None:
-            rounds[5 - layer_of[s] % 2].append((s, up) if s < up else (up, s))
+            rounds[4 + f].append((s, up) if s < up else (up, s))
     rounds[4].sort()
     rounds[5].sort()
 

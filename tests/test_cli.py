@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import check_rounds, pauli_expectation, statevector_oracle
+from oracles import (check_rounds, linear_cluster_pattern, pauli_expectation, reference_layers,
+                     statevector_oracle)
 
 from hexmbqc import cli, lattice, mbqc, resources
 
@@ -217,7 +218,7 @@ def test_duration_parser():
 
 
 def test_mbqc_deterministic_runs(tmp_path, capsys):
-    pat = mbqc.linear_cluster_pattern((0.3, -0.7, 1.1, 0.2))
+    pat = linear_cluster_pattern((0.3, -0.7, 1.1, 0.2))
     doc = mbqc.pattern_to_dict(5, CHAIN_EDGES, pat)
     pfile = tmp_path / "pattern.json"
     pfile.write_text(json.dumps(doc))
@@ -666,8 +667,9 @@ def test_verify_names_the_failing_stabilizers(tmp_path, capsys, corruption):
     assert ver["failure"] == check_rounds(doc["rounds"], target)
     named = ver["failing_stabilizers"]
     assert named["count"] == 2
-    assert named["first"] == [{"site": s, "layer": assign.layer_of[s],
-                               "coord": list(assign.coord_of[s])} for s in sorted(gate)]
+    layers = reference_layers(assign)
+    assert named["first"] == [{"site": s, "layer": layers[s], "coord": list(assign.coord(s))}
+                              for s in sorted(gate)]
     psi = statevector_oracle([g for rnd in doc["rounds"] for g in rnd], 16)
     nbrs = {a: sorted({b for e in target if a in e for b in e} - {a}) for a in range(16)}
     oracle = [a for a in range(16) if pauli_expectation(psi, [a], nbrs[a]) < 1 - 1e-9]
@@ -697,7 +699,7 @@ def test_verify_with_a_gate_off_the_array_names_no_stabilizer(tmp_path, capsys, 
 # --- pattern and schedule documents are validated at the boundary ----------
 
 def _chain_doc():
-    pat = mbqc.linear_cluster_pattern((0.3, -0.7, 1.1, 0.2))
+    pat = linear_cluster_pattern((0.3, -0.7, 1.1, 0.2))
     doc = mbqc.pattern_to_dict(5, CHAIN_EDGES, pat)
     doc["input"] = {"qubits": [0], "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}
     return doc

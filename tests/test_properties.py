@@ -16,6 +16,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import linear_cluster_pattern
 
 from hexmbqc import cli, ionization, lattice, mbqc, scheduler
 from hexmbqc import electron_dynamics as ed
@@ -38,7 +39,7 @@ step = st.fixed_dictionaries(
     optional={"s_domain": maybe(st.lists(qubit, max_size=2)),
               "t_domain": maybe(st.lists(qubit, max_size=2))})
 CHAIN_DOC = mbqc.pattern_to_dict(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
-                                 mbqc.linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
+                                 linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
 
 
 @st.composite

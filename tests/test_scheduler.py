@@ -137,7 +137,7 @@ def test_audit_matches_edge_set_and_tableau_oracles():
                 cache[key] = None
                 continue
             target = lattice.cluster_edges(asg, periodic)
-            nbrs = [set() for _ in asg.layer_of]
+            nbrs = [set() for _ in asg.array.sites]
             for a, b in target:
                 nbrs[a].add(b)
                 nbrs[b].add(a)
