@@ -31,8 +31,9 @@ verification failure (e.g. ``verify`` on a corrupted schedule).
 
 A process imports only what its subcommand runs: ``ionization`` is
 loaded by ``ionize`` and ``mbqc`` by ``mbqc``; numpy is loaded by
-``mbqc`` and ``electron propagate`` only, and no subcommand loads
-``graphstate`` or scipy.
+``electron propagate`` only, and no subcommand loads ``graphstate`` or
+scipy.  ``mbqc`` samples with ``mbqc.Pcg64``, which draws what
+``numpy.random.default_rng(seed)`` draws, so a seed keeps its outcomes.
 """
 
 from __future__ import annotations
@@ -303,8 +304,6 @@ def _cmd_verify(args, eff):
 
 
 def _cmd_mbqc(args, eff):
-    import numpy as np
-
     from . import mbqc
     if not eff["pattern_file"]:
         raise ValueError("mbqc requires a pattern file (--pattern)")
@@ -319,10 +318,9 @@ def _cmd_mbqc(args, eff):
             raise ValueError("pattern input must hold exactly qubits and amplitudes")
         input_qubits = tuple(_typed([int], inp["qubits"], "input.qubits"))
         amplitudes = _typed([(float, float)], inp["amplitudes"], "input.amplitudes")
-        input_state = np.array([complex(a, b) for a, b in amplitudes], dtype=np.complex128)
-    rng = np.random.default_rng(args.seed)
+        input_state = [complex(a, b) for a, b in amplitudes]
     res = mbqc.run_pattern(n, edges, pattern, input_state=input_state,
-                           input_qubits=input_qubits, rng=rng)
+                           input_qubits=input_qubits, rng=mbqc.Pcg64(args.seed))
     doc = {
         "schema_version": 1,
         "outcomes": res.outcomes,
@@ -331,8 +329,8 @@ def _cmd_mbqc(args, eff):
         "outputs": list(res.outputs),
         "byproduct_x": {str(q): v for q, v in res.byproduct_x.items()},
         "byproduct_z": {str(q): v for q, v in res.byproduct_z.items()},
-        "state_re": [float(a.real) for a in res.state],
-        "state_im": [float(a.imag) for a in res.state],
+        "state_re": [a.real for a in res.state],
+        "state_im": [a.imag for a in res.state],
     }
     return doc, {"mbqc_result.json": doc}
 

@@ -1,4 +1,4 @@
-"""Adaptive measurement patterns on small cluster states (dense simulator).
+"""Adaptive measurement patterns on cluster states (live-width simulator).
 
 A pattern is a list of single-qubit measurements in the equatorial plane.
 Step ``j`` measures its qubit in the basis
@@ -18,28 +18,41 @@ Byproduct corrections are recorded, not applied: each correction is a
 Pauli (X or Z) on an output qubit raised to the XOR of a domain of
 outcome bits.
 
-Capped at 20 qubits; exact within floating point.
+The simulator holds amplitudes for the live qubits only.  Input qubits
+start live.  Any other qubit becomes live, as |+>, when it or one of its
+neighbours is measured, or at the end if it is an output; its listed edges
+to the qubits already live are applied then, so a repeated edge cancels.
+A CZ commutes with the preparation and the measurement of every other
+qubit (Danos, Kashefi & Panangaden, *The measurement calculus*,
+arXiv:0704.1263), so this order gives the state of preparing every qubit
+and applying every CZ first.  A measured qubit is projected and dropped.
+A step costs 2**(live qubits), not 2**n: on a chain two qubits are live.
+
+At most ``MAX_QUBITS`` qubits are live at once, in a pattern of at most
+``MAX_TOTAL_QUBITS``; exact within floating point.  Plain Python: the
+state is a list of ``complex`` and no numpy is imported.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "MeasurementStep",
     "Correction",
     "MeasurementPattern",
     "PatternResult",
+    "Pcg64",
     "run_pattern",
     "pattern_from_dict",
     "pattern_to_dict",
 ]
 
-MAX_QUBITS = 20
+MAX_QUBITS = 20  # live at once: 2**20 amplitudes
+MAX_TOTAL_QUBITS = 100_000  # in a pattern
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ class MeasurementPattern:
 class PatternResult:
     outcomes: list[int]
     probabilities: list[float]
-    state: np.ndarray
+    state: Sequence[complex]  # amplitudes of ``outputs``, the first the most significant bit
     outputs: tuple[int, ...]
     byproduct_x: dict[int, int] = field(default_factory=dict)
     byproduct_z: dict[int, int] = field(default_factory=dict)
@@ -106,33 +119,124 @@ class PatternResult:
     @property
     def probability(self) -> float:
         """Joint probability of the realized outcome branch."""
-        return float(np.prod(self.probabilities)) if self.probabilities else 1.0
+        return math.prod(self.probabilities, start=1.0)
+
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class Pcg64:
+    """``numpy.random.default_rng(seed).random()`` in plain Python, bit for bit.
+
+    numpy seeds PCG64 through ``SeedSequence``: the seed's 32-bit words are
+    hashed into a pool of four words, and the pool is hashed out into the
+    generator's 128-bit state and increment.  Each draw steps the 128-bit
+    LCG and keeps the top 53 bits of its XSL-RR output.  The CLI samples
+    with it, so a seed draws the outcomes it drew under numpy.
+    """
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * 0x931E8875 & _M32
+            value = value * hash_const & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in words[4:]:
+            for i_dst in range(4):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        # SeedSequence.generate_state(4, uint64): eight words, paired low first
+        hash_const = 0x8B51F9DD
+        out = []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _M32
+            value = value * hash_const & _M32
+            out.append(value ^ value >> 16)
+        u = [out[2 * i] | out[2 * i + 1] << 32 for i in range(4)]
+        self._inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+        self._state = ((self._inc + (u[0] << 64 | u[1])) * _PCG_MULT + self._inc) & _M128
+
+    def random(self) -> float:
+        """The next float in [0, 1)."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (((x >> r | x << (64 - r)) & _M64) >> 11) * 2.0 ** -53
+
+
+_ROOT2 = math.sqrt(2.0)
 
 
 def _parity(bits: list[int], domain: frozenset[int]) -> int:
     return sum(bits[k] for k in domain) % 2
 
 
+def _cz(psi: list[complex], bit: int, mask: int) -> list[complex]:
+    """CZ between the qubit at ``bit`` of the amplitude index and each qubit
+    in ``mask``: negate the amplitudes with ``bit`` and an odd number of
+    ``mask`` bits set."""
+    return [-a if k & bit and (k & mask).bit_count() & 1 else a for k, a in enumerate(psi)]
+
+
+def _split(psi: list[complex], bit: int) -> tuple[list[complex], list[complex]]:
+    """The amplitudes with ``bit`` of the index clear and with it set, each
+    indexed by the other bits.  Slices of whichever run is longer, the
+    stride ``bit`` or the blocks of 2 * ``bit``, so that at most
+    sqrt(len(psi)) slices are taken."""
+    half, step = len(psi) // 2, 2 * bit
+    if bit * bit <= half:
+        a0, a1 = [0j] * half, [0j] * half
+        for lo in range(bit):
+            a0[lo::bit] = psi[lo::step]
+            a1[lo::bit] = psi[lo + bit::step]
+    else:
+        a0, a1 = [], []
+        for base in range(0, len(psi), step):
+            a0 += psi[base:base + bit]
+            a1 += psi[base + bit:base + step]
+    return a0, a1
+
+
 def run_pattern(
     n: int,
     edges: list[tuple[int, int]],
     pattern: MeasurementPattern,
-    input_state: np.ndarray | None = None,
+    input_state: Sequence[complex] | None = None,
     input_qubits: tuple[int, ...] = (),
-    rng: np.random.Generator | None = None,
+    rng=None,
     forced_outcomes: list[int] | None = None,
 ) -> PatternResult:
     """Prepare inputs (x) |+> on the rest, entangle along edges, run the pattern.
 
-    ``input_state`` holds amplitudes on ``input_qubits`` (qubit 0 of the
-    register = most significant bit); remaining qubits start in |+>.
+    ``input_state`` holds amplitudes on ``input_qubits`` (the first input
+    qubit is the most significant bit of the amplitude index); the other
+    qubits start in |+>.  ``rng`` is anything with a ``random()`` method
+    that returns floats in [0, 1), such as ``Pcg64`` or a numpy Generator.
     With ``forced_outcomes`` the stated branch is projected instead of
     sampling, and per-step probabilities record its weights.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"pattern simulator capped at {MAX_QUBITS} qubits, got {n}")
+    if n > MAX_TOTAL_QUBITS:
+        raise ValueError(f"pattern has {n} qubits, past the limit of {MAX_TOTAL_QUBITS}")
     pattern.validate(n)
     if forced_outcomes is not None:
         if len(forced_outcomes) != len(pattern.steps):
@@ -142,52 +246,71 @@ def run_pattern(
     elif rng is None and pattern.steps:
         raise ValueError("need an rng (or forced_outcomes) to sample measurements")
 
-    # initial product state
+    # live[i] is the qubit at bit i of the amplitude index
     if input_state is None:
         if input_qubits:
             raise ValueError("input_qubits given without input_state")
-        psi = np.full((2,) * n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+        psi, live = [1 + 0j], []
     else:
         k = len(input_qubits)
-        amp = np.asarray(input_state, dtype=np.complex128).reshape((2,) * k)
-        nrm = np.linalg.norm(amp)
-        if not math.isclose(nrm, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"input state norm {nrm} != 1")
+        if k > MAX_QUBITS:
+            raise ValueError(f"{k} input qubits, past the limit of {MAX_QUBITS} live qubits")
         if len(set(input_qubits)) != k:
             raise ValueError("duplicate input qubit")
         if any(not 0 <= q < n for q in input_qubits):
             raise ValueError(f"input qubits {list(input_qubits)} outside 0..{n - 1}")
-        rest = [q for q in range(n) if q not in input_qubits]
-        plus = np.full((2,) * len(rest), 2.0 ** (-len(rest) / 2.0), dtype=np.complex128)
-        psi = np.multiply.outer(amp, plus)
-        # axes currently ordered input_qubits + rest; restore register order
-        order = list(input_qubits) + rest
-        psi = np.moveaxis(psi, range(n), [order.index(q) for q in range(n)])
+        psi = [complex(a) for a in input_state]
+        if len(psi) != 1 << k:
+            raise ValueError(f"{k} input qubits take {1 << k} amplitudes, got {len(psi)}")
+        nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in psi))
+        if not math.isclose(nrm, 1.0, rel_tol=0, abs_tol=1e-9):
+            raise ValueError(f"input state norm {nrm} != 1")
+        live = list(reversed(input_qubits))
 
+    partners: dict[int, set[int]] = {}
     for a, b in edges:
         if a == b:
             raise ValueError("self-loop edge")
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
-        sl = [slice(None)] * n
-        sl[a] = 1
-        sl[b] = 1
-        psi[tuple(sl)] *= -1.0
+        partners.setdefault(a, set()).symmetric_difference_update((b,))
+        partners.setdefault(b, set()).symmetric_difference_update((a,))
 
-    axis_of = {q: q for q in range(n)}  # qubit -> current axis
+    def live_mask(q: int, count: int) -> int:
+        """Bits of the first ``count`` live qubits that share an edge with q."""
+        near = partners.get(q, ())
+        return sum(1 << i for i in range(count) if live[i] in near)
+
+    started = set(live)  # every qubit made live so far, measured or not
+    for i in range(len(live)):  # edges among the inputs
+        if mask := live_mask(live[i], i):
+            psi = _cz(psi, 1 << i, mask)
+
+    def activate(q: int, when: str) -> None:
+        nonlocal psi
+        if len(live) == MAX_QUBITS:
+            raise ValueError(f"{when} needs qubit {q} live with {len(live)} others, "
+                             f"past the limit of {MAX_QUBITS} live qubits")
+        low = [a / _ROOT2 for a in psi]  # q takes the top bit, as |+>
+        mask = live_mask(q, len(live))
+        psi = _cz(low + low, 1 << len(live), mask) if mask else low + low
+        live.append(q)
+        started.add(q)
+
     outcomes: list[int] = []
     probs: list[float] = []
-
     for j, st in enumerate(pattern.steps):
+        for q in (st.qubit, *sorted(partners.get(st.qubit, ()))):
+            if q not in started:
+                activate(q, f"step {j}")
         s = _parity(outcomes, st.s_domain)
         t = _parity(outcomes, st.t_domain)
         adapted = (-1.0) ** s * st.angle + math.pi * t
-        ax = axis_of[st.qubit]
-        a0 = np.take(psi, 0, axis=ax)
-        a1 = np.take(psi, 1, axis=ax)
+        pos = live.index(st.qubit)
+        a0, a1 = _split(psi, 1 << pos)
         phase = cmath.exp(-1j * adapted)
-        branch0 = (a0 + phase * a1) / math.sqrt(2.0)
-        p0 = float(np.sum(np.abs(branch0) ** 2))
+        branch0 = [(x + phase * y) / _ROOT2 for x, y in zip(a0, a1)]
+        p0 = math.fsum(z.real * z.real + z.imag * z.imag for z in branch0)
         p0 = min(max(p0, 0.0), 1.0)
         # snap projector dust so impossible branches report exactly 0 / 1
         if p0 < 1e-14:
@@ -201,22 +324,25 @@ def run_pattern(
         if m == 0:
             post, pm = branch0, p0
         else:
-            post, pm = (a0 - phase * a1) / math.sqrt(2.0), 1.0 - p0
+            post, pm = [(x - phase * y) / _ROOT2 for x, y in zip(a0, a1)], 1.0 - p0
         if pm > 0.0:
-            psi = post / math.sqrt(pm)
+            scale = 1.0 / math.sqrt(pm)
+            psi = [z * scale for z in post]
         else:
             psi = post  # dead branch; probability 0 recorded
         outcomes.append(m)
         probs.append(pm)
-        del axis_of[st.qubit]
-        for q in axis_of:
-            if axis_of[q] > ax:
-                axis_of[q] -= 1
+        del live[pos]
 
-    # order residual axes as pattern.outputs
-    perm = [axis_of[q] for q in pattern.outputs]
-    psi = np.transpose(psi, perm) if perm else psi
-    state = psi.reshape(-1)
+    for q in pattern.outputs:
+        if q not in started:
+            activate(q, "the outputs")
+    # order the amplitudes as pattern.outputs, the last output the lowest bit
+    index = [0]
+    for q in reversed(pattern.outputs):
+        w = 1 << live.index(q)
+        index += [i + w for i in index]
+    state = [psi[i] for i in index]
 
     bx = {q: 0 for q in pattern.outputs}
     bz = {q: 0 for q in pattern.outputs}

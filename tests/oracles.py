@@ -20,6 +20,9 @@ schedule as one set.
 sets, the reference for ``scheduler.audit_rounds``' fault messages.
 ``packet_psi`` and ``packet_moments`` read the grid amplitudes, norm, mean
 position and widths of a product wavepacket from its two factors.
+``dense_run_pattern`` runs a measurement pattern on all 2**n amplitudes at
+once, every CZ applied before the first measurement: the reference for
+``mbqc.run_pattern``, which holds only the live qubits.
 
 The five-qubit linear cluster implements an arbitrary Euler rotation:
 measuring qubits 0..3 of the chain 0-1-2-3-4 at nominal angles
@@ -417,7 +420,7 @@ def packet_moments(wp, config) -> tuple[float, tuple[float, float], tuple[float,
 def apply_byproduct(result: mbqc.PatternResult) -> np.ndarray:
     """Undo the recorded byproduct Paulis on the residual state."""
     k = len(result.outputs)
-    psi = result.state.reshape((2,) * k) if k else result.state
+    psi = np.asarray(result.state, dtype=np.complex128).reshape((2,) * k)
     for pos, q in enumerate(result.outputs):
         if result.byproduct_z.get(q, 0):
             sl = [slice(None)] * k
@@ -427,6 +430,129 @@ def apply_byproduct(result: mbqc.PatternResult) -> np.ndarray:
         if result.byproduct_x.get(q, 0):
             psi = np.flip(psi, axis=pos)
     return psi.reshape(-1)
+
+
+def dense_run_pattern(
+    n: int,
+    edges: list[tuple[int, int]],
+    pattern: mbqc.MeasurementPattern,
+    input_state: np.ndarray | None = None,
+    input_qubits: tuple[int, ...] = (),
+    rng: np.random.Generator | None = None,
+    forced_outcomes: list[int] | None = None,
+) -> mbqc.PatternResult:
+    """``mbqc.run_pattern`` on all 2**n amplitudes at once: inputs (x) |+>
+    on the rest, every CZ along ``edges``, then the pattern's measurements.
+
+    ``input_state`` holds amplitudes on ``input_qubits`` (the first input
+    qubit = most significant bit); remaining qubits start in |+>.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got n={n}")
+    if n > mbqc.MAX_QUBITS:
+        raise ValueError(f"dense oracle capped at {mbqc.MAX_QUBITS} qubits, got {n}")
+    pattern.validate(n)
+    if forced_outcomes is not None:
+        if len(forced_outcomes) != len(pattern.steps):
+            raise ValueError("forced_outcomes must give one bit per step")
+        if any(b not in (0, 1) for b in forced_outcomes):
+            raise ValueError("forced outcomes are bits")
+    elif rng is None and pattern.steps:
+        raise ValueError("need an rng (or forced_outcomes) to sample measurements")
+
+    # initial product state
+    if input_state is None:
+        if input_qubits:
+            raise ValueError("input_qubits given without input_state")
+        psi = np.full((2,) * n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    else:
+        k = len(input_qubits)
+        amp = np.asarray(input_state, dtype=np.complex128).reshape((2,) * k)
+        nrm = np.linalg.norm(amp)
+        if not math.isclose(nrm, 1.0, rel_tol=0, abs_tol=1e-9):
+            raise ValueError(f"input state norm {nrm} != 1")
+        if len(set(input_qubits)) != k:
+            raise ValueError("duplicate input qubit")
+        if any(not 0 <= q < n for q in input_qubits):
+            raise ValueError(f"input qubits {list(input_qubits)} outside 0..{n - 1}")
+        rest = [q for q in range(n) if q not in input_qubits]
+        plus = np.full((2,) * len(rest), 2.0 ** (-len(rest) / 2.0), dtype=np.complex128)
+        psi = np.multiply.outer(amp, plus)
+        # axis i holds qubit order[i]; move it to axis order[i]
+        order = list(input_qubits) + rest
+        psi = np.moveaxis(psi, range(n), order)
+
+    for a, b in edges:
+        if a == b:
+            raise ValueError("self-loop edge")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
+        sl = [slice(None)] * n
+        sl[a] = 1
+        sl[b] = 1
+        psi[tuple(sl)] *= -1.0
+
+    axis_of = {q: q for q in range(n)}  # qubit -> current axis
+    outcomes: list[int] = []
+    probs: list[float] = []
+
+    for j, st in enumerate(pattern.steps):
+        s = mbqc._parity(outcomes, st.s_domain)
+        t = mbqc._parity(outcomes, st.t_domain)
+        adapted = (-1.0) ** s * st.angle + math.pi * t
+        ax = axis_of[st.qubit]
+        a0 = np.take(psi, 0, axis=ax)
+        a1 = np.take(psi, 1, axis=ax)
+        phase = cmath.exp(-1j * adapted)
+        branch0 = (a0 + phase * a1) / math.sqrt(2.0)
+        p0 = float(np.sum(np.abs(branch0) ** 2))
+        p0 = min(max(p0, 0.0), 1.0)
+        # snap projector dust so impossible branches report exactly 0 / 1
+        if p0 < 1e-14:
+            p0 = 0.0
+        elif p0 > 1.0 - 1e-14:
+            p0 = 1.0
+        if forced_outcomes is not None:
+            m = forced_outcomes[j]
+        else:
+            m = 0 if rng.random() < p0 else 1
+        if m == 0:
+            post, pm = branch0, p0
+        else:
+            post, pm = (a0 - phase * a1) / math.sqrt(2.0), 1.0 - p0
+        if pm > 0.0:
+            psi = post / math.sqrt(pm)
+        else:
+            psi = post  # dead branch; probability 0 recorded
+        outcomes.append(m)
+        probs.append(pm)
+        del axis_of[st.qubit]
+        for q in axis_of:
+            if axis_of[q] > ax:
+                axis_of[q] -= 1
+
+    # order residual axes as pattern.outputs
+    perm = [axis_of[q] for q in pattern.outputs]
+    psi = np.transpose(psi, perm) if perm else psi
+    state = psi.reshape(-1)
+
+    bx = {q: 0 for q in pattern.outputs}
+    bz = {q: 0 for q in pattern.outputs}
+    for c in pattern.corrections:
+        bit = mbqc._parity(outcomes, c.domain)
+        if c.kind == "X":
+            bx[c.qubit] ^= bit
+        else:
+            bz[c.qubit] ^= bit
+
+    return mbqc.PatternResult(
+        outcomes=outcomes,
+        probabilities=probs,
+        state=state,
+        outputs=pattern.outputs,
+        byproduct_x=bx,
+        byproduct_z=bz,
+    )
 
 
 def euler_unitary(angles: tuple[float, float, float, float]) -> np.ndarray:

@@ -52,15 +52,18 @@ def _modules_after(argvs, out):
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, capsys):
     # a cold process imports only what its subcommand runs: these need
-    # neither numpy nor scipy, which cost most of the CLI's start-up
+    # neither numpy nor scipy, which cost most of the CLI's start-up; mbqc
+    # simulates and samples in plain Python
     run(capsys, "schedule", "--rows", "3", "--cols", "3", "--out", str(tmp_path))
     doc = json.loads((tmp_path / "schedule.json").read_text())
     doc["rounds"][0].pop()
     (tmp_path / "missing_gate.json").write_text(json.dumps(doc))
     (tmp_path / "bad.json").write_text(json.dumps({"lattice": {"rowz": 3}}))
+    (tmp_path / "pattern.json").write_text(json.dumps(_chain_doc()))
     argvs = [(["lattice"], 0), (["schedule"], 0), (["verify", "--n", "2"], 0),
              (["verify", "--schedule", str(tmp_path / "missing_gate.json")], 2),
              (["lattice", "--config", str(tmp_path / "bad.json")], 1),
+             (["mbqc", "--pattern", str(tmp_path / "pattern.json"), "--seed", "3"], 0),
              (["ionize", "rates"], 0), (["ionize", "resonances"], 0),
              (["ionize", "quadrupole"], 0), (["ionize", "raman"], 0),
              (["electron", "classical"], 0), (["electron", "mathieu", "--q", "0.5",
@@ -726,6 +729,13 @@ BAD_PATTERNS = {
     "string angle": (_first_angle("1.5"),
                      "step 0 angle must be a finite number, got '1.5'"),
     "huge angle": (_first_angle(10**400), "int too large to convert to float"),
+    "amplitude count": ({"input": {"qubits": [0], "amplitudes": [[1.0, 0.0]]}},
+                        "1 input qubits take 2 amplitudes, got 1"),
+    "qubit count": ({"n": mbqc.MAX_TOTAL_QUBITS + 1},
+                    f"pattern has {mbqc.MAX_TOTAL_QUBITS + 1} qubits, past the limit"),
+    "live width": ({"n": 21, "edges": [[a, b] for a in range(21) for b in range(a)],
+                    "outputs": list(range(4, 21)), "corrections": []},
+                   "step 0 needs qubit 20 live with 20 others, past the limit of 20"),
 }
 
 
@@ -737,6 +747,20 @@ def test_malformed_pattern_exits_1(tmp_path, capsys, case):
     code, _, err = run(capsys, "mbqc", "--pattern", str(pfile), "--out", str(tmp_path))
     assert code == 1
     assert message in err
+
+
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys):
+    pfile = tmp_path / "pattern.json"
+    pfile.write_text(json.dumps(_chain_doc()))
+    code, out, err = run(capsys, "mbqc", "--pattern", str(pfile), "--seed", "-1",
+                         "--out", str(tmp_path / "flag"))
+    assert (code, out) == (1, "")
+    assert "seed must be a non-negative integer, got -1" in err
+    code, out, err = _with_config(tmp_path, capsys, {"seed": -7}, "mbqc", "--pattern",
+                                  str(pfile), "--out", str(tmp_path / "config"))
+    assert (code, out) == (1, "")
+    assert "seed must be a non-negative integer, got -7" in err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
 
 
 @pytest.mark.parametrize("flags, config, named", [

@@ -51,14 +51,16 @@ def _module_level_imports(path: pathlib.Path) -> set[str]:
     return found
 
 
-def test_only_mbqc_imports_numpy_at_module_level():
-    # numpy costs ~85 ms to import; every module but mbqc imports it inside
-    # the code that computes with arrays, so a process that never reaches
-    # that code never loads it
+def test_no_module_imports_numpy_at_module_level():
+    # numpy costs ~85 ms to import; every module imports it inside the code
+    # that computes with arrays, so a process that never reaches that code
+    # never loads it, and mbqc, which simulates in plain Python, never does
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
-    users = [path.name for path in modules if "numpy" in _module_level_imports(path)]
-    assert users == ["mbqc.py"]
+    assert [path.name for path in modules if "numpy" in _module_level_imports(path)] == []
+    tree = ast.parse((PACKAGE / "mbqc.py").read_text())
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and "numpy" in ast.unparse(node)]
 
 
 def test_no_module_imports_graphstate():

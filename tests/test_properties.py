@@ -28,6 +28,28 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
 qubit = st.integers(-1, 5)
 
+# every flag of every (command, mode) takes these values; the flags that set
+# the amount of work draw small ones, ones at their limit where that runs in
+# milliseconds, and ones past it, which exit 1 at once: rows or cols of
+# MAX_SITES // 4 passes the site limit whatever the other is, and propagate's
+# step count t_final / dt passes its limit with the config's 2e-13 s step.
+# A pattern document's qubit count n draws from "pattern_n": at the limit it
+# fails validation with a few steps, past it it is refused before any work
+EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2**64)
+WORK = {"rows": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
+        "cols": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
+        "points": st.integers(-1, 30) | st.sampled_from(
+            (cli.MAX_RATE_POINTS, cli.MAX_RATE_POINTS + 1, 2**64)),
+        "max_photons": st.integers(-1, 6) | st.sampled_from(
+            (ionization.MAX_PHOTONS, ionization.MAX_PHOTONS + 1, 2**64)),
+        "points_x": st.sampled_from((-1, 0, 3, 16, 64, ed.MAX_GRID_POINTS,
+                                     2 * ed.MAX_GRID_POINTS, 2**64)),
+        "points_y": st.sampled_from((-1, 0, 3, 16, 32, ed.MAX_GRID_POINTS,
+                                     2 * ed.MAX_GRID_POINTS, 2**64)),
+        "t_final": st.sampled_from((*EDGES, 2e-13 * ed.MAX_STEPS * 1.001)),
+        "pattern_n": st.integers(0, 5) | st.sampled_from(
+            (mbqc.MAX_TOTAL_QUBITS, mbqc.MAX_TOTAL_QUBITS + 1, 2**64))}
+
 
 def maybe(strategy):
     """Mostly well-typed values, sometimes any JSON value."""
@@ -57,7 +79,7 @@ def chain_docs(draw):
 
 
 pattern_docs = json_values | st.fixed_dictionaries(
-    {"n": maybe(st.integers(0, 5)),
+    {"n": maybe(WORK["pattern_n"]),
      "edges": maybe(st.lists(maybe(st.lists(maybe(qubit), min_size=2, max_size=2)),
                              max_size=5)),
      "steps": maybe(st.lists(maybe(step), max_size=4)),
@@ -186,23 +208,6 @@ def test_valid_documents_still_run():
     assert _run(["lattice", "--config", "{path}"], "config.json", {})[0] == 0
 
 
-# every flag of every (command, mode) takes these values; the flags that set
-# the amount of work draw small ones, ones at their limit where that runs in
-# milliseconds, and ones past it, which exit 1 at once: rows or cols of
-# MAX_SITES // 4 passes the site limit whatever the other is, and propagate's
-# step count t_final / dt passes its limit with the config's 2e-13 s step
-EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2**64)
-WORK = {"rows": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
-        "cols": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
-        "points": st.integers(-1, 30) | st.sampled_from(
-            (cli.MAX_RATE_POINTS, cli.MAX_RATE_POINTS + 1, 2**64)),
-        "max_photons": st.integers(-1, 6) | st.sampled_from(
-            (ionization.MAX_PHOTONS, ionization.MAX_PHOTONS + 1, 2**64)),
-        "points_x": st.sampled_from((-1, 0, 3, 16, 64, ed.MAX_GRID_POINTS,
-                                     2 * ed.MAX_GRID_POINTS, 2**64)),
-        "points_y": st.sampled_from((-1, 0, 3, 16, 32, ed.MAX_GRID_POINTS,
-                                     2 * ed.MAX_GRID_POINTS, 2**64)),
-        "t_final": st.sampled_from((*EDGES, 2e-13 * ed.MAX_STEPS * 1.001))}
 PROPAGATE_64x32 = {"electron": {"propagate": {
     "points_x": 64, "points_y": 32, "hbar_scale": 640.0, "dt": 2e-13, "t_final": 2e-11}}}
 
