@@ -9,18 +9,22 @@ irradiance queries, ``electron`` runs the wavepacket, classical, Mathieu
 and timescale calculations, and ``resources`` prints the operation-count
 arithmetic.
 
-``_DEFAULTS`` is the one table behind the CLI: it is the schema of the
-config-file blocks, the source of every flag (``--`` + key with ``_`` ->
-``-``, typed like its default) and the ``--help`` epilog.  It writes only
-the values no library call owns and reads the rest at import, from
-``TrapConfig``'s fields and the keyword-only defaults of
-``gaussian_wavepacket``, ``propagate`` and ``build_schedule``.  Every
-subcommand also accepts ``--config FILE`` (JSON, one block per subcommand,
-unknown keys rejected), ``--seed N``, ``--out DIR`` and ``--dump-config``.
-Effective values resolve as defaults < config file < explicit flags.
-Identical config + seed gives byte-identical artifacts: JSON is dumped
-canonically (sorted keys) and CSV uses fixed formats, with no timestamps
-anywhere.
+``_defaults(command)`` is the one table behind a subcommand: it is the
+schema of that command's config-file block, the source of its flags
+(``--`` + key with ``_`` -> ``-``, typed like its default), its ``--help``
+epilog and its ``--dump-config``.  Each table is built the first time its
+command is used, once per process, and never changed after.  It writes
+only the values no library call owns and reads the rest from the module
+that owns them: ``build_schedule``'s keyword-only defaults for
+``schedule`` and ``verify``; ``TrapConfig``'s fields and the keyword-only
+defaults of ``gaussian_wavepacket`` and ``propagate`` for ``electron``.
+Every subcommand also accepts ``--config FILE`` (JSON, one block per
+subcommand, unknown keys rejected in every block), ``--seed N``, ``--out
+DIR`` and ``--dump-config``.  Effective values resolve as defaults <
+config file < explicit flags.  Identical config + seed gives
+byte-identical artifacts: JSON is written as ``json.dumps(doc,
+sort_keys=True, indent=2)`` writes it, and CSV uses fixed formats, with
+no timestamps anywhere.
 
 Handlers do no I/O; ``dispatch`` is the one writer.  It renders stdout and
 every artifact first and only then creates ``--out``, so a NaN or infinite
@@ -29,25 +33,30 @@ result exits 2 naming the output and the inputs, with nothing written.
 Exit codes: 0 success; 1 validation/usage error; 2 physics or
 verification failure (e.g. ``verify`` on a corrupted schedule).
 
-A process imports only what its subcommand runs: ``ionization`` is
-loaded by ``ionize`` and ``mbqc`` by ``mbqc``; numpy is loaded by
-``electron propagate`` only, and no subcommand loads ``graphstate`` or
-scipy.  ``mbqc`` samples with ``mbqc.Pcg64``, which draws what
-``numpy.random.default_rng(seed)`` draws, so a seed keeps its outcomes.
+A process imports only what its subcommand runs.  At the top this module
+imports the standard library and ``resources``; each handler imports its
+own library module, and a config block loads its command's module only
+when the file holds that block.  ``lattice`` loads ``lattice``;
+``schedule`` and ``verify`` load ``lattice`` and ``scheduler``; ``mbqc``
+loads ``mbqc``, ``ionize`` ``ionization`` and ``electron``
+``electron_dynamics``.  numpy is loaded by ``electron propagate`` only,
+and no subcommand loads ``graphstate`` or scipy.  ``mbqc`` samples with
+``mbqc.Pcg64``, which draws what ``numpy.random.default_rng(seed)``
+draws, so a seed keeps its outcomes.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
 import re
 import sys
 
-from . import electron_dynamics as ed
-from . import lattice, resources, scheduler
+from . import resources
 
 __all__ = ["main", "dispatch", "parse_duration", "load_config"]
 
@@ -70,39 +79,63 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # defaults: {command: values} or {command: {mode: values}}
 
-# the library's own defaults (``mass`` is the electron's, which no key sets)
-_TRAP = {f.name: f.default for f in dataclasses.fields(ed.TrapConfig) if f.name != "mass"}
-_PACKET = ed.gaussian_wavepacket.__kwdefaults__
-
 _LATTICE = {"rows": 4, "cols": 4, "d": 1.0, "n": 1}
-_SCHEDULE = {**_LATTICE, **scheduler.build_schedule.__kwdefaults__}
 _SCHEDULE_LATTICE = (*_LATTICE, "periodic")  # schedule.json's lattice block
-_DEFAULTS = {
-    "lattice": _LATTICE,
-    "schedule": _SCHEDULE,
-    "verify": {**_SCHEDULE, "schedule_file": None},
-    "mbqc": {"pattern_file": None},
-    "ionize": {
-        "rates": {"irradiance": 1e9, "i_min": 1e8, "i_max": 1e10, "points": 25},
-        "resonances": {"lambda_min": 380.0, "lambda_max": 410.0,
-                       "max_photons": 4, "detuning_cut": 0.03},
-        "quadrupole": {"t_pulse": 2e-9},
-        "raman": {"t_pulse": 1e-9, "detuning_linewidths": 1e4},
-    },
-    "electron": {
-        "propagate": {
-            **_TRAP, **{key: _PACKET[key] for key in ("v0", "sigma_v", "sigma0")},
-            "t_final": 3e-9, **ed.propagate.__kwdefaults__,
-        },
-        "classical": {"omega_e": _TRAP["omega_e"], "v0": _PACKET["v0"], "t": 1.5e-9},
-        "mathieu": {"a": 0.0, "q": None, "charge": 1.0, "mass": ed.M_CA40,
-                    "v_rf": None, "r0": None, "omega_rf": _TRAP["omega_rf"],
-                    "boundary": False},
-        "timescale": {"omega_rf": _TRAP["omega_rf"], "m_ion": ed.M_CA40},
-    },
-    "resources": {"bits": 640, "wallclock": "5month", "n_qubits": 10000,
-                  "t_meas": 3e-9, "t_coh": 10.0},
-}
+
+
+def _trap_defaults() -> dict:
+    """``TrapConfig``'s fields and their defaults, less ``mass``: that is the
+    electron's, which no key sets."""
+    import dataclasses
+
+    from . import electron_dynamics as ed
+
+    return {f.name: f.default for f in dataclasses.fields(ed.TrapConfig) if f.name != "mass"}
+
+
+@functools.cache
+def _defaults(command: str) -> dict:
+    """The table of ``command``: {key: default}, or {mode: {key: default}}.
+    Built on first use from the module that owns the library's defaults;
+    read only after."""
+    if command == "lattice":
+        return _LATTICE
+    if command in ("schedule", "verify"):
+        from . import scheduler
+
+        table = {**_LATTICE, **scheduler.build_schedule.__kwdefaults__}
+        return table if command == "schedule" else {**table, "schedule_file": None}
+    if command == "mbqc":
+        return {"pattern_file": None}
+    if command == "ionize":
+        return {
+            "rates": {"irradiance": 1e9, "i_min": 1e8, "i_max": 1e10, "points": 25},
+            "resonances": {"lambda_min": 380.0, "lambda_max": 410.0,
+                           "max_photons": 4, "detuning_cut": 0.03},
+            "quadrupole": {"t_pulse": 2e-9},
+            "raman": {"t_pulse": 1e-9, "detuning_linewidths": 1e4},
+        }
+    if command == "electron":
+        from . import electron_dynamics as ed
+
+        trap, packet = _trap_defaults(), ed.gaussian_wavepacket.__kwdefaults__
+        return {
+            "propagate": {
+                **trap, **{key: packet[key] for key in ("v0", "sigma_v", "sigma0")},
+                "t_final": 3e-9, **ed.propagate.__kwdefaults__,
+            },
+            "classical": {"omega_e": trap["omega_e"], "v0": packet["v0"], "t": 1.5e-9},
+            "mathieu": {"a": 0.0, "q": None, "charge": 1.0, "mass": ed.M_CA40,
+                        "v_rf": None, "r0": None, "omega_rf": trap["omega_rf"],
+                        "boundary": False},
+            "timescale": {"omega_rf": trap["omega_rf"], "m_ion": ed.M_CA40},
+        }
+    if command == "resources":
+        return {"bits": 640, "wallclock": "5month", "n_qubits": 10000,
+                "t_meas": 3e-9, "t_coh": 10.0}
+    raise KeyError(command)
+
+
 _TOP = {"seed": 0, "out": "."}  # top-level config keys next to the blocks
 
 _HELP = {
@@ -207,10 +240,18 @@ def _read_json(path: str | None):
         return json.loads(fh.read().strip() or "{}")
 
 
+def _config(doc, commands) -> dict:
+    """The config ``doc`` over the defaults of ``commands`` and of every
+    block ``doc`` holds, every value typed; ValueError naming the first bad
+    key, in any block."""
+    held = [c for c in _HELP if c in commands or isinstance(doc, dict) and c in doc]
+    return _merge("config", {**_TOP, **{c: _defaults(c) for c in held}}, doc)
+
+
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the JSON config file at ``path``, every value
     typed: ``{"seed", "out", command: values or {mode: values}}``."""
-    return _merge("config", {**_TOP, **_DEFAULTS}, _read_json(path))
+    return _config(_read_json(path), _HELP)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +261,100 @@ class _NonFinite(ArithmeticError):
     """A result past float range (NaN or infinite) in the named output."""
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _int_rows(value, newline: str) -> str | None:
+    """The JSON of ``value`` if it is a list of non-empty rows of plain ints,
+    as a schedule's gates are, written by one %-format of all the ints;
+    None for any other list."""
+    if not {list, tuple}.issuperset(map(type, value)):
+        return None
+    lengths = list(map(len, value))
+    ints = tuple(itertools.chain.from_iterable(value))
+    if not all(lengths) or set(map(type, ints)) != {int}:
+        return None
+    inner, deeper = newline + "  ", newline + "    "
+    row = {n: "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" for n in set(lengths)}
+    return ("[" + inner + ("," + inner).join(map(row.__getitem__, lengths))
+            + newline + "]") % ints
+
+
+def _write(value, newline: str, put) -> None:
+    """``put`` the JSON of ``value``; ``newline`` is a line break and the
+    indent of the line ``value`` starts on, where its closing bracket goes."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # a row of plain ints
+            put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        elif (rows := _int_rows(value, newline)) is not None:
+            put(rows)
+        else:
+            put("[")
+            for i, item in enumerate(value):
+                put(("," if i else "") + inner)
+                _write(item, inner, put)
+            put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        put("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            put(("," if i else "") + inner + _key(key) + ": ")
+            _write(item, inner, put)
+        put(newline + "}")
+    else:
+        put(_scalar(value))
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` byte
+    for byte, and its errors: ValueError on NaN or infinity, TypeError on a
+    value JSON lacks.  Faster: no generator per level, and rows of plain
+    ints take one ``join`` or one %-format."""
+    out: list[str] = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
 def _render(name: str, content) -> str:
     """The text of one output: a JSON doc, dumped canonically (sorted keys,
     indented), or (header, rows) of a CSV file or a whitespace-separated
     snapshot.  _NonFinite naming ``name`` on a NaN or infinite number."""
     if isinstance(content, dict):
         try:
-            return json.dumps(content, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            return _dumps(content) + "\n"
         except ValueError:  # NaN or Infinity, which JSON lacks
             raise _NonFinite(name) from None
     header, rows = content
@@ -240,11 +368,15 @@ def _render(name: str, content) -> str:
 # {filename: JSON doc or (header, rows)}[, exit code when not 0])
 
 def _build_assignment(eff: dict):
+    from . import lattice
+
     array = lattice.build_hex_array(eff["rows"], eff["cols"], eff["d"])
     return array, lattice.decompose_sublattices(array, eff["n"])
 
 
 def _cmd_lattice(args, eff):
+    from . import lattice
+
     array, assign = _build_assignment(eff)
     doc = {"schema_version": 1, "sites": array.site_count(),
            "layers": assign.layer_count, "n": assign.n,
@@ -253,11 +385,15 @@ def _cmd_lattice(args, eff):
 
 
 def _build_schedule(eff: dict, assign):
+    from . import scheduler
+
     return scheduler.build_schedule(assign, periodic=eff["periodic"],
                                     t_gate=eff["t_gate"], t_shuttle=eff["t_shuttle"])
 
 
 def _cmd_schedule(args, eff):
+    from . import scheduler
+
     array, assign = _build_assignment(eff)
     sched = _build_schedule(eff, assign)
     doc = scheduler.schedule_report(sched)
@@ -271,6 +407,8 @@ def _cmd_schedule(args, eff):
 
 
 def _cmd_verify(args, eff):
+    from . import scheduler
+
     rounds = None
     if eff["schedule_file"]:
         doc = _read_json(eff["schedule_file"])
@@ -278,10 +416,8 @@ def _cmd_verify(args, eff):
             raise ValueError("schedule file lacks the lattice block")
         lat = {key: eff[key] for key in _SCHEDULE_LATTICE}
         block = _merge("schedule.lattice", lat, doc["lattice"])
-        configured = _read_json(args.config).get("verify", {})
         for key in _SCHEDULE_LATTICE:  # a flag or config value the file contradicts
-            given = (_flag(key) if getattr(args, key) is not None
-                     else f"config.verify.{key}" if key in configured else None)
+            given = args.given.get(key)
             if given and block[key] != lat[key]:
                 raise ValueError(f"{given} {lat[key]!r} disagrees with the schedule "
                                  f"file's lattice block, where {key} is {block[key]!r}")
@@ -425,7 +561,9 @@ def _ionize_raman(args, eff):
 
 
 def _electron_propagate(args, eff):
-    trap = {key: eff[key] for key in _TRAP}
+    from . import electron_dynamics as ed
+
+    trap = {key: eff[key] for key in _trap_defaults()}
     cfg = ed.TrapConfig(**{**trap, "detectors": tuple(map(tuple, eff["detectors"]))})
     wp = ed.gaussian_wavepacket(cfg, v0=eff["v0"], sigma_v=eff["sigma_v"],
                                 sigma0=eff["sigma0"])
@@ -452,6 +590,8 @@ def _electron_propagate(args, eff):
 
 
 def _electron_classical(args, eff):
+    from . import electron_dynamics as ed
+
     cfg = ed.TrapConfig(omega_e=eff["omega_e"])
     try:
         x, v = ed.classical_trajectory(cfg, eff["v0"], eff["t"])
@@ -462,6 +602,8 @@ def _electron_classical(args, eff):
 
 
 def _electron_mathieu(args, eff):
+    from . import electron_dynamics as ed
+
     q = eff["q"]
     given = [key for key in ("v_rf", "r0") if eff[key] is not None]
     if q is not None and given:
@@ -480,6 +622,8 @@ def _electron_mathieu(args, eff):
 
 
 def _electron_timescale(args, eff):
+    from . import electron_dynamics as ed
+
     est = ed.electron_timescale(eff["omega_rf"], eff["m_ion"])
     doc = {"schema_version": 1, "formula_s": est.formula_s,
            "reference_s": est.reference_s}
@@ -515,7 +659,7 @@ _HANDLERS = {
 
 def _modes(command: str) -> dict:
     """{mode: defaults}; a command without modes has the single mode None."""
-    table = _DEFAULTS[command]
+    table = _defaults(command)
     return table if isinstance(next(iter(table.values())), dict) else {None: table}
 
 
@@ -533,14 +677,20 @@ def _flag(key: str) -> str:
     return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """Every subcommand, with its flags and defaults epilog on the one that
+    ``argv`` names, or on all of them when it names none."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     top = _Parser(prog="hexmbqc",
                   description="hexagonal-array measurement-based QC toolkit")
     sub = top.add_subparsers(dest="command", required=True)
     for command, helptext in _HELP.items():
+        if named in _HELP and command != named:
+            sub.add_parser(command, help=helptext)
+            continue
         p = sub.add_parser(
             command, help=helptext, formatter_class=argparse.RawDescriptionHelpFormatter,
-            epilog="defaults:\n" + json.dumps(_DEFAULTS[command], sort_keys=True, indent=2))
+            epilog="defaults:\n" + _dumps(_defaults(command)))
         modes = _modes(command)
         if None not in modes:
             p.add_argument("mode", choices=tuple(modes))
@@ -562,18 +712,26 @@ def build_parser() -> _Parser:
 
 def dispatch(argv) -> int:
     """Run one command line.  The only place values resolve, as defaults <
-    config file < flags; the handler gets them typed."""
+    config file < flags; the handler gets them typed, and ``args.given``
+    names how each value set by a flag or the config file was spelled."""
     try:
-        args = build_parser().parse_args(argv)
-        cfg = load_config(args.config)
+        args = build_parser(argv).parse_args(argv)
         mode = getattr(args, "mode", None)
+        config = _read_json(args.config)
+        cfg = _config(config, (args.command,))
         eff = cfg[args.command] if mode is None else cfg[args.command][mode]
+        block = config.get(args.command, {})
+        block = block if mode is None else block.get(mode, {})
+        prefix = ".".join(filter(None, ("config", args.command, mode)))
+        args.given = {key: f"{prefix}.{key}" for key in block}
         for key in _flag_keys(args.command):
             value = getattr(args, key)
-            if value is not None and key not in eff:
+            if value is None:
+                continue
+            if key not in eff:
                 raise _UsageError(f"{_flag(key)} does not apply to {args.command} {mode}")
-            if value is not None:
-                eff[key] = _typed(_KIND.get(key, type(eff[key])), value, _flag(key))
+            eff[key] = _typed(_KIND.get(key, type(eff[key])), value, _flag(key))
+            args.given[key] = _flag(key)
         for key in _TOP:  # seed and out
             if getattr(args, key) is None:
                 setattr(args, key, cfg[key])
@@ -601,7 +759,7 @@ def dispatch(argv) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_VALIDATION
-    except (ValueError, KeyError, OSError, ed.ConfigurationError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # electron's ConfigurationError too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

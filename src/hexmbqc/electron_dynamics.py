@@ -89,8 +89,9 @@ MAX_GRID_POINTS = 1 << 13
 MAX_STEPS = 1_000_000
 
 
-class ConfigurationError(Exception):
-    """Grid/stepper resolution or stability heuristics violated."""
+class ConfigurationError(ValueError):
+    """Grid/stepper resolution or stability heuristics violated: a
+    validation error, so the CLI exits 1 on it as on any ValueError."""
 
 
 @dataclass(frozen=True)

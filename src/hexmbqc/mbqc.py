@@ -189,6 +189,11 @@ def _parity(bits: list[int], domain: frozenset[int]) -> int:
     return sum(bits[k] for k in domain) % 2
 
 
+def _weight(branch: list[complex]) -> float:
+    """The squared norm of ``branch``, clipped to [0, 1]."""
+    return min(max(math.fsum(z.real * z.real + z.imag * z.imag for z in branch), 0.0), 1.0)
+
+
 def _cz(psi: list[complex], bit: int, mask: int) -> list[complex]:
     """CZ between the qubit at ``bit`` of the amplitude index and each qubit
     in ``mask``: negate the amplitudes with ``bit`` and an odd number of
@@ -310,8 +315,7 @@ def run_pattern(
         a0, a1 = _split(psi, 1 << pos)
         phase = cmath.exp(-1j * adapted)
         branch0 = [(x + phase * y) / _ROOT2 for x, y in zip(a0, a1)]
-        p0 = math.fsum(z.real * z.real + z.imag * z.imag for z in branch0)
-        p0 = min(max(p0, 0.0), 1.0)
+        p0 = _weight(branch0)
         # snap projector dust so impossible branches report exactly 0 / 1
         if p0 < 1e-14:
             p0 = 0.0
@@ -324,7 +328,9 @@ def run_pattern(
         if m == 0:
             post, pm = branch0, p0
         else:
-            post, pm = [(x - phase * y) / _ROOT2 for x, y in zip(a0, a1)], 1.0 - p0
+            post = [(x - phase * y) / _ROOT2 for x, y in zip(a0, a1)]
+            # the branch's own weight: 1 - p0 loses a rare outcome's digits
+            pm = 1.0 - p0 if p0 in (0.0, 1.0) else _weight(post)
         if pm > 0.0:
             scale = 1.0 / math.sqrt(pm)
             psi = [z * scale for z in post]

@@ -519,7 +519,8 @@ def dense_run_pattern(
         if m == 0:
             post, pm = branch0, p0
         else:
-            post, pm = (a0 - phase * a1) / math.sqrt(2.0), 1.0 - p0
+            post = (a0 - phase * a1) / math.sqrt(2.0)
+            pm = 1.0 - p0 if p0 in (0.0, 1.0) else min(float(np.sum(np.abs(post) ** 2)), 1.0)
         if pm > 0.0:
             psi = post / math.sqrt(pm)
         else:

@@ -84,6 +84,54 @@ def test_only_ionize_loads_the_ionization_module(tmp_path):
     assert "hexmbqc.ionization" in modules
 
 
+# what one cold process loads past cli and resources, which cli imports at the
+# top: the library modules, dataclasses (~14 ms cold) and numpy (~85 ms)
+EDC = ["dataclasses", "hexmbqc.electron_dynamics"]
+ION = ["dataclasses", "hexmbqc.data", "hexmbqc.ionization"]
+SCHED = ["dataclasses", "hexmbqc.lattice", "hexmbqc.scheduler"]
+LOADED = [
+    (["lattice"], 0, ["dataclasses", "hexmbqc.lattice"]),
+    (["schedule"], 0, SCHED),
+    (["verify"], 0, SCHED),
+    (["verify", "--schedule", "{dir}/schedule.json"], 0, SCHED),
+    (["mbqc", "--pattern", "{dir}/pattern.json"], 0, ["dataclasses", "hexmbqc.mbqc"]),
+    (["ionize", "rates"], 0, ION),
+    (["ionize", "resonances"], 0, ION),
+    (["ionize", "quadrupole"], 0, ION),
+    (["ionize", "raman"], 0, ION),
+    (["electron", "classical"], 0, EDC),
+    (["electron", "mathieu", "--q", "0.5", "--boundary"], 0, EDC),
+    (["electron", "timescale"], 0, EDC),
+    (["electron", "propagate", "--dump-config"], 0, EDC),
+    (["resources"], 0, []),
+    (["resources", "--config", "{dir}/bad.json"], 1, []),
+    (["lattice", "--config", "{dir}/bad.json"], 1, []),
+]
+
+
+@pytest.mark.parametrize("argv, code, want", LOADED, ids=[" ".join(a) for a, _, _ in LOADED])
+def test_a_cold_process_loads_only_its_subcommand(tmp_path, capsys, argv, code, want):
+    run(capsys, "schedule", "--out", str(tmp_path))
+    (tmp_path / "pattern.json").write_text(json.dumps(_chain_doc()))
+    (tmp_path / "bad.json").write_text(json.dumps({"lattice": {"rowz": 3}}))
+    codes, modules = _modules_after([[a.format(dir=tmp_path) for a in argv]], tmp_path / "out")
+    loaded = [m for m in modules if m in ("dataclasses", "numpy")
+              or m.startswith("hexmbqc.") and m not in ("hexmbqc.cli", "hexmbqc.resources")]
+    assert (codes, loaded) == ([code], want)
+
+
+def test_a_config_block_loads_its_module_and_is_checked(tmp_path):
+    # every block the file holds is validated, so a bad key in another
+    # command's block is still refused, after loading that command's module
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"electron": {"timescale": {"m_ion": 1.0}}}))
+    codes, modules = _modules_after([["resources", "--config", str(cfg)]], tmp_path / "out")
+    assert codes == [0] and "hexmbqc.electron_dynamics" in modules
+    cfg.write_text(json.dumps({"schedule": {"t_gaet": 1.0}}))
+    codes, modules = _modules_after([["resources", "--config", str(cfg)]], tmp_path / "out")
+    assert codes == [1] and "hexmbqc.scheduler" in modules
+
+
 geomspace_ends = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
 
 
@@ -508,6 +556,60 @@ def test_artifact_writers_refuse_non_finite_numbers(tmp_path, capsys, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+def _json_or_error(dumps, value):
+    try:
+        return dumps(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def _reference_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((-0.0, 1e-320))
+big_ints = st.integers() | st.sampled_from((2**63, 2**64, -2**64 - 1, 2**200))
+int_rows = st.lists(big_ints, max_size=4)
+mixed_rows = st.lists(big_ints | st.booleans() | finite, max_size=4)
+rows = st.one_of(int_rows, int_rows.map(tuple), mixed_rows, mixed_rows.map(tuple))
+json_scalars = st.none() | st.booleans() | big_ints | finite | st.text(max_size=6)
+number_keys = st.integers() | st.floats(allow_nan=False) | st.booleans()
+json_trees = st.recursive(
+    json_scalars | rows | st.lists(rows, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(number_keys, inner, max_size=3), max_leaves=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_trees)
+@example([[3, 7], [2, 9]]).via("a schedule's gates")
+@example([(3, 7), (2, 9)]).via("rows as tuples")
+@example([[1, True], [2, 3]]).via("a bool among the ints")
+@example([[1, 2.0], [2, 3]]).via("a float among the ints")
+@example([[1, 2], [3], [], [4, [5, 6]]]).via("ragged, empty and nested rows")
+@example({"\u00e9\x00\u2028\U0001f600": ["\x1f\ud800", "\u2603"]}).via("escapes")
+@example([2**64, -0.0, 1e-320, 5e-324, 1e308]).via("big ints, signed zero, subnormals")
+@example({None: 1, True: 2}).via("keys that cannot be sorted together")
+@example({1: "a", 2.5: "b", False: "c"}).via("number keys")
+@example(10**5000).via("an int past the digit limit")
+def test_json_writer_matches_json_dumps(value):
+    assert _json_or_error(cli._dumps, value) == _json_or_error(_reference_dumps, value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", ["value", "row", "key", "deep"])
+def test_json_writer_refuses_non_finite_numbers_as_json_does(bad, place):
+    doc = {"value": {"x": bad}, "row": {"rounds": [[1, 2], [3, bad]]},
+           "key": {"k": {bad: 1}}, "deep": {"a": [{"b": [(1, (bad,))]}]}}[place]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _reference_dumps(doc)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dumps(doc)
+    with pytest.raises(cli._NonFinite, match="doc.json"):
+        cli._render("doc.json", doc)
+
+
 # sha256 of stdout and of every artifact, taken before handlers returned their
 # artifacts; these commands use only correctly rounded IEEE operations, so the
 # digests hold on any libm or numpy build
@@ -583,6 +685,38 @@ def test_help_exits_zero_and_documents_defaults(capsys):
     assert code == 0
     assert "defaults:" in out
     assert '"bits": 640' in out
+
+
+# sha256 of ``hexmbqc --help`` and of each ``hexmbqc <command> --help`` at 80
+# columns, taken while every process still built all seven subparsers
+HELP = {
+    (): "acb68761023c9b30644f209edbd8bf3dc8ca0e62804524dc73bd66f7eb9a5154",
+    ("lattice",): "461da1f1675892f873d463d4edefa1b30b60bb364f5fc31229569ddd7be4b34f",
+    ("schedule",): "a952f81dca4f6770d2c347c345838ce6e16cd0d3b1e6d587eab040014c86006a",
+    ("verify",): "2e67ff5bf70faed70d027202adc096523d696475cc62125035ba836ecd36612f",
+    ("mbqc",): "e708c08f8bc4e73cc761c787d495817b8fe3db3951eb12a84f3a67a881ac4227",
+    ("ionize",): "6efcc6ddbaf7495fdba226df44d2d44267060cc16f4bb42e5768b572b93c2bfa",
+    ("electron",): "1d6e4d1e551773416699304427d61cda82d2a5c2fa0afdefb06bfc6052353828",
+    ("resources",): "6d8fb8c5d7a2a463205cfb7040d34d60819260af696f52c1e4c7529424d30bed",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP), ids=lambda a: " ".join(a) or "top")
+def test_help_matches_golden_digest(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *argv, "--help")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, HELP[argv])
+
+
+def test_a_run_leaves_every_table_as_it_was(tmp_path, capsys):
+    # the tables are built once per process and shared by every run in it
+    before = json.dumps({c: cli._defaults(c) for c in cli._HELP}, sort_keys=True)
+    _with_config(tmp_path, capsys, {"schedule": {"rows": 3, "periodic": True}},
+                 "schedule", "--cols", "5", "--t-gate", "2e-5", "--out", str(tmp_path))
+    run(capsys, "electron", "propagate", "--dt", "1e-12", "--no-static", "--dump-config")
+    run(capsys, "ionize", "rates", "--points", "3", "--out", str(tmp_path))
+    after = json.dumps({c: cli._defaults(c) for c in cli._HELP}, sort_keys=True)
+    assert after == before
 
 
 def test_schedule_csv_is_deterministic(tmp_path, capsys):
@@ -794,6 +928,21 @@ def test_verify_flag_contradicting_the_schedule_file_exits_1(tmp_path, capsys, f
     assert (code, json.loads(out)["sites"]) == (0, 48)
 
 
+def test_verify_checks_a_config_that_can_be_read_only_once(tmp_path, capsys):
+    # the contradiction check read the config file a second time, which a
+    # pipe answers with nothing, so a contradicting piped config passed
+    run(capsys, "schedule", "--rows", "4", "--cols", "4", "--n", "1", "--out", str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hexmbqc.cli", "verify", "--schedule",
+         str(tmp_path / "schedule.json"), "--config", "/dev/stdin", "--out", str(tmp_path / "ver")],
+        input=json.dumps({"verify": {"rows": 5}}), env=_cli_env(), capture_output=True,
+        text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert ("config.verify.rows 5 disagrees with the schedule file's lattice block, "
+            "where rows is 4") in proc.stderr
+    assert not (tmp_path / "ver").exists()
+
+
 def test_electron_propagate_config_with_bad_sigma_v_and_sigma0_exits_1(tmp_path, capsys):
     for sigma_v in (-1.0, 0.0):
         code, _, err = _with_config(
@@ -838,6 +987,22 @@ def test_config_list_for_int_is_rejected(tmp_path, capsys):
                                 "lattice", "--out", str(tmp_path))
     assert code == 1
     assert "config.lattice.rows must be int, got [1]" in err
+
+
+def test_load_config_returns_every_block_typed(tmp_path):
+    # the public reader still builds every command's table, whichever
+    # blocks the file holds, and refuses an unknown key in any of them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "resources": {"bits": 1024}}))
+    got = cli.load_config(str(cfg))
+    assert set(got) == {"seed", "out", *cli._HELP}
+    assert (got["seed"], got["resources"]["bits"]) == (3, 1024)
+    assert got["electron"]["propagate"]["dt"] == cli._defaults("electron")["propagate"]["dt"]
+    assert cli.load_config(None) == {"seed": 0, "out": ".", **{
+        command: cli._defaults(command) for command in cli._HELP}}
+    cfg.write_text(json.dumps({"electron": {"timescale": {"m_ionn": 1.0}}}))
+    with pytest.raises(ValueError, match="m_ionn"):
+        cli.load_config(str(cfg))
 
 
 def test_dump_config_reports_the_config_seed(tmp_path, capsys):

@@ -111,36 +111,70 @@ def _is_literal(node: ast.AST) -> bool:
         map(_is_literal, ast.iter_child_nodes(node)))
 
 
-def _restated_defaults(source: str, library: dict) -> list[str]:
-    """``table.key`` for every key of cli's ``_LATTICE``, ``_SCHEDULE`` and
-    ``_DEFAULTS`` whose value is written out while the library owns a
-    default of that name."""
-    found = []
+# where cli.py writes its tables: the module-level lattice table, and the
+# function that builds every command's table on first use
+TABLE_SOURCES = ("_LATTICE", "_defaults")
+
+
+def _restated_defaults(source: str, library: dict) -> tuple[list[str], set[str]]:
+    """``source.key`` for every key of a dict written in cli's table sources
+    whose value is written out while the library owns a default of that
+    name; and every key written in those dicts, so that a scan that finds
+    no table cannot pass."""
+    found, keys = [], set()
     for node in ast.parse(source).body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and getattr(node.targets[0], "id", None) in ("_LATTICE", "_SCHEDULE",
-                                                             "_DEFAULTS")):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+        else:
+            name = getattr(node, "name", None)
+        if name not in TABLE_SOURCES:
             continue
-        for table in ast.walk(node.value):
+        for table in ast.walk(node):
             if isinstance(table, ast.Dict):
-                found += [f"{node.targets[0].id}.{key.value}"
-                          for key, value in zip(table.keys, table.values)
-                          if isinstance(key, ast.Constant) and key.value in library
-                          and _is_literal(value)]
-    return found
+                written = [(key.value, value) for key, value in zip(table.keys, table.values)
+                           if isinstance(key, ast.Constant)]
+                keys.update(key for key, _ in written)
+                found += [f"{name}.{key}" for key, value in written
+                          if key in library and _is_literal(value)]
+    return found, keys
+
+
+def _cli_tables() -> list[dict]:
+    """Every {key: default} table of every command, one per mode."""
+    from hexmbqc import cli
+
+    tables = []
+    for command in cli._HELP:
+        tables += cli._modes(command).values()
+    return tables
 
 
 def test_cli_table_reads_the_defaults_the_library_owns():
     # a default the library owns has one copy: the CLI reads it, so changing
     # it in the library changes every subcommand that passes it through
-    from hexmbqc import cli
-
     library = _library_defaults()
-    assert _restated_defaults((PACKAGE / "cli.py").read_text(), library) == []
-    tables = [cli._LATTICE, cli._SCHEDULE]
-    for block in cli._DEFAULTS.values():
-        tables += block.values() if isinstance(next(iter(block.values())), dict) else [block]
+    restated, written = _restated_defaults((PACKAGE / "cli.py").read_text(), library)
+    assert restated == []
+    tables = _cli_tables()
+    assert len(tables) == 13
+    # the scan reached the code of every table: each key the library does
+    # not own is written in one of the scanned dicts
+    assert {key for table in tables for key in table if key not in library} <= written
     shared = [(key, value) for table in tables for key, value in table.items()
               if key in library]
     assert [(key, value) for key, value in shared if value != library[key]] == []
     assert {key for key, _ in shared} >= {"omega_e", "omega_rf", "v0", "periodic", "dt"}
+
+
+def test_a_restated_library_default_is_found():
+    # the scan above is not vacuous: a literal planted where a table is
+    # built is reported
+    source = (PACKAGE / "cli.py").read_text()
+    library = _library_defaults()
+    planted = source.replace("**scheduler.build_schedule.__kwdefaults__}",
+                             '**scheduler.build_schedule.__kwdefaults__, "periodic": False}')
+    assert planted != source
+    assert _restated_defaults(planted, library)[0] == ["_defaults.periodic"]
+    planted = source.replace('"d": 1.0, "n": 1}', '"d": 1.0, "n": 1, "t_gate": 1e-5}')
+    assert planted != source
+    assert _restated_defaults(planted, library)[0] == ["_LATTICE.t_gate"]

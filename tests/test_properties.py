@@ -135,15 +135,17 @@ def _block(defaults):
     return st.dictionaries(keys, json_values, max_size=3)
 
 
+def _command_block(command):
+    modes = cli._modes(command)
+    if None in modes:
+        return _block(modes[None])
+    return st.fixed_dictionaries({}, optional={
+        mode: _block(defaults) for mode, defaults in modes.items()})
+
+
 config_docs = json_values | st.fixed_dictionaries({}, optional={
-    "seed": json_values, "out": json_values, "lattice": _block(cli._LATTICE),
-    "schedule": _block(cli._DEFAULTS["schedule"]),
-    "verify": _block(cli._DEFAULTS["verify"]),
-    "ionize": st.fixed_dictionaries({}, optional={
-        mode: _block(defaults) for mode, defaults in cli._DEFAULTS["ionize"].items()}),
-    "electron": st.fixed_dictionaries({}, optional={
-        mode: _block(defaults) for mode, defaults in cli._DEFAULTS["electron"].items()}),
-    "resources": _block(cli._DEFAULTS["resources"])})
+    "seed": json_values, "out": json_values,
+    **{command: _command_block(command) for command in cli._HELP}})
 # every command a config alone can run: propagate is left out because a block
 # of small values can still describe a run of seconds; verify of a small array
 # takes milliseconds, and a Mathieu trace stops at its step budget (under 1 s)
