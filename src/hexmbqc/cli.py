@@ -16,17 +16,19 @@ epilog and its ``--dump-config``.  Each table is built the first time its
 command is used, once per process, and never changed after.  It writes
 only the values no library call owns and reads the rest from the module
 that owns them: ``build_schedule``'s keyword-only defaults for
-``schedule`` and ``verify``; ``TrapConfig``'s fields and the keyword-only
-defaults of ``gaussian_wavepacket`` and ``propagate`` for ``electron``.
-Every subcommand also accepts ``--config FILE`` (JSON, one block per
+``schedule`` (``verify``, which reads no timing, takes only ``periodic``);
+``TrapConfig``'s fields and the keyword-only defaults of
+``gaussian_wavepacket`` and ``propagate`` for ``electron``.  Every
+subcommand also accepts ``--config FILE`` (JSON, one block per
 subcommand, unknown keys rejected in every block), ``--seed N``, ``--out
 DIR`` and ``--dump-config``.  Effective values resolve as defaults <
 config file < explicit flags.  Identical config + seed gives
-byte-identical artifacts: JSON is written as ``json.dumps(doc,
-sort_keys=True, indent=2)`` writes it, and CSV uses fixed formats, with
-no timestamps anywhere.
+byte-identical artifacts: ``_dumps`` writes JSON as ``json.dumps(doc,
+sort_keys=True, indent=2)`` does, and CSV uses fixed formats, with no
+timestamps anywhere.
 
-Handlers do no I/O; ``dispatch`` is the one writer.  It renders stdout and
+Handlers write nothing and read documents (config, schedule, pattern) only
+through ``_read_json``.  ``dispatch``, the one writer, renders stdout and
 every artifact first and only then creates ``--out``, so a NaN or infinite
 result exits 2 naming the output and the inputs, with nothing written.
 
@@ -58,7 +60,7 @@ import sys
 
 from . import resources
 
-__all__ = ["main", "dispatch", "parse_duration", "load_config"]
+__all__ = ["main", "dispatch", "parse_duration"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,6 +74,10 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # -4, -.5 and -1e-3 are values, not flags
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise _UsageError(message)
 
@@ -104,7 +110,8 @@ def _defaults(command: str) -> dict:
         from . import scheduler
 
         table = {**_LATTICE, **scheduler.build_schedule.__kwdefaults__}
-        return table if command == "schedule" else {**table, "schedule_file": None}
+        return table if command == "schedule" else {  # verify reads no timing
+            **_LATTICE, "periodic": table["periodic"], "schedule_file": None}
     if command == "mbqc":
         return {"pattern_file": None}
     if command == "ionize":
@@ -240,20 +247,6 @@ def _read_json(path: str | None):
         return json.loads(fh.read().strip() or "{}")
 
 
-def _config(doc, commands) -> dict:
-    """The config ``doc`` over the defaults of ``commands`` and of every
-    block ``doc`` holds, every value typed; ValueError naming the first bad
-    key, in any block."""
-    held = [c for c in _HELP if c in commands or isinstance(doc, dict) and c in doc]
-    return _merge("config", {**_TOP, **{c: _defaults(c) for c in held}}, doc)
-
-
-def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the JSON config file at ``path``, every value
-    typed: ``{"seed", "out", command: values or {mode: values}}``."""
-    return _config(_read_json(path), _HELP)
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -306,46 +299,28 @@ def _int_rows(value, newline: str) -> str | None:
             + newline + "]") % ints
 
 
-def _write(value, newline: str, put) -> None:
-    """``put`` the JSON of ``value``; ``newline`` is a line break and the
-    indent of the line ``value`` starts on, where its closing bracket goes."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, value)) == {int}:  # a row of plain ints
-            put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-        elif (rows := _int_rows(value, newline)) is not None:
-            put(rows)
-        else:
-            put("[")
-            for i, item in enumerate(value):
-                put(("," if i else "") + inner)
-                _write(item, inner, put)
-            put(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        put("{")
-        for i, (key, item) in enumerate(sorted(value.items())):
-            put(("," if i else "") + inner + _key(key) + ": ")
-            _write(item, inner, put)
-        put(newline + "}")
-    else:
-        put(_scalar(value))
-
-
-def _dumps(value) -> str:
+def _dumps(value, newline: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` byte
     for byte, and its errors: ValueError on NaN or infinity, TypeError on a
-    value JSON lacks.  Faster: no generator per level, and rows of plain
-    ints take one ``join`` or one %-format."""
-    out: list[str] = []
-    _write(value, "\n", out.append)
-    return "".join(out)
+    value JSON lacks.  ``newline`` is a line break and the indent of the line
+    ``value`` starts on, where its closing bracket goes.  Faster: no
+    generator per level, and rows of plain ints take one %-format."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        parts = [part for key, item in sorted(value.items())
+                 for part in (",", inner, _key(key), ": ", _dumps(item, inner))]
+        brackets = "{}"
+    elif (rows := _int_rows(value, newline)) is not None:
+        return rows
+    else:
+        parts = [part for item in value for part in (",", inner, _dumps(item, inner))]
+        brackets = "[]"
+    if not parts:
+        return brackets
+    parts[0] = brackets[0]  # in the first comma's place: one join, one copy per level
+    return "".join([*parts, newline, brackets[1]])
 
 
 def _render(name: str, content) -> str:
@@ -384,18 +359,12 @@ def _cmd_lattice(args, eff):
     return doc, {"lattice.json": doc, "lattice_full.json": lattice.assignment_report(assign)}
 
 
-def _build_schedule(eff: dict, assign):
-    from . import scheduler
-
-    return scheduler.build_schedule(assign, periodic=eff["periodic"],
-                                    t_gate=eff["t_gate"], t_shuttle=eff["t_shuttle"])
-
-
 def _cmd_schedule(args, eff):
     from . import scheduler
 
     array, assign = _build_assignment(eff)
-    sched = _build_schedule(eff, assign)
+    sched = scheduler.build_schedule(assign, periodic=eff["periodic"],
+                                     t_gate=eff["t_gate"], t_shuttle=eff["t_shuttle"])
     doc = scheduler.schedule_report(sched)
     doc["lattice"] = {key: eff[key] for key in _SCHEDULE_LATTICE}
     rows = [f"{k},{count},{dur:.9e}"
@@ -425,7 +394,7 @@ def _cmd_verify(args, eff):
         rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
     array, assign = _build_assignment(eff)
     if rounds is None:
-        rounds = _build_schedule(eff, assign).rounds
+        rounds = scheduler.build_schedule(assign, periodic=eff["periodic"]).rounds
     failure, failing, edges = scheduler.audit_rounds(rounds, assign, eff["periodic"])
     doc = {"schema_version": 1, "verified": failure is None,
            "sites": array.site_count(), "rounds": len(rounds), "target_edges": edges}
@@ -443,8 +412,7 @@ def _cmd_mbqc(args, eff):
     from . import mbqc
     if not eff["pattern_file"]:
         raise ValueError("mbqc requires a pattern file (--pattern)")
-    with open(eff["pattern_file"]) as fh:
-        doc = json.load(fh)
+    doc = _read_json(eff["pattern_file"])
     inp = doc.pop("input", None) if isinstance(doc, dict) else None
     n, edges, pattern = mbqc.pattern_from_dict(doc)
     input_state = None
@@ -697,11 +665,8 @@ def build_parser(argv=()) -> _Parser:
         for key, (default, used_by) in _flag_keys(command).items():
             kind = _KIND.get(key, type(default))
             helptext = None if None in used_by else "for " + ", ".join(used_by)
-            if kind is bool:
-                p.add_argument(_flag(key), dest=key, help=helptext,
-                               action=argparse.BooleanOptionalAction)
-            else:
-                p.add_argument(_flag(key), dest=key, type=kind, help=helptext)
+            p.add_argument(_flag(key), dest=key, help=helptext, **(
+                {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}))
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
         p.add_argument("--out", help="output directory (default .)")
@@ -718,7 +683,10 @@ def dispatch(argv) -> int:
         args = build_parser(argv).parse_args(argv)
         mode = getattr(args, "mode", None)
         config = _read_json(args.config)
-        cfg = _config(config, (args.command,))
+        # over the defaults of this command and of every block the file
+        # holds, so that a bad key in any block is refused
+        held = [c for c in _HELP if c == args.command or isinstance(config, dict) and c in config]
+        cfg = _merge("config", {**_TOP, **{c: _defaults(c) for c in held}}, config)
         eff = cfg[args.command] if mode is None else cfg[args.command][mode]
         block = config.get(args.command, {})
         block = block if mode is None else block.get(mode, {})

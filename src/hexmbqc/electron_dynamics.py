@@ -182,15 +182,9 @@ def _norm(psi: np.ndarray, step: float) -> float:
     return float(np.vdot(psi, psi).real * step)
 
 
-def gaussian_wavepacket(
-    config: TrapConfig,
-    *,
-    v0: float = 7e3,
-    sigma_v: float = SIGMA_V_DEFAULT,
-    sigma0: float | None = None,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> Wavepacket:
-    """Isotropic Gaussian with mean velocity (v0, 0).
+def gaussian_wavepacket(config: TrapConfig, *, v0: float = 7e3, sigma_v: float = SIGMA_V_DEFAULT,
+                        sigma0: float | None = None) -> Wavepacket:
+    """Isotropic Gaussian centred on the origin with mean velocity (v0, 0).
 
     By default the width is set from the velocity spread: sigma0 =
     hbar_eff/(2 m sigma_v), minimum-uncertainty under the configured
@@ -210,9 +204,8 @@ def gaussian_wavepacket(
         _momentum_check(config, v0, sigma0)
     x = config.x_axis()
     spread = 4.0 * _square(sigma0)
-    psi_x = np.exp(-((x - center[0]) ** 2) / spread) * np.exp(1j * k0 * x)
-    psi_y = np.exp(-((config.y_axis() - center[1]) ** 2) / spread).astype(
-        np.complex128)
+    psi_x = np.exp(-(x ** 2) / spread) * np.exp(1j * k0 * x)
+    psi_y = np.exp(-(config.y_axis() ** 2) / spread).astype(np.complex128)
     psi_x /= math.sqrt(_norm(psi_x, config.dx))
     psi_y /= math.sqrt(_norm(psi_y, config.dy))
     return Wavepacket(psi_x=psi_x, psi_y=psi_y, sigma0=sigma0, v0=v0, t=0.0)

@@ -20,7 +20,8 @@ inverse).  ``HexArray.position`` computes a site's Cartesian coordinates
 when asked; trap-channel adjacency is not stored.  Likewise a
 ``LayerAssignment`` stores nothing per site: ``layer`` and ``coord`` read a
 site's layer and in-layer coordinate off its key, since the layers are the
-cosets ``(f, i mod n, j mod n)``.
+cosets ``(f, i mod n, j mod n)``, and ``_serpentine`` alone orders them: a
+coset's position gives both its layer and the step to the next layer.
 
 ``cluster_partners`` alone knows the 3D cluster's neighbour rule (each
 site's u, v and next-layer partner) and computes its partner table once per
@@ -96,18 +97,17 @@ class LayerAssignment:
 
     array: HexArray
     n: int
-    layer_count: int
-    # layer -> (family, (p, q)) coset labels, index 0 unused
-    layer_labels: tuple[tuple[int, tuple[int, int]] | None, ...] = field(repr=False)
     # bool(periodic) -> cluster_partners' list of (s, u, v, up), made on first use
     _partners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def layer_count(self) -> int:
+        return 2 * self.n * self.n
 
     def layer(self, s: int) -> int:
         """Layer of site ``s``, in 1..layer_count."""
         f, i, j = self.array.keys[s]
-        n = self.n
-        p, q = i % n, j % n
-        return 2 * (p * n + (q if p % 2 == 0 else n - 1 - q)) + 1 + f
+        return 2 * _serpentine(self.n, i % self.n, j % self.n) + 1 + f
 
     def coord(self, s: int) -> tuple[int, int]:
         """Integer in-layer (a, b) coordinate of site ``s`` along the layer's
@@ -143,14 +143,11 @@ def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
                     index={k: s for s, k in enumerate(keys)})
 
 
-def _serpentine(n: int) -> list[tuple[int, int]]:
-    """Boustrophedon order of the n x n coset grid; consecutive entries
-    differ by one step in p or q."""
-    order = []
-    for p in range(n):
-        qs = range(n) if p % 2 == 0 else range(n - 1, -1, -1)
-        order.extend((p, q) for q in qs)
-    return order
+def _serpentine(n: int, p: int, q: int) -> int:
+    """Position of coset (p, q) in the boustrophedon order of the n x n
+    coset grid: row p runs up in q for even p and down for odd p, so
+    consecutive positions differ by one step in p or q."""
+    return p * n + (q if p % 2 == 0 else n - 1 - q)
 
 
 def decompose_sublattices(array: HexArray, n: int) -> LayerAssignment:
@@ -177,25 +174,19 @@ def decompose_sublattices(array: HexArray, n: int) -> LayerAssignment:
             f"cell for n={n}; increase rows/cols"
         )
 
-    labels = [None] + [(f, pq) for pq in _serpentine(n) for f in (0, 1)]
-    return LayerAssignment(array=array, n=n, layer_count=2 * n * n,
-                           layer_labels=tuple(labels))
+    return LayerAssignment(array=array, n=n)
 
 
-def _layer_shift(assign: LayerAssignment, layer: int) -> tuple[int, int, int]:
-    """Family flip and (di, dj) step taking layer ``layer`` onto
-    layer ``layer + 1`` (cyclically)."""
-    nxt = layer % assign.layer_count + 1
-    f0, (p0, q0) = assign.layer_labels[layer]
-    f1, (p1, q1) = assign.layer_labels[nxt]
-    n = assign.n
-
-    def wrap(delta: int) -> int:
-        # nearest representative of delta mod n
-        delta %= n
-        return delta - n if delta > n // 2 else delta
-
-    return f1, wrap(p1 - p0), wrap(q1 - q0)
+def _layer_shift(n: int, f: int, p: int, q: int) -> tuple[int, int, int]:
+    """Family and (di, dj) step taking the layer of coset (f, p, q) onto the
+    next layer (cyclically): family B of the same coset after family A, and
+    family A of the next coset in serpentine order after family B."""
+    if f == 0:
+        return 1, 0, 0
+    p1, r = divmod((_serpentine(n, p, q) + 1) % (n * n), n)
+    q1 = _serpentine(n, p1, r) % n  # the order reverses q on odd rows both ways
+    half = (n - 1) // 2  # each step is its nearest representative mod n
+    return 0, (p1 - p + half) % n - half, (q1 - q + half) % n - half
 
 
 def cluster_partners(assign: LayerAssignment, periodic: bool = False
@@ -212,12 +203,12 @@ def cluster_partners(assign: LayerAssignment, periodic: bool = False
     """
     table = assign._partners.get(bool(periodic))
     if table is None:
-        array, n, count = assign.array, assign.n, assign.layer_count
-        index = array.index
-        last = count if periodic and count > 2 else count - 1
-        # step to the next layer, keyed by each layer's coset (f, p, q)
-        shift = {(f, p, q): _layer_shift(assign, ell)
-                 for ell, (f, (p, q)) in enumerate(assign.layer_labels[1:last + 1], start=1)}
+        array, n, index = assign.array, assign.n, assign.array.index
+        # step to the next layer, keyed by each layer's coset (f, p, q); the
+        # last layer, family B of the last coset, has one only when it wraps
+        shift = {(f, p, q): _layer_shift(n, f, p, q)
+                 for f in (0, 1) for p in range(n) for q in range(n)
+                 if periodic and n > 1 or (f, _serpentine(n, p, q)) != (1, n * n - 1)}
         # a layer with no next layer looks up family None, which no site has
         table = assign._partners[bool(periodic)] = [
             (s, index.get((f, i + n, j)), index.get((f, i, j + n)),

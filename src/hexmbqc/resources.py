@@ -9,6 +9,8 @@ first-order exposure n_qubits * t_meas / T_coh.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "OPS_PER_BITCUBE",
     "MONTH_SECONDS",
@@ -31,11 +33,26 @@ def shor_op_count(bits: int) -> int:
     return OPS_PER_BITCUBE * bits**3
 
 
+def _ratio(count: int, x: float, y: float) -> float:
+    """``count * x / y`` in float arithmetic; where that passes float range,
+    exactly from the numbers' integer ratios, and inf only past it."""
+    try:
+        if (result := count * x / y) != math.inf:
+            return result
+    except OverflowError:  # an int past float range
+        pass
+    try:
+        (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+        return count * a * d / (b * c)
+    except OverflowError:  # the result is past float range too
+        return math.inf
+
+
 def required_op_time(bits: int, wall_clock_s: float) -> float:
     """Seconds available per operation to finish within wall_clock_s."""
     if wall_clock_s <= 0:
         raise ValueError("wall clock target must be positive")
-    return wall_clock_s / shor_op_count(bits)
+    return _ratio(1, wall_clock_s, shor_op_count(bits))
 
 
 def storage_error(n_qubits: int, t_meas_s: float, t_coh_s: float) -> float:
@@ -46,7 +63,7 @@ def storage_error(n_qubits: int, t_meas_s: float, t_coh_s: float) -> float:
         raise ValueError("t_meas must be >= 0")
     if t_coh_s <= 0:
         raise ValueError("T_coh must be positive")
-    return n_qubits * t_meas_s / t_coh_s
+    return _ratio(n_qubits, t_meas_s, t_coh_s)
 
 
 def resource_report(bits: int, wall_clock_s: float, n_qubits: int,

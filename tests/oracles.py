@@ -9,7 +9,8 @@ amplitude index.  ``adjacency`` lists the trap channels of a hex array and
 ``channel_distance`` measures a shuttle path by breadth-first search over
 them.  ``has_full_cell`` scans an array's windows for one full elementary
 cell of the scaled decomposition, and ``reference_layers`` numbers each
-site's layer by finding its coset among the assignment's ``layer_labels``.
+site's layer by finding its coset in ``layer_labels``, the boustrophedon
+order of the n x n coset grid listed row by row.
 ``reference_intra_edges`` and ``reference_interlayer_edges`` are
 the 3D cluster's edge sets found by coordinate lookup, apart from the
 lattice's ``cluster_partners``; ``schedule_rounds`` is the six-round
@@ -264,11 +265,22 @@ def has_full_cell(array, n: int) -> bool:
                for i0 in range(imin, imax - n + 2) for j0 in range(jmin, jmax - n + 2))
 
 
+def layer_labels(n: int) -> list[tuple[int, tuple[int, int]] | None]:
+    """Layer -> (family, (p, q)) coset label, index 0 unused: the cosets in
+    boustrophedon order (row p forward for even p, backward for odd p),
+    families A then B of each."""
+    order = []
+    for p in range(n):
+        qs = range(n) if p % 2 == 0 else range(n - 1, -1, -1)
+        order.extend((p, q) for q in qs)
+    return [None] + [(f, pq) for pq in order for f in (0, 1)]
+
+
 def reference_layers(assign) -> list[int]:
     """Layer of each site in id order: the index of its coset
-    (family, (i mod n, j mod n)) in ``assign.layer_labels``."""
+    (family, (i mod n, j mod n)) in ``layer_labels``."""
     n = assign.n
-    number = {label: ell for ell, label in enumerate(assign.layer_labels) if label is not None}
+    number = {label: ell for ell, label in enumerate(layer_labels(n)) if label is not None}
     return [number[(f, (i % n, j % n))] for f, i, j in assign.array.keys]
 
 
@@ -289,10 +301,10 @@ def reference_intra_edges(assign) -> set[tuple[int, int]]:
 def _next_layer_step(assign, layer: int) -> tuple[int, int, int]:
     """Family and nearest (di, dj) taking layer ``layer`` onto the next one
     (cyclically), from the two layers' coset labels."""
-    nxt = layer % assign.layer_count + 1
-    f0, (p0, q0) = assign.layer_labels[layer]
-    f1, (p1, q1) = assign.layer_labels[nxt]
     n = assign.n
+    labels = layer_labels(n)
+    f0, (p0, q0) = labels[layer]
+    f1, (p1, q1) = labels[layer % (2 * n * n) + 1]
 
     def wrap(delta: int) -> int:
         delta %= n

@@ -10,14 +10,16 @@ loosened to make a failing build green.
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
-from oracles import (DenseTableau, apply_byproduct, edge_union, euler_unitary,
+from oracles import (DenseTableau, apply_byproduct, check_rounds, edge_union, euler_unitary,
                      linear_cluster_gate, linear_cluster_pattern, packet_moments,
-                     pauli_expectation, statevector_oracle)
+                     pauli_expectation, reference_interlayer_edges, reference_intra_edges,
+                     statevector_oracle)
 
 from hexmbqc import electron_dynamics as ed
 from hexmbqc import graphstate as gs
@@ -93,6 +95,65 @@ def _random_connected_subcluster(rng, edges_all, max_size=16):
     return len(chosen), sub_edges
 
 
+def _corrupt(rng, rounds, off_target):
+    """``rounds`` as lists with one gate dropped, repeated, replaced by an
+    ``off_target`` pair or moved to another round, and the kind of change."""
+    rounds = [list(rnd) for rnd in rounds]
+    full = [k for k, rnd in enumerate(rounds) if rnd]
+    k = full[int(rng.integers(len(full)))]
+    gate = rounds[k][int(rng.integers(len(rounds[k])))]
+    kind = ("drop", "repeat", "off-target", "move")[int(rng.integers(4))]
+    if kind in ("drop", "move"):
+        rounds[k].remove(gate)
+    if kind == "off-target":
+        gate = off_target[int(rng.integers(len(off_target)))]
+    if kind == "move":  # to any other round
+        to = (k + 1 + int(rng.integers(len(rounds) - 1))) % len(rounds)
+    else:
+        to = int(rng.integers(len(rounds)))
+    if kind != "drop":
+        rounds[to].insert(int(rng.integers(len(rounds[to]) + 1)), list(gate))
+    return kind, rounds
+
+
+def _audit_trials(rng, trials):
+    """``scheduler.audit_rounds``, the verifier ``hexmbqc verify`` runs, on
+    corrupted schedules of arrays of at most 16 sites: its failing sites
+    must be those whose K_a is not +1 on the statevector of the gates
+    applied an odd number of times, and its fault that of
+    ``oracles.check_rounds``."""
+    cases = []
+    for (rows, cols), n, periodic in itertools.product(
+            ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)), (1, 2), (False, True)):
+        arr = lattice.build_hex_array(rows, cols, 1.0)
+        try:
+            asg = lattice.decompose_sublattices(arr, n)
+        except ValueError:  # no full cell
+            continue
+        target = reference_intra_edges(asg) | reference_interlayer_edges(asg, periodic)
+        nbrs = {a: sorted({b for e in target if a in e for b in e} - {a}) for a in arr.sites}
+        off = [g for g in itertools.combinations(arr.sites, 2) if g not in target]
+        rounds = scheduler.build_schedule(asg, periodic=periodic).rounds
+        cases.append((f"{rows}x{cols} n={n} periodic={periodic}", asg, periodic, target,
+                      nbrs, off, rounds))
+    failures = []
+    for trial in range(trials):
+        tag, asg, periodic, target, nbrs, off, rounds = cases[int(rng.integers(len(cases)))]
+        kind, bad = _corrupt(rng, rounds, off)
+        counts = Counter(tuple(sorted(g)) for rnd in bad for g in rnd)
+        psi = statevector_oracle([g for g, c in counts.items() if c % 2], len(nbrs))
+        want = [a for a in nbrs if abs(pauli_expectation(psi, [a], nbrs[a]) - 1.0) > 1e-10]
+        failure, failing, _ = scheduler.audit_rounds(bad, asg, periodic)
+        reference = check_rounds(bad, target)
+        if failing != want:
+            failures.append(f"audit trial {trial} ({tag}, {kind}): failing {failing}, "
+                            f"statevector {want}")
+        if failure != reference:
+            failures.append(f"audit trial {trial} ({tag}, {kind}): {failure!r} against "
+                            f"{reference!r}")
+    return failures
+
+
 def test_03_verification_oracle_equivalence(report, rng):
     failures = []
     t0 = time.perf_counter()
@@ -121,6 +182,7 @@ def test_03_verification_oracle_equivalence(report, rng):
             tab.apply_cphase(*edges[0])
             if gs.verify_cluster(tab, edges):
                 failures.append(f"trial {trial}: tableau accepted corruption")
+    failures += _audit_trials(rng, 150)
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f} s exceeds 1 min budget")

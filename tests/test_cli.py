@@ -254,6 +254,21 @@ def test_resources_paper_numbers(tmp_path, capsys):
         1.5e-3, rel=0.10)
 
 
+def test_resources_divide_counts_past_float_range_exactly(tmp_path, capsys):
+    # 32 * (10**103)**3 ops and 10**400 qubits were tracebacks converting
+    # the count to float
+    code, out, _ = run(capsys, "resources", "--bits", str(10**103), "--out", str(tmp_path))
+    assert (code, json.loads(out)["required_op_time_s"]) == (0, 4.1094e-304)
+    code, out, _ = run(capsys, "resources", "--n-qubits", str(10**309), "--t-meas", "1e-300",
+                       "--out", str(tmp_path / "exact"))
+    assert (code, json.loads(out)["storage_error"]) == (0, 1e8)
+    code, out, err = run(capsys, "resources", "--n-qubits", str(10**400),
+                         "--out", str(tmp_path / "inf"))
+    assert (code, out) == (2, "")
+    assert "resources.json holds a result past float range" in err
+    assert not (tmp_path / "inf").exists()
+
+
 def test_duration_parser():
     assert cli.parse_duration("300") == 300.0
     assert cli.parse_duration(300) == 300.0
@@ -688,12 +703,13 @@ def test_help_exits_zero_and_documents_defaults(capsys):
 
 
 # sha256 of ``hexmbqc --help`` and of each ``hexmbqc <command> --help`` at 80
-# columns, taken while every process still built all seven subparsers
+# columns, taken while every process still built all seven subparsers;
+# verify's was retaken when it lost ``--t-gate`` and ``--t-shuttle``
 HELP = {
     (): "acb68761023c9b30644f209edbd8bf3dc8ca0e62804524dc73bd66f7eb9a5154",
     ("lattice",): "461da1f1675892f873d463d4edefa1b30b60bb364f5fc31229569ddd7be4b34f",
     ("schedule",): "a952f81dca4f6770d2c347c345838ce6e16cd0d3b1e6d587eab040014c86006a",
-    ("verify",): "2e67ff5bf70faed70d027202adc096523d696475cc62125035ba836ecd36612f",
+    ("verify",): "432afc8ccd7cba7ccb359a1fa13cb4cf1d61bf4b87a37fd578cbb34d5accbbcb",
     ("mbqc",): "e708c08f8bc4e73cc761c787d495817b8fe3db3951eb12a84f3a67a881ac4227",
     ("ionize",): "6efcc6ddbaf7495fdba226df44d2d44267060cc16f4bb42e5768b572b93c2bfa",
     ("electron",): "1d6e4d1e551773416699304427d61cda82d2a5c2fa0afdefb06bfc6052353828",
@@ -989,22 +1005,6 @@ def test_config_list_for_int_is_rejected(tmp_path, capsys):
     assert "config.lattice.rows must be int, got [1]" in err
 
 
-def test_load_config_returns_every_block_typed(tmp_path):
-    # the public reader still builds every command's table, whichever
-    # blocks the file holds, and refuses an unknown key in any of them
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3, "resources": {"bits": 1024}}))
-    got = cli.load_config(str(cfg))
-    assert set(got) == {"seed", "out", *cli._HELP}
-    assert (got["seed"], got["resources"]["bits"]) == (3, 1024)
-    assert got["electron"]["propagate"]["dt"] == cli._defaults("electron")["propagate"]["dt"]
-    assert cli.load_config(None) == {"seed": 0, "out": ".", **{
-        command: cli._defaults(command) for command in cli._HELP}}
-    cfg.write_text(json.dumps({"electron": {"timescale": {"m_ionn": 1.0}}}))
-    with pytest.raises(ValueError, match="m_ionn"):
-        cli.load_config(str(cfg))
-
-
 def test_dump_config_reports_the_config_seed(tmp_path, capsys):
     code, out, _ = _with_config(tmp_path, capsys, {"seed": 7}, "mbqc", "--dump-config")
     assert code == 0
@@ -1024,12 +1024,34 @@ def test_flag_of_another_mode_is_rejected(capsys):
     assert "--dt does not apply to electron classical" in err
 
 
+def test_verify_takes_no_timing(tmp_path, capsys):
+    # verify reads only the rounds' gates, so gate and shuttle times are
+    # neither flags nor config keys of it
+    code, _, err = run(capsys, "verify", "--t-gate", "1e-5", "--out", str(tmp_path / "flag"))
+    assert code == 1 and "--t-gate" in err
+    code, _, err = _with_config(tmp_path, capsys, {"verify": {"t_gate": 1e-5}}, "verify",
+                                "--out", str(tmp_path / "config"))
+    assert code == 1 and "unknown keys in 'config.verify': ['t_gate']" in err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["electron", "classical", "--v0", "-7e3"], "v0", -7e3),
+    (["electron", "mathieu", "--a", "-1e-3", "--q", "0.3"], "a", -1e-3),
+], ids=["classical v0", "mathieu a"])
+def test_negative_values_in_exponent_notation_are_read(tmp_path, capsys, argv, key, value):
+    code, out, err = run(capsys, *argv, "--dump-config")
+    assert (code, json.loads(out)["electron"][argv[1]][key]) == (0, value), err
+    assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+    code, _, err = run(capsys, "electron", argv[1], f"--{key}", "-x")
+    assert code == 1 and "expected one argument" in err
+
+
 LATTICE_OPTIONS = ["--rows", "--cols", "--d", "--n"]
-SCHEDULE_OPTIONS = [*LATTICE_OPTIONS, "--periodic", "--no-periodic", "--t-gate", "--t-shuttle"]
 OPTIONS = {  # in usage order: as before flags were generated, plus --no-boundary
     "lattice": LATTICE_OPTIONS,
-    "schedule": SCHEDULE_OPTIONS,
-    "verify": [*SCHEDULE_OPTIONS, "--schedule"],
+    "schedule": [*LATTICE_OPTIONS, "--periodic", "--no-periodic", "--t-gate", "--t-shuttle"],
+    "verify": [*LATTICE_OPTIONS, "--periodic", "--no-periodic", "--schedule"],
     "mbqc": ["--pattern"],
     "ionize": ["--irradiance", "--i-min", "--i-max", "--points", "--lambda-min",
                "--lambda-max", "--max-photons", "--detuning-cut", "--t-pulse",
@@ -1055,12 +1077,13 @@ def test_option_strings_are_pinned(capsys, command):
 
 # sha256 of ``--dump-config`` for every (command, mode): the table of defaults
 # as the user sees it.  lattice's was retaken when it lost ``periodic``, a key
-# that no lattice output reads; the other twelve are unchanged since before
-# the table read its values from the library.
+# that no lattice output reads, and verify's when it lost ``t_gate`` and
+# ``t_shuttle``, which no verify output reads; the other eleven are unchanged
+# since before the table read its values from the library.
 DUMP_CONFIG = {
     ("lattice",): "4752532ca4c4d715c6f1c2d4cb12ff1b0d51ab0cc64ad4f7e2235538f2f53452",
     ("schedule",): "58d804f501f002ca017a05858cf0bd21f52bace77d752957ec17a6106ca45f5d",
-    ("verify",): "218eb75654b5a7e12997d4a8da0e6219acbfeceb37941e024d4c904581810bbf",
+    ("verify",): "9b0a1983c508d0d8d5d1c06c2a0aae14da269b7253dc4e37c67592f1842f6c63",
     ("mbqc",): "6e96167d8ed616a40272d1aa064ec811a91dfae6a469b4f19d3ba45362f2a8f0",
     ("ionize", "rates"): "1aea1212cb95488b17414e74d3b64a177e858db515257df0d10900ba6cab13de",
     ("ionize", "resonances"):

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexmbqc import lattice
-from oracles import (adjacency, channel_distance, has_full_cell, reference_interlayer_edges,
-                     reference_intra_edges, reference_layers)
+from oracles import (adjacency, channel_distance, has_full_cell, layer_labels,
+                     reference_interlayer_edges, reference_intra_edges, reference_layers)
 
 
 def test_site_count_closed_form():
@@ -130,8 +130,8 @@ def test_full_cell_check_matches_window_scan():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_layer_and_coord_read_off_the_key(n):
     """On every shape up to 14 x 14, ``layer`` is the layer of the site's
-    coset in ``layer_labels``, and that coset plus n times ``coord`` gives
-    the site's key back."""
+    coset in the oracle's boustrophedon ``layer_labels``, and that coset
+    plus n times ``coord`` gives the site's key back."""
     checked = 0
     for rows in range(1, 15):
         for cols in range(1, 15):
@@ -140,10 +140,10 @@ def test_layer_and_coord_read_off_the_key(n):
                 asg = lattice.decompose_sublattices(arr, n)
             except ValueError:
                 continue
-            layers = reference_layers(asg)
+            layers, labels = reference_layers(asg), layer_labels(n)
             for s in arr.sites:
                 assert asg.layer(s) == layers[s]
-                f, (p, q) = asg.layer_labels[layers[s]]
+                f, (p, q) = labels[layers[s]]
                 a, b = asg.coord(s)
                 assert (f, p + n * a, q + n * b) == arr.keys[s]
             checked += 1
@@ -151,11 +151,10 @@ def test_layer_and_coord_read_off_the_key(n):
 
 
 def test_assignment_stores_nothing_per_site():
-    """The assignment's fields are its array, scale and coset labels (and
-    the lazily made partner table); deciding it for 181 200 sites
-    allocates under 1 MB."""
+    """The assignment's fields are its array and scale (and the lazily made
+    partner table); deciding it for 181 200 sites allocates under 1 MB."""
     names = [f.name for f in dataclasses.fields(lattice.LayerAssignment)]
-    assert names == ["array", "n", "layer_count", "layer_labels", "_partners"]
+    assert names == ["array", "n", "_partners"]
     arr = lattice.build_hex_array(300, 300, 1.0)
     tracemalloc.start()
     try:

@@ -35,7 +35,7 @@ qubit = st.integers(-1, 5)
 # step count t_final / dt passes its limit with the config's 2e-13 s step.
 # A pattern document's qubit count n draws from "pattern_n": at the limit it
 # fails validation with a few steps, past it it is refused before any work
-EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2**64)
+EDGES = (0, -1, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2**64, 10**400)
 WORK = {"rows": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
         "cols": st.integers(-1, 4) | st.sampled_from((lattice.MAX_SITES // 4, 2**64)),
         "points": st.integers(-1, 30) | st.sampled_from(
