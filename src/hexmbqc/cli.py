@@ -42,7 +42,10 @@ when the file holds that block.  ``lattice`` loads ``lattice``;
 ``schedule`` and ``verify`` load ``lattice`` and ``scheduler``; ``mbqc``
 loads ``mbqc``, ``ionize`` ``ionization`` and ``electron``
 ``electron_dynamics``.  numpy is loaded by ``electron propagate`` only,
-and no subcommand loads ``graphstate`` or scipy.  ``mbqc`` samples with
+and no subcommand loads ``graphstate`` or scipy.  The library's records
+are named tuples, and ``LayerAssignment`` a slotted class, none made by a
+class decorator, so no subcommand loads ``inspect``, and only ``ionize``
+loads ``typing``, through ``importlib.resources``.  ``mbqc`` samples with
 ``mbqc.Pcg64``, which draws what ``numpy.random.default_rng(seed)``
 draws, so a seed keeps its outcomes.
 """
@@ -92,11 +95,9 @@ _SCHEDULE_LATTICE = (*_LATTICE, "periodic")  # schedule.json's lattice block
 def _trap_defaults() -> dict:
     """``TrapConfig``'s fields and their defaults, less ``mass``: that is the
     electron's, which no key sets."""
-    import dataclasses
-
     from . import electron_dynamics as ed
 
-    return {f.name: f.default for f in dataclasses.fields(ed.TrapConfig) if f.name != "mass"}
+    return {key: value for key, value in ed.TrapConfig._field_defaults.items() if key != "mass"}
 
 
 @functools.cache
@@ -326,12 +327,17 @@ def _dumps(value, newline: str = "\n") -> str:
 def _render(name: str, content) -> str:
     """The text of one output: a JSON doc, dumped canonically (sorted keys,
     indented), or (header, rows) of a CSV file or a whitespace-separated
-    snapshot.  _NonFinite naming ``name`` on a NaN or infinite number."""
+    snapshot.  _NonFinite naming ``name`` on a NaN or infinite number;
+    ValueError naming it on an int too long to write."""
     if isinstance(content, dict):
         try:
             return _dumps(content) + "\n"
-        except ValueError:  # NaN or Infinity, which JSON lacks
-            raise _NonFinite(name) from None
+        except ValueError as exc:
+            if "not JSON compliant" in str(exc):  # NaN or Infinity, which JSON lacks
+                raise _NonFinite(name) from None
+            # an int past sys.get_int_max_str_digits(), as json.dumps refuses too
+            raise ValueError(f"{name}: an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits cannot be written") from None
     header, rows = content
     if not all(math.isfinite(float(f)) for row in rows for f in re.split("[, ]", row) if f):
         raise _NonFinite(name)

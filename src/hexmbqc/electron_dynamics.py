@@ -57,11 +57,7 @@ classical, Mathieu and timescale calculations run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from collections import namedtuple
 
 __all__ = [
     "E_CHARGE", "M_ELECTRON", "HBAR", "M_CA40", "SIGMA_V_DEFAULT",
@@ -94,24 +90,35 @@ class ConfigurationError(ValueError):
     validation error, so the CLI exits 1 on it as on any ValueError."""
 
 
-@dataclass(frozen=True)
-class TrapConfig:
-    omega_e: float = 2.5e9                     # saddle curvature (rad/s)
-    omega_rf: float = 2.0 * math.pi * 25e6     # drive frequency (rad/s)
-    static_mode: bool = True
-    detectors: tuple[tuple[float, float], ...] = ((30e-6, 20e-6), (-30e-6, 20e-6))
-    extent_x: float = 100e-6
-    extent_y: float = 50e-6
-    points_x: int = 512
-    points_y: int = 256
-    dt: float = 1e-13
-    absorber_width_frac: float = 0.10
-    absorber_gain: float = 12.0                # CAP strength, boundary frame
-    detector_gain: float = 12.0                # CAP strength, detector slabs
-    hbar_scale: float = 64.0
-    mass: float = M_ELECTRON
+# The records are named tuples: immutable, equal and hashed by their fields.
 
-    def __post_init__(self):
+# TrapConfig's fields in order, with their defaults
+_TRAP_FIELDS = {
+    "omega_e": 2.5e9,                     # saddle curvature (rad/s)
+    "omega_rf": 2.0 * math.pi * 25e6,     # drive frequency (rad/s)
+    "static_mode": True,
+    "detectors": ((30e-6, 20e-6), (-30e-6, 20e-6)),  # (centre x, width) per slab (m)
+    "extent_x": 100e-6,
+    "extent_y": 50e-6,
+    "points_x": 512,
+    "points_y": 256,
+    "dt": 1e-13,
+    "absorber_width_frac": 0.10,
+    "absorber_gain": 12.0,                # CAP strength, boundary frame
+    "detector_gain": 12.0,                # CAP strength, detector slabs
+    "hbar_scale": 64.0,
+    "mass": M_ELECTRON,
+}
+
+
+class TrapConfig(namedtuple("TrapConfig", _TRAP_FIELDS, defaults=_TRAP_FIELDS.values())):
+    """The trap, grid and absorber settings of one propagation; validated
+    on construction, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.extent_x > 0 and self.extent_y > 0):
             raise ValueError("grid extents must be positive")
         for npts, label in ((self.points_x, "points_x"), (self.points_y, "points_y")):
@@ -130,6 +137,9 @@ class TrapConfig:
                 raise ValueError("detector width must be positive")
             if abs(cx) + w / 2.0 > self.extent_x / 2.0:
                 raise ValueError(f"detector at {cx} m extends outside the grid")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def hbar_eff(self) -> float:
@@ -167,14 +177,13 @@ def saddle_potential(config: TrapConfig, x, y, t: float = 0.0):
     return 0.5 * config.mass * _square(config.omega_e) * (np.square(y) - np.square(x)) * drive
 
 
-@dataclass
-class Wavepacket:
-    """A product state psi(x, y) = psi_x(x) * psi_y(y)."""
-    psi_x: np.ndarray        # complex amplitudes over x, shape (points_x,)
-    psi_y: np.ndarray        # complex amplitudes over y, shape (points_y,)
-    sigma0: float            # initial grid-space width (m)
-    v0: float                # initial +x velocity (m/s)
-    t: float = 0.0
+# A product state psi(x, y) = psi_x(x) * psi_y(y).
+Wavepacket = namedtuple("Wavepacket", (
+    "psi_x",   # complex amplitudes over x, shape (points_x,)
+    "psi_y",   # complex amplitudes over y, shape (points_y,)
+    "sigma0",  # initial grid-space width (m)
+    "v0",      # initial +x velocity (m/s)
+    "t"), defaults=(0.0,))
 
 
 def _norm(psi: np.ndarray, step: float) -> float:
@@ -211,34 +220,19 @@ def gaussian_wavepacket(config: TrapConfig, *, v0: float = 7e3, sigma_v: float =
     return Wavepacket(psi_x=psi_x, psi_y=psi_y, sigma0=sigma0, v0=v0, t=0.0)
 
 
-class EffSample(NamedTuple):
-    t: float
-    captured: tuple[float, ...]   # per detector, cumulative
-    total_captured: float
-    norm_remaining: float
-    boundary_lost: float          # norm absorbed by the boundary frame, cumulative
-    mean_x: float
-    mean_y: float
-    sigma_x: float
-    sigma_y: float
+EffSample = namedtuple("EffSample", (
+    "t",
+    "captured",        # per detector, cumulative
+    "total_captured",
+    "norm_remaining",
+    "boundary_lost",   # norm absorbed by the boundary frame, cumulative
+    "mean_x", "mean_y", "sigma_x", "sigma_y"))
 
 
-@dataclass(frozen=True)
-class EfficiencyTrace:
-    samples: tuple[EffSample, ...]
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    t: float
-    density: np.ndarray  # |psi|^2 on the grid
-
-
-@dataclass(frozen=True)
-class PropagationResult:
-    trace: EfficiencyTrace
-    wavepacket: Wavepacket
-    snapshots: tuple[Snapshot, ...] = ()
+EfficiencyTrace = namedtuple("EfficiencyTrace", "samples")  # a tuple of EffSample
+Snapshot = namedtuple("Snapshot", "t density")  # density: |psi|^2 on the grid
+PropagationResult = namedtuple("PropagationResult", "trace wavepacket snapshots",
+                               defaults=((),))
 
 
 def _momentum_check(config: TrapConfig, v0: float, sigma0: float) -> None:
@@ -552,9 +546,9 @@ def stability_boundary(a: float, q_lo: float = 0.5, q_hi: float = 1.5,
     return 0.5 * (q_lo + q_hi)
 
 
-class TimescaleEstimate(NamedTuple):
-    formula_s: float    # (1/w_rf) sqrt(m_e/m_ion)
-    reference_s: float  # quoted characteristic value for comparison
+TimescaleEstimate = namedtuple("TimescaleEstimate", (
+    "formula_s",     # (1/w_rf) sqrt(m_e/m_ion)
+    "reference_s"))  # quoted characteristic value for comparison
 
 
 def electron_timescale(omega_rf: float, m_ion: float = M_CA40) -> TimescaleEstimate:

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from importlib import resources
 
 __all__ = [
@@ -72,20 +72,17 @@ class UndefinedRatioError(ValueError):
     """Discrimination ratio requested where the D rate is zero."""
 
 
-@dataclass(frozen=True)
-class Level:
-    name: str
-    energy_ev: float
-    linewidth_hz: float
-    label: str
+# The records are named tuples: immutable, equal and hashed by their fields.
+# Those that validate do it in __new__, which _make, and so _replace, calls.
+
+Level = namedtuple("Level", "name energy_ev linewidth_hz label")
 
 
-@dataclass(frozen=True)
-class LevelTable:
-    levels: tuple[Level, ...]
-    ionization_threshold_ev: float
+class LevelTable(namedtuple("LevelTable", "levels ionization_threshold_ev")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         names = [lv.name for lv in self.levels]
         if len(set(names)) != len(names):
             raise ValueError("level names must be unique")
@@ -94,6 +91,9 @@ class LevelTable:
                 raise ValueError(f"level {lv.name}: energy must be finite and >= 0")
             if lv.energy_ev > self.ionization_threshold_ev:
                 raise ValueError(f"level {lv.name}: bound energy above threshold")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def level(self, name: str) -> Level:
         for lv in self.levels:
@@ -102,34 +102,39 @@ class LevelTable:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class RateInputs:
-    irradiance_w_cm2: float
-    j_channels: Mapping[str, float]
-    k_resonant: float = 0.0
-    l_denominator: float = 0.0
+class RateInputs(namedtuple("RateInputs", (
+        "irradiance_w_cm2",
+        "j_channels",  # {channel: amplitude}
+        "k_resonant", "l_denominator"), defaults=(0.0, 0.0))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         vals = [self.irradiance_w_cm2, self.k_resonant, self.l_denominator,
                 *self.j_channels.values()]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("rate inputs must be finite")
         if self.irradiance_w_cm2 < 0.0:
             raise ValueError("irradiance must be >= 0")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class RabiReference:
-    rabi_hz: float             # reference Rabi frequency, Omega/2pi convention
-    irradiance_w_cm2: float    # irradiance producing rabi_hz
-    linewidth_rad_s: float     # dipole line Gamma (angular)
-    saturation_w_cm2: float
+class RabiReference(namedtuple("RabiReference", (
+        "rabi_hz",            # reference Rabi frequency, Omega/2pi convention
+        "irradiance_w_cm2",   # irradiance producing rabi_hz
+        "linewidth_rad_s",    # dipole line Gamma (angular)
+        "saturation_w_cm2"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(v > 0 and math.isfinite(v) for v in
-                   (self.rabi_hz, self.irradiance_w_cm2,
-                    self.linewidth_rad_s, self.saturation_w_cm2)):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(v > 0 and math.isfinite(v) for v in self):
             raise ValueError("Rabi reference values must be positive and finite")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _sum_j_squared(j_channels: Mapping[str, float]) -> float:
@@ -191,19 +196,14 @@ def discrimination_ratio(s_inputs: RateInputs, d_inputs: RateInputs) -> float:
     return ratio
 
 
-@dataclass(frozen=True)
-class Resonance:
-    level: str
-    photons: int
-    wavelength_nm: float  # in-window wavelength closest to exact resonance
-    detuning_ev: float    # photons * photon_energy(wavelength) - level energy
-
-
-@dataclass(frozen=True)
-class ResonanceScan:
-    hits: tuple[Resonance, ...]
-    ionizing_throughout: bool      # max_photons photons exceed threshold over the whole window
-    threshold_wavelength_nm: float  # longest wavelength where max_photons photons still ionize
+# wavelength_nm: the in-window wavelength closest to exact resonance;
+# detuning_ev: photons * photon_energy(wavelength) - level energy
+Resonance = namedtuple("Resonance", "level photons wavelength_nm detuning_ev")
+# ionizing_throughout: max_photons photons exceed threshold over the whole
+# window; threshold_wavelength_nm: the longest wavelength where max_photons
+# photons still ionize
+ResonanceScan = namedtuple("ResonanceScan",
+                           "hits ionizing_throughout threshold_wavelength_nm")
 
 
 def find_resonances(

@@ -36,8 +36,8 @@ with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 __all__ = [
     "HexArray",
@@ -56,20 +56,20 @@ __all__ = [
 MAX_SITES = 200_000
 
 
-@dataclass(frozen=True)
-class HexArray:
+class HexArray(namedtuple("HexArray", "rows cols d keys index")):
     """Finite block of hexagonal cells.
 
     ``sites`` are integer ids 0..N-1 in ascending order of ``keys``, which
     maps each id to its ``(family, i, j)`` triangular coordinate; ``index``
     is the inverse map.  ``position`` gives a site's Cartesian coordinates.
+    A named tuple, so immutable and equal by all five fields.
     """
 
-    rows: int
-    cols: int
-    d: float
-    keys: tuple[tuple[int, int, int], ...]
-    index: dict[tuple[int, int, int], int] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # index, the inverse of keys, left out
+        return (f"HexArray(rows={self.rows!r}, cols={self.cols!r}, d={self.d!r}, "
+                f"keys={self.keys!r})")
 
     @property
     def sites(self) -> range:
@@ -86,19 +86,35 @@ class HexArray:
                 j * (1.5 * self.d) + f * (1.5 * self.d / 3.0))
 
 
-@dataclass(frozen=True)
 class LayerAssignment:
     """Partition of a HexArray into 2 n**2 rhombic layers.
 
     Site ``(f, i, j)`` lies in layer ``2 k + 1 + f``, where ``k`` is the
     serpentine position of its coset ``(i mod n, j mod n)``, at in-layer
-    coordinate ``(i // n, j // n)``.
+    coordinate ``(i // n, j // n)``.  Frozen; equal and shown by ``array``
+    and ``n`` alone, and unhashable as its array is.
     """
 
-    array: HexArray
-    n: int
-    # bool(periodic) -> cluster_partners' list of (s, u, v, up), made on first use
-    _partners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _partners: bool(periodic) -> cluster_partners' list of (s, u, v, up),
+    # made on first use; one dict per instance
+    __slots__ = ("array", "n", "_partners")
+
+    def __init__(self, array: HexArray, n: int):
+        for name, value in (("array", array), ("n", n), ("_partners", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: LayerAssignment is frozen")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not LayerAssignment:
+            return NotImplemented
+        return (self.array, self.n) == (other.array, other.n)
+
+    def __repr__(self) -> str:
+        return f"LayerAssignment(array={self.array!r}, n={self.n!r})"
 
     @property
     def layer_count(self) -> int:

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 __all__ = [
     "MeasurementStep",
@@ -55,26 +55,20 @@ MAX_QUBITS = 20  # live at once: 2**20 amplitudes
 MAX_TOTAL_QUBITS = 100_000  # in a pattern
 
 
-@dataclass(frozen=True)
-class MeasurementStep:
-    qubit: int
-    angle: float
-    s_domain: frozenset[int] = frozenset()
-    t_domain: frozenset[int] = frozenset()
+# The records are named tuples: immutable, equal and hashed by their fields.
+# s_domain, t_domain and domain are frozensets of step indices.
+MeasurementStep = namedtuple("MeasurementStep", "qubit angle s_domain t_domain",
+                             defaults=(frozenset(), frozenset()))
+Correction = namedtuple("Correction", "qubit kind domain",  # kind "X" or "Z"
+                        defaults=(frozenset(),))
 
 
-@dataclass(frozen=True)
-class Correction:
-    qubit: int
-    kind: str  # "X" or "Z"
-    domain: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
-class MeasurementPattern:
-    steps: tuple[MeasurementStep, ...]
-    outputs: tuple[int, ...]
-    corrections: tuple[Correction, ...] = ()
+class MeasurementPattern(namedtuple("MeasurementPattern", (
+        "steps",         # tuple of MeasurementStep
+        "outputs",       # tuple of qubits
+        "corrections"),  # tuple of Correction
+        defaults=((),))):
+    __slots__ = ()
 
     def validate(self, n: int) -> None:
         measured = set()
@@ -107,14 +101,12 @@ class MeasurementPattern:
                 raise ValueError("correction domain references unknown step")
 
 
-@dataclass
-class PatternResult:
-    outcomes: list[int]
-    probabilities: list[float]
-    state: Sequence[complex]  # amplitudes of ``outputs``, the first the most significant bit
-    outputs: tuple[int, ...]
-    byproduct_x: dict[int, int] = field(default_factory=dict)
-    byproduct_z: dict[int, int] = field(default_factory=dict)
+class PatternResult(namedtuple("PatternResult", (
+        "outcomes", "probabilities",  # lists, one entry per step
+        "state",  # amplitudes of ``outputs``, the first the most significant bit
+        "outputs",
+        "byproduct_x", "byproduct_z"))):  # {output qubit: 0 or 1}
+    __slots__ = ()
 
     @property
     def probability(self) -> float:

@@ -19,7 +19,7 @@ partners is ``lattice.cluster_partners``'s to say.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import LayerAssignment, cluster_partners
 
@@ -36,16 +36,13 @@ ROUND_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class GateSchedule:
+class GateSchedule(namedtuple("GateSchedule", (
+        "rounds",  # six tuples of sorted (s, t) site pairs
+        "t_shuttle", "t_gate", "periodic", "layer_count"))):
     """Six rounds of disjoint CPHASE pairs; every round takes one shuttle
     plus one gate time."""
 
-    rounds: tuple[tuple[tuple[int, int], ...], ...]
-    t_shuttle: float
-    t_gate: float
-    periodic: bool
-    layer_count: int
+    __slots__ = ()
 
     def pair_counts(self) -> tuple[int, ...]:
         return tuple(len(rnd) for rnd in self.rounds)

@@ -32,9 +32,10 @@ def _cli_env():
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def _modules_after(argvs, out):
+def _modules_after(argvs, out, *flags):
     """Exit codes of ``argvs`` run one after another in one fresh process,
-    and the names of every module loaded at its end."""
+    started with the interpreter ``flags``, and the names of every module
+    loaded at its end."""
     code = (
         "import contextlib, io, json, sys\n"
         "from hexmbqc import cli\n"
@@ -44,7 +45,7 @@ def _modules_after(argvs, out):
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "        codes.append(cli.dispatch(argv + ['--out', sys.argv[2]]))\n"
         "print(json.dumps([codes, sorted(sys.modules)]))\n")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs), str(out)],
+    proc = subprocess.run([sys.executable, *flags, "-c", code, json.dumps(argvs), str(out)],
                           env=_cli_env(), capture_output=True, text=True, timeout=60,
                           check=True)
     return json.loads(proc.stdout)
@@ -85,16 +86,17 @@ def test_only_ionize_loads_the_ionization_module(tmp_path):
 
 
 # what one cold process loads past cli and resources, which cli imports at the
-# top: the library modules, dataclasses (~14 ms cold) and numpy (~85 ms)
-EDC = ["dataclasses", "hexmbqc.electron_dynamics"]
-ION = ["dataclasses", "hexmbqc.data", "hexmbqc.ionization"]
-SCHED = ["dataclasses", "hexmbqc.lattice", "hexmbqc.scheduler"]
+# top: the library modules and numpy (~85 ms); dataclasses (~7 ms) is looked
+# for too, and no subcommand loads it
+EDC = ["hexmbqc.electron_dynamics"]
+ION = ["hexmbqc.data", "hexmbqc.ionization"]
+SCHED = ["hexmbqc.lattice", "hexmbqc.scheduler"]
 LOADED = [
-    (["lattice"], 0, ["dataclasses", "hexmbqc.lattice"]),
+    (["lattice"], 0, ["hexmbqc.lattice"]),
     (["schedule"], 0, SCHED),
     (["verify"], 0, SCHED),
     (["verify", "--schedule", "{dir}/schedule.json"], 0, SCHED),
-    (["mbqc", "--pattern", "{dir}/pattern.json"], 0, ["dataclasses", "hexmbqc.mbqc"]),
+    (["mbqc", "--pattern", "{dir}/pattern.json"], 0, ["hexmbqc.mbqc"]),
     (["ionize", "rates"], 0, ION),
     (["ionize", "resonances"], 0, ION),
     (["ionize", "quadrupole"], 0, ION),
@@ -109,15 +111,31 @@ LOADED = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, want", LOADED, ids=[" ".join(a) for a, _, _ in LOADED])
-def test_a_cold_process_loads_only_its_subcommand(tmp_path, capsys, argv, code, want):
+def _cold(tmp_path, capsys, argv, *flags):
+    """Exit code and loaded modules of one ``LOADED`` argv in a fresh process."""
     run(capsys, "schedule", "--out", str(tmp_path))
     (tmp_path / "pattern.json").write_text(json.dumps(_chain_doc()))
     (tmp_path / "bad.json").write_text(json.dumps({"lattice": {"rowz": 3}}))
-    codes, modules = _modules_after([[a.format(dir=tmp_path) for a in argv]], tmp_path / "out")
+    return _modules_after([[a.format(dir=tmp_path) for a in argv]], tmp_path / "out", *flags)
+
+
+@pytest.mark.parametrize("argv, code, want", LOADED, ids=[" ".join(a) for a, _, _ in LOADED])
+def test_a_cold_process_loads_only_its_subcommand(tmp_path, capsys, argv, code, want):
+    codes, modules = _cold(tmp_path, capsys, argv)
     loaded = [m for m in modules if m in ("dataclasses", "numpy")
               or m.startswith("hexmbqc.") and m not in ("hexmbqc.cli", "hexmbqc.resources")]
     assert (codes, loaded) == ([code], want)
+
+
+@pytest.mark.parametrize("argv, code", [(a, c) for a, c, _ in LOADED],
+                         ids=[" ".join(a) for a, _, _ in LOADED])
+def test_no_subcommand_loads_dataclasses_inspect_or_typing(tmp_path, capsys, argv, code):
+    # -S: a .pth file in site-packages may import typing before hexmbqc runs.
+    # The library's records are named tuples or slotted classes, so only
+    # ionize loads typing, when importlib.resources reads its bundled data
+    codes, modules = _cold(tmp_path, capsys, argv, "-S")
+    allowed = {"typing"} if argv[0] == "ionize" else set()
+    assert (codes, {"dataclasses", "inspect", "typing"} & set(modules) - allowed) == ([code], set())
 
 
 def test_a_config_block_loads_its_module_and_is_checked(tmp_path):
@@ -267,6 +285,20 @@ def test_resources_divide_counts_past_float_range_exactly(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "resources.json holds a result past float range" in err
     assert not (tmp_path / "inf").exists()
+
+
+def test_resources_refuses_an_op_count_too_long_to_write(tmp_path, capsys):
+    # 32 * bits**3 for a 1 500-digit bits has more digits than Python turns
+    # into a str; that is a validation error, not a NaN
+    limit = sys.get_int_max_str_digits()
+    bits = 10 ** (limit // 3 + 1)
+    code, out, err = run(capsys, "resources", "--bits", str(bits), "--out", str(tmp_path / "x"))
+    assert (code, out) == (1, "")
+    assert err == (f"error: resources.json: an integer of more than {limit} digits "
+                   "cannot be written\n")
+    assert not (tmp_path / "x").exists()
+    code, out, _ = run(capsys, "resources", "--bits", str(bits // 100), "--out", str(tmp_path))
+    assert (code, json.loads(out)["op_count"]) == (0, 32 * (bits // 100) ** 3)
 
 
 def test_duration_parser():

@@ -29,6 +29,46 @@ def test_config_validation_names_fields():
         ed.TrapConfig(omega_rf=0.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"extent_y": 0.0}, "grid extents must be positive"),
+    ({"points_x": 1}, f"points_x=1 must lie in [2, {ed.MAX_GRID_POINTS}]"),
+    ({"points_y": 2 * ed.MAX_GRID_POINTS},
+     f"points_y={2 * ed.MAX_GRID_POINTS} must lie in [2, {ed.MAX_GRID_POINTS}]"),
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"absorber_width_frac": 0.5}, "absorber_width_frac must lie in [0, 0.5)"),
+    ({"mass": 0.0}, "hbar_scale and mass must be positive"),
+    ({"omega_e": -1.0}, "omega_e must be >= 0 and omega_rf > 0"),
+    ({"detectors": ((0.0, 0.0),)}, "detector width must be positive"),
+    ({"detectors": ((45e-6, 20e-6),)}, "detector at 4.5e-05 m extends outside the grid"),
+])
+def test_config_refuses_bad_fields_with_their_messages(fields, message):
+    for make in (lambda: ed.TrapConfig(**fields), lambda: ed.TrapConfig()._replace(**fields)):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_config_is_frozen_and_equal_by_fields_in_order():
+    cfg = ed.TrapConfig(points_x=128)
+    assert cfg == ed.TrapConfig(points_x=128) and hash(cfg) == hash(ed.TrapConfig(points_x=128))
+    assert cfg != ed.TrapConfig() and cfg._replace(points_x=512) == ed.TrapConfig()
+    assert ed.TrapConfig._fields == (
+        "omega_e", "omega_rf", "static_mode", "detectors", "extent_x", "extent_y",
+        "points_x", "points_y", "dt", "absorber_width_frac", "absorber_gain",
+        "detector_gain", "hbar_scale", "mass")
+    assert tuple(ed.TrapConfig._field_defaults) == ed.TrapConfig._fields
+    assert ed.TrapConfig(*ed.TrapConfig._field_defaults.values()) == ed.TrapConfig()
+    for field in ("dt", "dx", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, 1.0)
+    est = ed.electron_timescale(1e8)
+    assert est == ed.electron_timescale(1e8) and hash(est) == hash(ed.electron_timescale(1e8))
+    with pytest.raises(AttributeError):
+        est.formula_s = 0.0
+    with pytest.raises(AttributeError):  # was a mutable dataclass; nothing assigns to it
+        ed.gaussian_wavepacket(fast_config()).t = 1.0
+
+
 def test_resolution_guards():
     cfg = ed.TrapConfig(points_x=100, points_y=64, hbar_scale=640.0)
     wp = ed.gaussian_wavepacket(cfg)

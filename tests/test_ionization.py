@@ -30,6 +30,54 @@ def test_level_table_validation():
         ion.LevelTable((ion.Level("a", 12.0, 1e7, "P"),), 11.87)
 
 
+LEVEL = ion.Level("a", 1.0, 1e7, "P")
+REFUSED = [
+    (lambda: ion.LevelTable((LEVEL, LEVEL), 11.87), "level names must be unique"),
+    (lambda: ion.LevelTable((LEVEL._replace(energy_ev=-1.0),), 11.87),
+     "level a: energy must be finite and >= 0"),
+    (lambda: ion.LevelTable((LEVEL._replace(energy_ev=math.nan),), 11.87),
+     "level a: energy must be finite and >= 0"),
+    (lambda: ion.LevelTable((LEVEL,), 0.5), "level a: bound energy above threshold"),
+    (lambda: ion.LevelTable((LEVEL,), 11.87)._replace(ionization_threshold_ev=0.5),
+     "level a: bound energy above threshold"),
+    (lambda: ion.RateInputs(1e9, {"S": math.inf}), "rate inputs must be finite"),
+    (lambda: ion.RateInputs(1e9, {}, l_denominator=math.nan), "rate inputs must be finite"),
+    (lambda: ion.RateInputs(-1.0, {}), "irradiance must be >= 0"),
+    (lambda: ion.RateInputs(1e9, {})._replace(irradiance_w_cm2=-1.0),
+     "irradiance must be >= 0"),
+    (lambda: ion.RabiReference(1.0, 1.0, 1.0, 0.0),
+     "Rabi reference values must be positive and finite"),
+    (lambda: ion.RabiReference(1.0, math.inf, 1.0, 1.0),
+     "Rabi reference values must be positive and finite"),
+    (lambda: ion.load_rabi_reference()._replace(rabi_hz=-1.0),
+     "Rabi reference values must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("make, message", REFUSED)
+def test_records_refuse_bad_values_with_their_messages(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_ionization_records_are_frozen_and_equal_by_fields():
+    table, again = ion.load_level_table(), ion.load_level_table()
+    ref = ion.load_rabi_reference()
+    scan = ion.find_resonances(table, (380.0, 410.0), 4, 0.03)
+    for record in (table, ref, scan, table.levels[0], scan.hits[0]):
+        assert record == type(record)(*record) and hash(record) == hash(type(record)(*record))
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert table == again and hash(table) == hash(again) and table is not again
+    assert ion.RateInputs(1e9, {"S": 1.0}) == ion.RateInputs(1e9, {"S": 1.0}, 0.0, 0.0)
+    assert ion.RateInputs(1e9, {"S": 1.0}) != ion.RateInputs(1e9, {"S": 2.0})
+    with pytest.raises(AttributeError):
+        ion.RateInputs(1e9, {}).k_resonant = 1.0
+
+
 def test_rate_regression_pins():
     cal = ion.load_calibration()
     s = ion.calibrated_inputs(1e9, "s", cal)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -153,7 +152,7 @@ def test_layer_and_coord_read_off_the_key(n):
 def test_assignment_stores_nothing_per_site():
     """The assignment's fields are its array and scale (and the lazily made
     partner table); deciding it for 181 200 sites allocates under 1 MB."""
-    names = [f.name for f in dataclasses.fields(lattice.LayerAssignment)]
+    names = list(lattice.LayerAssignment.__slots__)
     assert names == ["array", "n", "_partners"]
     arr = lattice.build_hex_array(300, 300, 1.0)
     tracemalloc.start()
@@ -171,7 +170,7 @@ def test_sites_are_derived_from_keys():
     assert arr.sites == range(len(arr.keys)) == range(arr.site_count())
     assert list(arr.sites) == sorted(arr.index.values())
     assert arr.sites[-1] == arr.site_count() - 1
-    assert "sites" not in {f.name for f in dataclasses.fields(lattice.HexArray)}
+    assert "sites" not in lattice.HexArray._fields
 
 
 def test_intra_layer_edges_are_coset_steps():
@@ -294,6 +293,34 @@ def test_partner_table_is_not_part_of_equality_or_repr():
     assert used == unused
     assert repr(used) == repr(unused)
     assert "_partners" not in repr(used)
+
+
+def test_lattice_records_are_frozen_and_equal_by_fields():
+    array, again = lattice.build_hex_array(3, 2, 1.0), lattice.build_hex_array(3, 2, 1.0)
+    assign = lattice.decompose_sublattices(array, 1)
+    for record, field in ((array, "rows"), (array, "extra"), (assign, "n"),
+                          (assign, "_partners"), (assign, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+    with pytest.raises(AttributeError):
+        del assign.n
+    assert array == again and array is not again
+    assert assign == lattice.decompose_sublattices(again, 1)
+    assert assign != lattice.decompose_sublattices(array, 2)
+    assert assign != lattice.decompose_sublattices(lattice.build_hex_array(2, 3, 1.0), 1)
+    for record in (array, assign):  # the site index is a dict, as it was
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_assignments_never_share_a_partner_table():
+    small = lattice.decompose_sublattices(lattice.build_hex_array(2, 2, 1.0), 1)
+    large = lattice.decompose_sublattices(lattice.build_hex_array(3, 3, 1.0), 1)
+    assert small._partners is not large._partners
+    assert len(list(lattice.cluster_partners(small))) == small.array.site_count()
+    assert len(list(lattice.cluster_partners(large))) == large.array.site_count()
+    assert large._partners.keys() == {False} and small._partners.keys() == {False}
+    assert small._partners[False] != large._partners[False]
 
 
 def test_cluster_interior_degree_six():

@@ -184,6 +184,26 @@ def test_apply_byproduct_is_involution(rng):
     assert twice == pytest.approx(res.state, abs=1e-12)
 
 
+def test_pattern_records_are_frozen_and_equal_by_fields():
+    pattern, again = linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)), linear_cluster_pattern(
+        (0.1, 0.2, 0.3, 0.4))
+    assert pattern == again and hash(pattern) == hash(again) and pattern is not again
+    step, corr = pattern.steps[1], pattern.corrections[0]
+    assert hash(step) == hash(mbqc.MeasurementStep(*step))
+    assert hash(corr) == hash(mbqc.Correction(*corr))
+    assert mbqc.MeasurementStep(3, 0.5) == mbqc.MeasurementStep(3, 0.5, frozenset(), frozenset())
+    assert mbqc.Correction(4, "X") != mbqc.Correction(4, "Z")
+    assert pattern != linear_cluster_pattern((0.1, 0.2, 0.3, 0.5))
+    res = mbqc.run_pattern(5, CHAIN_EDGES, pattern, forced_outcomes=[0, 1, 0, 1])
+    for record, field in ((pattern, "steps"), (step, "angle"), (corr, "domain"),
+                          (res, "outcomes"), (step, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+    assert res == mbqc.run_pattern(5, CHAIN_EDGES, pattern, forced_outcomes=[0, 1, 0, 1])
+    with pytest.raises(TypeError):  # its outcomes are a list, as they were
+        hash(res)
+
+
 def test_pattern_dict_round_trip():
     pattern = linear_cluster_pattern((0.1, 0.2, 0.3, 0.4))
     doc = mbqc.pattern_to_dict(5, CHAIN_EDGES, pattern)

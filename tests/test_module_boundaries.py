@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import pathlib
 
@@ -85,7 +84,7 @@ def _library_defaults() -> dict:
     from hexmbqc import electron_dynamics as ed
     from hexmbqc import ionization, scheduler
 
-    found = {f.name: f.default for f in dataclasses.fields(ed.TrapConfig) if f.name != "mass"}
+    found = {key: value for key, value in ed.TrapConfig._field_defaults.items() if key != "mass"}
     functions = (ed.gaussian_wavepacket, ed.propagate, ed.classical_trajectory,
                  ed.mathieu_q, ed.stability_boundary, ed.electron_timescale,
                  scheduler.build_schedule, ionization.find_resonances,

@@ -10,6 +10,17 @@ from hexmbqc import graphstate, lattice, scheduler
 from oracles import check_rounds, edge_union, schedule_rounds
 
 
+def test_gate_schedule_is_frozen_and_equal_by_fields():
+    build = lambda: scheduler.build_schedule(
+        lattice.decompose_sublattices(lattice.build_hex_array(3, 3, 1.0), 1), periodic=True)
+    first, second = build(), build()
+    assert first == second and hash(first) == hash(second) and first is not second
+    assert first != first._replace(t_gate=2e-5)
+    for field in ("rounds", "t_gate", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(first, field, ())
+
+
 def make_assignment(rows=4, cols=4, n=2):
     arr = lattice.build_hex_array(rows, cols, 1.0)
     return lattice.decompose_sublattices(arr, n)
