@@ -44,8 +44,9 @@ loads ``mbqc``, ``ionize`` ``ionization`` and ``electron``
 ``electron_dynamics``.  numpy is loaded by ``electron propagate`` only,
 and no subcommand loads ``graphstate`` or scipy.  The library's records
 are named tuples, and ``LayerAssignment`` a slotted class, none made by a
-class decorator, so no subcommand loads ``inspect``, and only ``ionize``
-loads ``typing``, through ``importlib.resources``.  ``mbqc`` samples with
+class decorator, so no subcommand loads ``inspect``, and ``ionize`` reads
+its bundled data by path, so none loads ``typing`` or
+``importlib.resources``.  ``mbqc`` samples with
 ``mbqc.Pcg64``, which draws what ``numpy.random.default_rng(seed)``
 draws, so a seed keeps its outcomes.
 """
@@ -218,6 +219,16 @@ def _typed(kind, value, name: str):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     spelled = re.sub(r"<class '(\w+)'>", r"\1", repr(kind))
     raise ValueError(f"{name} must be {spelled}, got {value!r}")
+
+
+def _int_pairs(rounds) -> bool:
+    """Whether the JSON ``rounds`` is a list of lists of [int, int] gates, by
+    one flat pass over each level; ``_typed`` takes the same documents."""
+    if type(rounds) is not list or not set(map(type, rounds)) <= {list}:
+        return False
+    gates = list(itertools.chain.from_iterable(rounds))
+    return (set(map(type, gates)) <= {list} and set(map(len, gates)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(gates))) <= {int})
 
 
 def _merge(label: str, table: dict, block) -> dict:
@@ -397,7 +408,9 @@ def _cmd_verify(args, eff):
                 raise ValueError(f"{given} {lat[key]!r} disagrees with the schedule "
                                  f"file's lattice block, where {key} is {block[key]!r}")
         eff = {**eff, **block}
-        rounds = _typed([[(int, int)]], doc.get("rounds"), "schedule.rounds")
+        rounds = doc.get("rounds")
+        if not _int_pairs(rounds):  # then _typed raises, naming the first bad value
+            rounds = _typed([[(int, int)]], rounds, "schedule.rounds")
     array, assign = _build_assignment(eff)
     if rounds is None:
         rounds = scheduler.build_schedule(assign, periodic=eff["periodic"]).rounds

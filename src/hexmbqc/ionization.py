@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from collections.abc import Mapping
-from importlib import resources
 
 __all__ = [
     "I_ATOMIC_UNIT_W_CM2",
@@ -289,7 +289,9 @@ def raman_irradiance(ref: RabiReference, detuning_linewidths: float,
 # bundled data
 
 def load_bundled_data() -> dict:
-    doc = json.loads(resources.files("hexmbqc.data").joinpath("ca_ii_levels.json").read_text())
+    path = os.path.join(os.path.dirname(__file__), "data", "ca_ii_levels.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     for key in ("levels", "ionization_threshold_ev", "calibration", "rabi_reference"):
         if key not in doc:
             raise ValueError(f"data file missing key {key!r}")

@@ -14,18 +14,19 @@ Distances between entangling partners are quoted in the channel metric
 shuttles, and it is the length that fixes transport time.  Euclidean
 in-layer spacing is ``sqrt(3) * n * d``.
 
-A ``HexArray`` holds the per-site fields the preparation path reads, and
-only those: ``keys`` (id -> triangular coordinate) and ``index`` (the
-inverse).  ``HexArray.position`` computes a site's Cartesian coordinates
-when asked; trap-channel adjacency is not stored.  Likewise a
-``LayerAssignment`` stores nothing per site: ``layer`` and ``coord`` read a
+A ``HexArray`` stores nothing per site: site ``(f, i, j)`` has id
+``(f (cols + 1) + i) (rows + 1) + j``, so ``key`` and ``site`` are
+arithmetic, and ``position`` computes a site's Cartesian coordinates when
+asked; trap-channel adjacency is not stored.  A ``LayerAssignment`` keeps
+no per-site table but the rounds it caches: ``layer`` and ``coord`` read a
 site's layer and in-layer coordinate off its key, since the layers are the
 cosets ``(f, i mod n, j mod n)``, and ``_serpentine`` alone orders them: a
 coset's position gives both its layer and the step to the next layer.
 
-``cluster_partners`` alone knows the 3D cluster's neighbour rule (each
-site's u, v and next-layer partner) and computes its partner table once per
-assignment and closure; the edge sets and the scheduler read that table.
+``_gate_runs`` alone knows the 3D cluster's neighbour rule: partners are a
+fixed id step apart along whole columns, rows and cosets of a row, so it
+gives the edges as runs of ids.  The partner table and the six rounds are
+filled run by run, and the edge sets are unions of rounds.
 
 Triangular coordinates: vertex ``(f, i, j)`` sits at ``i*T1 + j*T2 + f*delta``
 with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
@@ -38,12 +39,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import chain, product
+from operator import itemgetter
 
 __all__ = [
     "HexArray",
     "LayerAssignment",
     "build_hex_array",
     "decompose_sublattices",
+    "cluster_rounds",
     "cluster_partners",
     "intra_layer_edges",
     "interlayer_edges",
@@ -56,31 +60,40 @@ __all__ = [
 MAX_SITES = 200_000
 
 
-class HexArray(namedtuple("HexArray", "rows cols d keys index")):
-    """Finite block of hexagonal cells.
+class HexArray(namedtuple("HexArray", "rows cols d")):
+    """Finite block of rows x cols hexagonal cells with edge length d.
 
-    ``sites`` are integer ids 0..N-1 in ascending order of ``keys``, which
-    maps each id to its ``(family, i, j)`` triangular coordinate; ``index``
-    is the inverse map.  ``position`` gives a site's Cartesian coordinates.
-    A named tuple, so immutable and equal by all five fields.
+    ``sites`` are integer ids 0..N-1 in ascending order of their
+    ``(family, i, j)`` triangular coordinate: ``key`` gives a site's
+    coordinate and ``site`` the inverse, both by arithmetic.  ``position``
+    gives a site's Cartesian coordinates.  A named tuple, so immutable and
+    equal by its three fields.
     """
 
     __slots__ = ()
 
-    def __repr__(self) -> str:  # index, the inverse of keys, left out
-        return (f"HexArray(rows={self.rows!r}, cols={self.cols!r}, d={self.d!r}, "
-                f"keys={self.keys!r})")
-
     @property
     def sites(self) -> range:
-        return range(len(self.keys))
+        return range(self.site_count())
 
     def site_count(self) -> int:
-        return len(self.keys)
+        return 2 * (self.cols + 1) * (self.rows + 1) - 2
+
+    def key(self, s: int) -> tuple[int, int, int]:
+        """``(f, i, j)`` of site ``s``; IndexError if the array has no site ``s``."""
+        if not 0 <= s < self.site_count():
+            raise IndexError(f"site {s} is not one of the array's {self.site_count()}")
+        column, j = divmod(s + 1, self.rows + 1)  # column f (cols + 1) + i, 0 <= i <= cols
+        return (*divmod(column, self.cols + 1), j - 1)
+
+    def site(self, f: int, i: int, j: int) -> int | None:
+        """Id of the site at ``(f, i, j)``; None if the array has none there."""
+        s = (f * (self.cols + 1) + i) * (self.rows + 1) + j
+        return s if 0 <= s < self.site_count() and self.key(s) == (f, i, j) else None
 
     def position(self, s: int) -> tuple[float, float]:
         """Cartesian (x, y) of site ``s`` in meters: i*T1 + j*T2 + f*delta."""
-        f, i, j = self.keys[s]
+        f, i, j = self.key(s)
         u = math.sqrt(3.0) * self.d  # T1 = (u, 0), T2 = (u/2, 3d/2), delta = (T1 + T2)/3
         return (i * u + j * (u * 0.5) + f * ((u + u * 0.5) / 3.0),
                 j * (1.5 * self.d) + f * (1.5 * self.d / 3.0))
@@ -92,11 +105,11 @@ class LayerAssignment:
     Site ``(f, i, j)`` lies in layer ``2 k + 1 + f``, where ``k`` is the
     serpentine position of its coset ``(i mod n, j mod n)``, at in-layer
     coordinate ``(i // n, j // n)``.  Frozen; equal and shown by ``array``
-    and ``n`` alone, and unhashable as its array is.
+    and ``n`` alone, and unhashable.
     """
 
-    # _partners: bool(periodic) -> cluster_partners' list of (s, u, v, up),
-    # made on first use; one dict per instance
+    # _partners: bool(periodic) -> that closure's runs and rounds, each made on
+    # first use; one dict per instance
     __slots__ = ("array", "n", "_partners")
 
     def __init__(self, array: HexArray, n: int):
@@ -122,22 +135,24 @@ class LayerAssignment:
 
     def layer(self, s: int) -> int:
         """Layer of site ``s``, in 1..layer_count."""
-        f, i, j = self.array.keys[s]
+        f, i, j = self.array.key(s)
         return 2 * _serpentine(self.n, i % self.n, j % self.n) + 1 + f
 
     def coord(self, s: int) -> tuple[int, int]:
         """Integer in-layer (a, b) coordinate of site ``s`` along the layer's
         two primitive directions."""
-        _, i, j = self.array.keys[s]
+        _, i, j = self.array.key(s)
         return i // self.n, j // self.n
 
 
 def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
     """Build a rows x cols block of hexagonal cells with edge length d.
 
-    Site count follows the closed form 2*(rows*cols + rows + cols).
-    Raises ValueError for non-positive rows, cols or d, and for more than
-    MAX_SITES sites.
+    Hexagon (i, j) has vertices A(i,j), B(i,j), A(i+1,j), B(i+1,j-1),
+    A(i+1,j-1) and B(i,j-1).  Over the block their union is every (f, i, j)
+    with 0 <= i <= cols and -1 <= j < rows, less A(0, -1) and B(cols, rows-1):
+    2*(rows*cols + rows + cols) sites.  Raises ValueError for non-positive
+    rows, cols or d, and for more than MAX_SITES sites.
     """
     if rows <= 0 or cols <= 0:
         raise ValueError(f"rows and cols must be positive, got {rows} x {cols}")
@@ -147,16 +162,7 @@ def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
                          f"past the limit of {MAX_SITES}")
     if not (d > 0.0) or not math.isfinite(d):
         raise ValueError(f"spacing d must be positive and finite, got {d}")
-
-    # Hexagon (i, j) has vertices A(i,j), B(i,j), A(i+1,j), B(i+1,j-1),
-    # A(i+1,j-1) and B(i,j-1).  Over the block their union is every (f, i, j)
-    # with 0 <= i <= cols and -1 <= j < rows, less A(0, -1) and B(cols, rows-1);
-    # listed in sorted order, so ids ascend with keys.
-    keys = tuple((f, i, j) for f in (0, 1) for i in range(cols + 1)
-                 for j in range(0 if (f, i) == (0, 0) else -1,
-                                rows - 1 if (f, i) == (1, cols) else rows))
-    return HexArray(rows=rows, cols=cols, d=d, keys=keys,
-                    index={k: s for s, k in enumerate(keys)})
+    return HexArray(rows=rows, cols=cols, d=d)
 
 
 def _serpentine(n: int, p: int, q: int) -> int:
@@ -205,53 +211,94 @@ def _layer_shift(n: int, f: int, p: int, q: int) -> tuple[int, int, int]:
     return 0, (p1 - p + half) % n - half, (q1 - q + half) % n - half
 
 
-def cluster_partners(assign: LayerAssignment, periodic: bool = False
-                     ) -> Iterator[tuple[int, int | None, int | None, int | None]]:
-    """Yield ``(s, u, v, up)`` for every site ``s`` in ascending id, None
-    where a partner is absent.
+def _gate_runs(assign: LayerAssignment, periodic: bool = False) -> list[tuple[int, range, range]]:
+    """The ``(round, sources, partners)`` runs, equal-length ranges of site
+    ids whose k-th source and k-th partner share a cluster edge of round 0-5;
+    made once per assignment and closure.
 
-    ``u`` is the site at ``(f, i+n, j)`` and ``v`` the one at ``(f, i, j+n)``;
-    both have larger ids than ``s``.  ``up`` is the nearest coset translate
-    in the next layer, so each site gains at most one upward and one
-    downward interlayer edge.  The last layer has a next layer only with
-    ``periodic``, and then not for n=1, where the wrap would repeat layer 1's
-    edges.  The table is made once per assignment and closure.
-    """
-    table = assign._partners.get(bool(periodic))
-    if table is None:
-        array, n, index = assign.array, assign.n, assign.array.index
-        # step to the next layer, keyed by each layer's coset (f, p, q); the
-        # last layer, family B of the last coset, has one only when it wraps
-        shift = {(f, p, q): _layer_shift(n, f, p, q)
-                 for f in (0, 1) for p in range(n) for q in range(n)
-                 if periodic and n > 1 or (f, _serpentine(n, p, q)) != (1, n * n - 1)}
-        # a layer with no next layer looks up family None, which no site has
-        table = assign._partners[bool(periodic)] = [
-            (s, index.get((f, i + n, j)), index.get((f, i, j + n)),
-             index.get((f1, i + di, j + dj)))
-            for s, (f, i, j) in enumerate(array.keys)
-            for f1, di, dj in (shift.get((f, i % n, j % n), (None, 0, 0)),)]
-    return iter(table)
+    The u partner (f, i+n, j) and the v partner (f, i, j+n) are one id step
+    away down a whole column (round i // n % 2) and along a whole row (round
+    2 + j // n % 2); the next-layer partner, the nearest coset translate in
+    the next layer, is one step away for a coset's sites in a row (round
+    4 + f).  The last layer has one only with ``periodic`` and n > 1 (for
+    n=1 the wrap would repeat layer 1's edges)."""
+    cache = assign._partners.setdefault(bool(periodic), {})
+    if "runs" in cache:
+        return cache["runs"]
+    n, rows, cols = assign.n, assign.array.rows, assign.array.cols
+    R, F = rows + 1, (cols + 1) * (rows + 1)  # id(f, i, j) = f F + i R + j
+    # (round, first source, first partner, id step, length) before trimming
+    raw = [(i // n % 2, f * F + i * R - 1, f * F + (i + n) * R - 1, 1, R)
+           for f in (0, 1) for i in range(cols + 1 - n)]
+    raw += [(2 + j // n % 2, f * F + j, f * F + j + n, R, cols + 1)
+            for f in (0, 1) for j in range(-1, rows - n)]
+    wrap = periodic and n > 1
+    for f, p, q in product((0, 1), range(n), range(n)):
+        if f and not wrap and _serpentine(n, p, q) == n * n - 1:
+            continue  # the last layer, family B of the last coset
+        f1, di, dj = _layer_shift(n, f, p, q)
+        lo, hi = max(0, -di), min(cols, cols - di)  # both ends' columns on the array
+        i0, jlo = lo + (p - lo) % n, max(-1, -1 - dj)
+        raw += [(4 + f, f * F + i0 * R + j, f1 * F + (i0 + di) * R + j + dj, n * R,
+                 (hi - i0) // n + 1) for j in range(jlo + (q - jlo) % n, min(rows, rows - dj), n)]
+    end = 2 * F - 2
+    runs = cache["runs"] = []
+    for k, s, t, step, count in raw:
+        # absent corners A(0, -1), B(cols, rows - 1) are ids -1, end: a run's first or last
+        if s < 0 or t < 0:
+            s, t, count = s + step, t + step, count - 1
+        if (s if s > t else t) + (count - 1) * step >= end:
+            count -= 1
+        if count > 0:
+            runs.append((k, range(s, s + count * step, step), range(t, t + count * step, step)))
+    return runs
+
+
+def cluster_partners(assign: LayerAssignment, periodic: bool = False) -> array.array:
+    """The partner table: a flat ``array('l')`` whose slots ``3 s``,
+    ``3 s + 1`` and ``3 s + 2`` hold site ``s``'s u, v and next-layer
+    partner, -1 where it has none."""
+    import array  # a shared library, loaded only by the audit that reads the table
+    table = array.array("l", [-1]) * (3 * assign.array.site_count())
+    for k, src, dst in _gate_runs(assign, periodic):
+        slot = k // 2  # u, v or next layer
+        table[3 * src[0] + slot:3 * src[-1] + slot + 1:3 * src.step] = array.array("l", dst)
+    return table
+
+
+def cluster_rounds(assign: LayerAssignment, periodic: bool = False
+                   ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cluster's edges in the scheduler's six rounds, each a tuple of
+    sorted site-id pairs in id order, made once per assignment and closure;
+    the pairs share one int object per site id."""
+    cache = assign._partners.setdefault(bool(periodic), {})
+    if "rounds" not in cache:
+        ids, rounds = list(range(assign.array.site_count())), [[] for _ in range(6)]
+        for k, src, dst in _gate_runs(assign, periodic):
+            lo, hi = (src, dst) if src[0] < dst[0] else (dst, src)  # ids step together
+            rounds[k] += zip(ids[lo.start:lo.stop:lo.step], ids[hi.start:hi.stop:hi.step])
+        # u runs come in id order; v runs (rows) and next-layer runs (cosets)
+        # do not, so rounds 3-6 are sorted, on the first id as each is a matching
+        for rnd in rounds[2:]:
+            rnd.sort(key=itemgetter(0))
+        cache["rounds"] = tuple(map(tuple, rounds))
+    return cache["rounds"]
 
 
 def intra_layer_edges(assign: LayerAssignment) -> set[tuple[int, int]]:
     """All in-layer cluster edges, as sorted site-id pairs."""
-    return {(s, t) for s, u, v, _ in cluster_partners(assign) for t in (u, v)
-            if t is not None}
+    return set(chain.from_iterable(cluster_rounds(assign)[:4]))
 
 
 def interlayer_edges(assign: LayerAssignment, periodic: bool) -> set[tuple[int, int]]:
     """One edge per (site, corresponding site in the next layer), as sorted
     site-id pairs; with ``periodic`` the last layer links back to the first."""
-    return {(s, up) if s < up else (up, s)
-            for s, _, _, up in cluster_partners(assign, periodic) if up is not None}
+    return set(chain.from_iterable(cluster_rounds(assign, periodic)[4:]))
 
 
 def cluster_edges(assign: LayerAssignment, periodic: bool = False) -> set[tuple[int, int]]:
     """Full 3D cluster edge set: in-layer plus interlayer."""
-    return {(s, t) if s < t else (t, s)
-            for s, u, v, up in cluster_partners(assign, periodic)
-            for t in (u, v, up) if t is not None}
+    return set(chain.from_iterable(cluster_rounds(assign, periodic)))
 
 
 def assignment_report(assign: LayerAssignment) -> dict:
@@ -259,7 +306,7 @@ def assignment_report(assign: LayerAssignment) -> dict:
     array = assign.array
     sites = []
     for s in array.sites:
-        f, i, j = array.keys[s]
+        f, i, j = array.key(s)
         x, y = array.position(s)
         sites.append(
             {

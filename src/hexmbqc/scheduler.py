@@ -12,16 +12,17 @@ the same round.  Six rounds always suffice, independent of array size:
                  layer 2 n**2 is family B).
 
 Each round is a matching by construction, so the schedule depth is a
-constant 6 and preparation time is size-independent.  This module assigns
-the rounds and audits any schedule against the cluster; which sites are
-partners is ``lattice.cluster_partners``'s to say.
+constant 6 and preparation time is size-independent.  Which sites are
+partners, and in which round, is the lattice's to say: this module times
+``lattice.cluster_rounds`` and audits any schedule against the cluster on
+``lattice.cluster_partners``' table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import LayerAssignment, cluster_partners
+from .lattice import LayerAssignment, cluster_partners, cluster_rounds
 
 __all__ = ["GateSchedule", "audit_rounds", "build_schedule", "prep_time", "schedule_report",
            "schedule_csv_rows"]
@@ -58,26 +59,8 @@ def build_schedule(
     """Partition the 3D cluster edge set into six parallel rounds."""
     if t_gate < 0 or t_shuttle < 0:
         raise ValueError("round times must be nonnegative")
-
-    # One pass over the lattice's partners in ascending site id.  The u and v
-    # partners have larger ids, so rounds 1-4 come out sorted; the next-layer
-    # partner may not, so rounds 5-6 are sorted at the end.  The source is the
-    # site itself, for the wrap too, and its key gives its in-layer coordinate
-    # (i // n, j // n) and its family f.
-    n = assign.n
-    rounds: list[list[tuple[int, int]]] = [[] for _ in range(6)]
-    for (s, u, v, up), (f, i, j) in zip(cluster_partners(assign, periodic), assign.array.keys):
-        if u is not None:  # u step: parity of the source coordinate
-            rounds[i // n % 2].append((s, u))
-        if v is not None:  # v step
-            rounds[2 + j // n % 2].append((s, v))
-        if up is not None:
-            rounds[4 + f].append((s, up) if s < up else (up, s))
-    rounds[4].sort()
-    rounds[5].sort()
-
     return GateSchedule(
-        rounds=tuple(map(tuple, rounds)),
+        rounds=cluster_rounds(assign, periodic),
         t_shuttle=t_shuttle,
         t_gate=t_gate,
         periodic=periodic,
@@ -97,10 +80,10 @@ def audit_rounds(rounds, assign: LayerAssignment, periodic: bool = False
     themselves): the ends of the edges where that graph and the cluster
     differ, or none if a gate leaves the array or joins a site to itself.
     """
-    table = list(cluster_partners(assign, periodic))
-    sites = len(table)
-    # slot 3 s + j of (s, u, v, up): 0 unapplied, 1 odd count or no partner, 2 even
-    applied = bytearray(t is None for row in table for t in row[1:])
+    table = cluster_partners(assign, periodic)
+    sites = len(table) // 3
+    # per slot of the table: 0 unapplied, 1 odd count or no partner, 2 even
+    applied = bytearray(map((-1).__eq__, table))
     edges = len(applied) - applied.count(1)
     stamp, odd = [0] * sites, set()  # each ion's last round; off-cluster gates
     failure = (None if len(rounds) == len(ROUND_NAMES)
@@ -112,9 +95,9 @@ def audit_rounds(rounds, assign: LayerAssignment, periodic: bool = False
             if a > b:
                 a, b = b, a
             on = 0 <= a and b < sites  # both ends on the array
-            _, u, v, up = table[a] if on else (None,) * 4
-            slot = (3 * a if b == u else 3 * a + 1 if b == v else 3 * a + 2 if b == up
-                    else 3 * b + 2 if on and table[b][3] == a else -1)
+            x = 3 * a
+            slot = (-1 if not on else x if table[x] == b else x + 1 if table[x + 1] == b else
+                    x + 2 if table[x + 2] == b else 3 * b + 2 if table[3 * b + 2] == a else -1)
             if slot < 0:
                 failure = failure or f"{where}: gate {[a, b]} is not a cluster edge"
                 simple = simple and on and a != b
@@ -127,8 +110,7 @@ def audit_rounds(rounds, assign: LayerAssignment, periodic: bool = False
                     failure = f"{where}: ion {a if stamp[a] == k else b} is in two gates"
                 stamp[a] = stamp[b] = k
             applied[slot] = 2 if applied[slot] == 1 else 1
-    differ = [(i // 3, table[i // 3][i % 3 + 1], count)
-              for i, count in enumerate(applied) if count != 1]
+    differ = [(i // 3, table[i], count) for i, count in enumerate(applied) if count != 1]
     missing = [(min(s, t), max(s, t)) for s, t, count in differ if not count]
     ends = {q for gate in odd for q in gate} | {q for s, t, _ in differ for q in (s, t)}
     if failure is None and missing:

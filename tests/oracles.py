@@ -7,13 +7,16 @@ build and probe the dense state vector of a graph state on up to 16
 qubits.  In statevectors qubit 0 is the most significant bit of the
 amplitude index.  ``adjacency`` lists the trap channels of a hex array and
 ``channel_distance`` measures a shuttle path by breadth-first search over
-them.  ``has_full_cell`` scans an array's windows for one full elementary
+them; ``reference_keys`` lists a block's site keys in id order by
+enumerating its hexagons' vertices, apart from the lattice's arithmetic.
+``has_full_cell`` scans an array's windows for one full elementary
 cell of the scaled decomposition, and ``reference_layers`` numbers each
 site's layer by finding its coset in ``layer_labels``, the boustrophedon
 order of the n x n coset grid listed row by row.
 ``reference_intra_edges`` and ``reference_interlayer_edges`` are
 the 3D cluster's edge sets found by coordinate lookup, apart from the
-lattice's ``cluster_partners``; ``schedule_rounds`` is the six-round
+lattice's runs, and ``reference_partners`` each site's three
+forward partners the same way; ``schedule_rounds`` is the six-round
 schedule found by classifying each of those edges by its endpoints'
 coordinates and reference layers, and ``edge_union`` the gates of a
 schedule as one set.
@@ -39,6 +42,7 @@ byproduct Paulis and ``euler_unitary`` is the rotation to compare with.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import deque
 from collections.abc import Iterable
@@ -240,32 +244,52 @@ def pauli_expectation(
     return float(np.real(np.vdot(state, transformed)))
 
 
+@functools.lru_cache(maxsize=None)
+def reference_keys(rows: int, cols: int) -> tuple[tuple[int, int, int], ...]:
+    """The ``(f, i, j)`` keys of a rows x cols block, listed by enumerating
+    every hexagon's six vertices and sorted: site s is the s-th key."""
+    vertices = set()
+    for i in range(cols):
+        for j in range(rows):
+            vertices |= {(0, i, j), (1, i, j), (0, i + 1, j), (1, i + 1, j - 1),
+                         (0, i + 1, j - 1), (1, i, j - 1)}
+    return tuple(sorted(vertices))
+
+
+def reference_index(array) -> dict[tuple[int, int, int], int]:
+    """Key -> site id of ``array``, from ``reference_keys``."""
+    return {k: s for s, k in enumerate(reference_keys(array.rows, array.cols))}
+
+
 def adjacency(array) -> dict[int, tuple[int, ...]]:
     """Trap-channel (honeycomb) neighbors of each site: A(i, j) joins B(i, j),
     B(i-1, j) and B(i, j-1) where present."""
     out = {}
-    for s, (f, i, j) in enumerate(array.keys):
+    index = reference_index(array)
+    for (f, i, j), s in index.items():
         if f == 0:
             cand = [(1, i, j), (1, i - 1, j), (1, i, j - 1)]
         else:
             cand = [(0, i, j), (0, i + 1, j), (0, i, j + 1)]
-        out[s] = tuple(array.index[k] for k in cand if k in array.index)
+        out[s] = tuple(index[k] for k in cand if k in index)
     return out
 
 
 def has_full_cell(array, n: int) -> bool:
     """Whether some n x n block of (i, j) offsets is present for both
     families, by trying every window inside the keys' bounding box."""
-    imin = min(k[1] for k in array.keys)
-    imax = max(k[1] for k in array.keys)
-    jmin = min(k[2] for k in array.keys)
-    jmax = max(k[2] for k in array.keys)
-    return any(all((f, i0 + p, j0 + q) in array.index
+    index = reference_index(array)
+    imin = min(k[1] for k in index)
+    imax = max(k[1] for k in index)
+    jmin = min(k[2] for k in index)
+    jmax = max(k[2] for k in index)
+    return any(all((f, i0 + p, j0 + q) in index
                    for f in (0, 1) for p in range(n) for q in range(n))
                for i0 in range(imin, imax - n + 2) for j0 in range(jmin, jmax - n + 2))
 
 
-def layer_labels(n: int) -> list[tuple[int, tuple[int, int]] | None]:
+@functools.lru_cache(maxsize=None)
+def layer_labels(n: int) -> tuple[tuple[int, tuple[int, int]] | None, ...]:
     """Layer -> (family, (p, q)) coset label, index 0 unused: the cosets in
     boustrophedon order (row p forward for even p, backward for odd p),
     families A then B of each."""
@@ -273,7 +297,7 @@ def layer_labels(n: int) -> list[tuple[int, tuple[int, int]] | None]:
     for p in range(n):
         qs = range(n) if p % 2 == 0 else range(n - 1, -1, -1)
         order.extend((p, q) for q in qs)
-    return [None] + [(f, pq) for pq in order for f in (0, 1)]
+    return (None,) + tuple((f, pq) for pq in order for f in (0, 1))
 
 
 def reference_layers(assign) -> list[int]:
@@ -281,18 +305,19 @@ def reference_layers(assign) -> list[int]:
     (family, (i mod n, j mod n)) in ``layer_labels``."""
     n = assign.n
     number = {label: ell for ell, label in enumerate(layer_labels(n)) if label is not None}
-    return [number[(f, (i % n, j % n))] for f, i, j in assign.array.keys]
+    keys = reference_keys(assign.array.rows, assign.array.cols)
+    return [number[(f, (i % n, j % n))] for f, i, j in keys]
 
 
 def reference_intra_edges(assign) -> set[tuple[int, int]]:
     """In-layer cluster edges by lookup: each site joins the sites of its own
     family at (i + n, j) and (i, j + n)."""
     edges: set[tuple[int, int]] = set()
-    array = assign.array
+    index = reference_index(assign.array)
     n = assign.n
-    for s, (f, i, j) in enumerate(array.keys):
+    for (f, i, j), s in index.items():
         for di, dj in ((n, 0), (0, n)):
-            other = array.index.get((f, i + di, j + dj))
+            other = index.get((f, i + di, j + dj))
             if other is not None:
                 edges.add((s, other) if s < other else (other, s))
     return edges
@@ -317,18 +342,35 @@ def reference_interlayer_edges(assign, periodic: bool) -> set[tuple[int, int]]:
     """One edge per (site, nearest coset translate in the next layer); with
     ``periodic`` the last layer links back to the first, and for n=1 that
     wrap repeats the forward edges and the set collapses it."""
-    array = assign.array
+    index = reference_index(assign.array)
     edges: set[tuple[int, int]] = set()
     last = assign.layer_count if periodic else assign.layer_count - 1
     shift = {ell: _next_layer_step(assign, ell) for ell in range(1, last + 1)}
-    for s, ((f, i, j), ell) in enumerate(zip(array.keys, reference_layers(assign))):
+    for s, ((f, i, j), ell) in enumerate(zip(index, reference_layers(assign))):
         if ell > last:
             continue
         f1, di, dj = shift[ell]
-        other = array.index.get((f1, i + di, j + dj))
+        other = index.get((f1, i + di, j + dj))
         if other is not None:
             edges.add((s, other) if s < other else (other, s))
     return edges
+
+
+def reference_partners(assign, periodic: bool) -> list[tuple[int, int, int]]:
+    """Each site's (u, v, next-layer) partner in id order, -1 where absent,
+    by coordinate lookup: (f, i + n, j), (f, i, j + n), and the site one
+    ``_next_layer_step`` away.  The last layer has a next layer only with
+    ``periodic``, and then not for n=1, whose wrap would repeat the
+    forward edges."""
+    index, n = reference_index(assign.array), assign.n
+    last = assign.layer_count if periodic and n > 1 else assign.layer_count - 1
+    shift = {ell: _next_layer_step(assign, ell) for ell in range(1, last + 1)}
+    partners = []
+    for (f, i, j), ell in zip(index, reference_layers(assign)):
+        f1, di, dj = shift.get(ell, (None, 0, 0))
+        partners.append((index.get((f, i + n, j), -1), index.get((f, i, j + n), -1),
+                         index.get((f1, i + di, j + dj), -1)))
+    return partners
 
 
 def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -337,7 +379,7 @@ def schedule_rounds(assign, periodic: bool = False) -> tuple[tuple[tuple[int, in
     in-layer coordinate (i // n or j // n), an interlayer edge by its source
     layer parity (the wrap's source is the last layer)."""
     rounds: list[set[tuple[int, int]]] = [set() for _ in range(6)]
-    n, keys = assign.n, assign.array.keys
+    n, keys = assign.n, reference_keys(assign.array.rows, assign.array.cols)
     layer = reference_layers(assign)
     for a, b in reference_intra_edges(assign):
         (_, ai, aj), (_, bi, bj) = keys[a], keys[b]

@@ -89,7 +89,7 @@ def test_only_ionize_loads_the_ionization_module(tmp_path):
 # top: the library modules and numpy (~85 ms); dataclasses (~7 ms) is looked
 # for too, and no subcommand loads it
 EDC = ["hexmbqc.electron_dynamics"]
-ION = ["hexmbqc.data", "hexmbqc.ionization"]
+ION = ["hexmbqc.ionization"]
 SCHED = ["hexmbqc.lattice", "hexmbqc.scheduler"]
 LOADED = [
     (["lattice"], 0, ["hexmbqc.lattice"]),
@@ -131,11 +131,11 @@ def test_a_cold_process_loads_only_its_subcommand(tmp_path, capsys, argv, code, 
                          ids=[" ".join(a) for a, _, _ in LOADED])
 def test_no_subcommand_loads_dataclasses_inspect_or_typing(tmp_path, capsys, argv, code):
     # -S: a .pth file in site-packages may import typing before hexmbqc runs.
-    # The library's records are named tuples or slotted classes, so only
-    # ionize loads typing, when importlib.resources reads its bundled data
+    # The library's records are named tuples or slotted classes, and ionize
+    # opens its bundled data file by path, not through importlib.resources
     codes, modules = _cold(tmp_path, capsys, argv, "-S")
-    allowed = {"typing"} if argv[0] == "ionize" else set()
-    assert (codes, {"dataclasses", "inspect", "typing"} & set(modules) - allowed) == ([code], set())
+    heavy = {"dataclasses", "inspect", "typing", "importlib.resources", "zipfile", "tempfile"}
+    assert (codes, heavy & set(modules)) == ([code], set())
 
 
 def test_a_config_block_loads_its_module_and_is_checked(tmp_path):
@@ -1005,6 +1005,13 @@ def test_electron_propagate_config_with_bad_sigma_v_and_sigma0_exits_1(tmp_path,
 @pytest.mark.parametrize("change, message", [
     ({"lattice": [3, 3]}, "schedule.lattice must be a JSON object"),
     ({"rounds": 6}, "schedule.rounds must be"),
+    ({"rounds": None}, "schedule.rounds must be [[(int, int)]], got None"),
+    ({"rounds": [[[0, True]]]}, "schedule.rounds must be int, got True"),
+    ({"rounds": [[[0.0, 1]]]}, "schedule.rounds must be int, got 0.0"),
+    ({"rounds": [[[0, 1, 2]]]}, "schedule.rounds must be (int, int), got [0, 1, 2]"),
+    ({"rounds": [[[0, 1]], 5]}, "schedule.rounds must be [(int, int)], got 5"),
+    ({"rounds": [[[[0], [1]]]]}, "schedule.rounds must be int, got [0]"),
+    ({"rounds": [[[[0, 1]]]]}, "schedule.rounds must be (int, int), got [[0, 1]]"),
 ])
 def test_malformed_schedule_exits_1(tmp_path, capsys, change, message):
     doc = {**_schedule_3x3(tmp_path, capsys), **change}

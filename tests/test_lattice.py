@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hexmbqc import lattice
 from oracles import (adjacency, channel_distance, has_full_cell, layer_labels,
-                     reference_interlayer_edges, reference_intra_edges, reference_layers)
+                     reference_interlayer_edges, reference_intra_edges, reference_keys,
+                     reference_layers)
 
 
 def test_site_count_closed_form():
@@ -41,19 +42,19 @@ def test_adjacency_honeycomb_structure():
         nbrs = adj[s]
         assert 1 <= len(nbrs) <= 3
         assert len(set(nbrs)) == len(nbrs)
-        fam = arr.keys[s][0]
+        fam = arr.key(s)[0]
         for b in nbrs:
             assert s in adj[b]
-            assert arr.keys[b][0] != fam
+            assert arr.key(b)[0] != fam
     # A(i,j) connects exactly to B(i,j), B(i-1,j), B(i,j-1) where present
     for s in arr.sites:
-        f, i, j = arr.keys[s]
+        f, i, j = arr.key(s)
         if f != 0:
             continue
         expected = {
-            arr.index[k]
+            arr.site(*k)
             for k in [(1, i, j), (1, i - 1, j), (1, i, j - 1)]
-            if k in arr.index
+            if arr.site(*k) is not None
         }
         assert set(adj[s]) == expected
 
@@ -85,7 +86,7 @@ def test_layers_partition_all_sites():
         # one layer per coset
         rep: dict[int, tuple[int, int, int]] = {}
         for s in arr.sites:
-            f, i, j = arr.keys[s]
+            f, i, j = arr.key(s)
             coset = (f, i % n, j % n)
             lay = asg.layer(s)
             assert 1 <= lay <= asg.layer_count
@@ -144,14 +145,14 @@ def test_layer_and_coord_read_off_the_key(n):
                 assert asg.layer(s) == layers[s]
                 f, (p, q) = labels[layers[s]]
                 a, b = asg.coord(s)
-                assert (f, p + n * a, q + n * b) == arr.keys[s]
+                assert (f, p + n * a, q + n * b) == arr.key(s)
             checked += 1
     assert checked > 100
 
 
 def test_assignment_stores_nothing_per_site():
     """The assignment's fields are its array and scale (and the lazily made
-    partner table); deciding it for 181 200 sites allocates under 1 MB."""
+    runs and rounds); deciding it for 181 200 sites allocates under 1 MB."""
     names = list(lattice.LayerAssignment.__slots__)
     assert names == ["array", "n", "_partners"]
     arr = lattice.build_hex_array(300, 300, 1.0)
@@ -167,10 +168,33 @@ def test_assignment_stores_nothing_per_site():
 
 def test_sites_are_derived_from_keys():
     arr = lattice.build_hex_array(3, 2, 1.0)
-    assert arr.sites == range(len(arr.keys)) == range(arr.site_count())
-    assert list(arr.sites) == sorted(arr.index.values())
+    keys = reference_keys(arr.rows, arr.cols)
+    assert arr.sites == range(len(keys)) == range(arr.site_count())
+    assert list(arr.sites) == sorted(arr.site(*k) for k in keys)
     assert arr.sites[-1] == arr.site_count() - 1
     assert "sites" not in lattice.HexArray._fields
+    assert lattice.HexArray._fields == ("rows", "cols", "d")
+
+
+def test_key_and_site_are_the_listing_of_every_hexagons_vertices():
+    """On every shape up to 13 x 13, ``key`` and ``site`` map ids and keys as
+    the oracle's sorted listing does; every key in a one-site margin off the
+    array, and every other family, has no site, and an id off the array no
+    key."""
+    for rows in range(1, 14):
+        for cols in range(1, 14):
+            arr = lattice.build_hex_array(rows, cols, 1.0)
+            keys = reference_keys(rows, cols)
+            assert arr.site_count() == len(keys)
+            assert [arr.key(s) for s in arr.sites] == list(keys)
+            index = {k: s for s, k in enumerate(keys)}
+            for f in (-1, 0, 1, 2):
+                for i in range(-2, cols + 3):
+                    for j in range(-3, rows + 2):
+                        assert arr.site(f, i, j) == index.get((f, i, j))
+            for s in (-1, len(keys), len(keys) + rows + 1):
+                with pytest.raises(IndexError):
+                    arr.key(s)
 
 
 def test_intra_layer_edges_are_coset_steps():
@@ -180,9 +204,9 @@ def test_intra_layer_edges_are_coset_steps():
         asg = lattice.decompose_sublattices(arr, n)
         oracle = set()
         for a in arr.sites:
-            f, i, j = arr.keys[a]
+            f, i, j = arr.key(a)
             for di, dj in ((n, 0), (0, n)):
-                b = arr.index.get((f, i + di, j + dj))
+                b = arr.site(f, i + di, j + dj)
                 if b is not None:
                     oracle.add((min(a, b), max(a, b)))
         got = {(min(a, b), max(a, b)) for a, b in lattice.intra_layer_edges(asg)}
@@ -248,7 +272,7 @@ def test_cluster_edges_union():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.booleans())
 def test_edge_sets_match_reference_lookup(rows, cols, n, periodic):
-    """The edge sets read from cluster_partners equal the oracle's coordinate
+    """The edge sets read from gate_runs equal the oracle's coordinate
     lookups, and for n=1 the periodic wrap adds no edge."""
     try:
         asg = lattice.decompose_sublattices(lattice.build_hex_array(rows, cols, 1.0), n)
@@ -308,17 +332,19 @@ def test_lattice_records_are_frozen_and_equal_by_fields():
     assert assign == lattice.decompose_sublattices(again, 1)
     assert assign != lattice.decompose_sublattices(array, 2)
     assert assign != lattice.decompose_sublattices(lattice.build_hex_array(2, 3, 1.0), 1)
-    for record in (array, assign):  # the site index is a dict, as it was
-        with pytest.raises(TypeError):
-            hash(record)
+    # the array is three numbers and hashes by them; the assignment keeps a
+    # cache of partner runs and stays unhashable
+    assert hash(array) == hash(again)
+    with pytest.raises(TypeError):
+        hash(assign)
 
 
 def test_assignments_never_share_a_partner_table():
     small = lattice.decompose_sublattices(lattice.build_hex_array(2, 2, 1.0), 1)
     large = lattice.decompose_sublattices(lattice.build_hex_array(3, 3, 1.0), 1)
     assert small._partners is not large._partners
-    assert len(list(lattice.cluster_partners(small))) == small.array.site_count()
-    assert len(list(lattice.cluster_partners(large))) == large.array.site_count()
+    assert len(lattice.cluster_partners(small)) == 3 * small.array.site_count()
+    assert len(lattice.cluster_partners(large)) == 3 * large.array.site_count()
     assert large._partners.keys() == {False} and small._partners.keys() == {False}
     assert small._partners[False] != large._partners[False]
 

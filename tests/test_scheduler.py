@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexmbqc import graphstate, lattice, scheduler
-from oracles import check_rounds, edge_union, schedule_rounds
+from oracles import check_rounds, edge_union, reference_partners, schedule_rounds
 
 
 def test_gate_schedule_is_frozen_and_equal_by_fields():
@@ -39,6 +39,28 @@ def test_six_disjoint_rounds_cover_cluster(n, periodic):
     total = sum(len(r) for r in sched.rounds)
     assert total == len(edge_union(sched))  # no edge scheduled twice
     assert scheduler.audit_rounds(sched.rounds, asg, periodic) == (None, [], total)
+
+
+def test_rounds_and_partner_table_match_the_oracle_on_every_small_array():
+    """On all 1 370 cases of up to 12 x 12 cells, n <= 7 and both closures,
+    the partner table holds the oracle's per-site partners and the rounds
+    are the oracle's edges classified by coordinate and layer."""
+    cases = 0
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            array = lattice.build_hex_array(rows, cols, 1.0)
+            for n in range(1, 8):
+                try:
+                    asg = lattice.decompose_sublattices(array, n)
+                except ValueError:
+                    continue
+                for periodic in (False, True):
+                    table = lattice.cluster_partners(asg, periodic)
+                    assert list(zip(*[iter(table)] * 3)) == reference_partners(asg, periodic)
+                    assert (scheduler.build_schedule(asg, periodic=periodic).rounds
+                            == schedule_rounds(asg, periodic))
+                    cases += 1
+    assert cases == 1370
 
 
 def test_rounds_split_intra_then_inter():
@@ -73,8 +95,8 @@ def test_audit_names_each_fault():
     (a, b), (c, d) = r[0][0], r[2][0]
     # an interlayer edge found from its larger end, and a gate found later
     # in site order whose smaller end lies between its ends
-    low = next((up, s) for s, _, _, up in lattice.cluster_partners(asg)
-               if up is not None and up < s)
+    table = lattice.cluster_partners(asg)
+    low = next((table[3 * s + 2], s) for s in asg.array.sites if 0 <= table[3 * s + 2] < s)
     later = next(g for rnd in r for g in rnd if low[0] < g[0] < low[1])
     faults = {
         "7 rounds, expected 6": r + [[]],
@@ -239,7 +261,7 @@ def test_one_pass_schedule_matches_edge_classifying_oracle(rows, cols, n, period
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.booleans())
 def test_schedule_after_edges_equals_schedule_alone(rows, cols, n, periodic):
-    """The partner table that cluster_edges leaves on an assignment, for
+    """The partner runs that cluster_edges leaves on an assignment, for
     either closure, gives build_schedule the gates it finds on its own."""
     def schedule(before):
         asg = lattice.decompose_sublattices(lattice.build_hex_array(rows, cols, 1.0), n)
