@@ -572,6 +572,7 @@ def _electron_propagate(args, eff):
     doc = {"schema_version": 1, "t_final_s": eff["t_final"],
            "captured": list(last.captured),
            "total_captured": last.total_captured,
+           "boundary_lost": last.boundary_lost,
            "norm_remaining": last.norm_remaining}
     return doc, {**files, "efficiency.json": doc}
 

@@ -24,13 +24,24 @@ N = max(points_x, points_y), the shorter factor on every r-th slot
 The N-point DFT of a signal interleaved with r-1 zeros is its own DFT
 repeated r times, so one batched FFT pair along the last axis advances both
 factors exactly, with the shorter factor's kinetic phase tiled r times and
-the masks zero on the padding slots, which keeps them empty.  All per-step
-bookkeeping is one product of precomputed weight rows with |psi|^2 of the
-kinetic output (|exp(-iV dt/2 hbar)| = 1, so the potential phase leaves it
-unchanged): the norm of psi_y, the x and y norms the boundary frame removes
-and keeps, and one row per detector weighted (1 - d_i^2) prod_{j<i} d_j^2,
-so overlapping slabs damp in config order.  Samples read the norm, mean and
-width of both factors from a second set of rows.
+the masks zero on the padding slots, which keeps them empty.
+
+A step is five numpy calls on preallocated arrays: the forward FFT, the
+kinetic phase (with the inverse's 1/N folded in, exact for a power of two),
+the unscaled inverse FFT to phi, |phi|^2 into a row of a block of rows, and
+one multiply by a carry: the step's trailing potential phase, the masks and
+the next step's leading phase, so the array holds the next step's input.
+Steps run in blocks from one stop (a sample, a snapshot, the last step) to
+the next; the last step of a block multiplies by its phase and masks only,
+so the state itself is at hand at every stop.  Driven mode exponentiates
+each block's phases once per distinct value of V and gathers them.  The
+bookkeeping of a block is one product of its rows of |phi|^2 with
+precomputed weight rows (|exp(-iV dt/2 hbar)| = 1, so the potential phase
+leaves |phi|^2 unchanged): the norm of psi_y, the x and y norms the
+boundary frame removes and keeps, and one row per detector weighted
+(1 - d_i^2) prod_{j<i} d_j^2, so overlapping slabs damp in config order;
+the losses accumulate step by step in Python.  Samples read the norm, mean
+and width of both factors from a second set of rows.
 
 Momentum-grid surrogate: the physical initial state (10 nm source, which
 fixes the velocity spread sigma_v = hbar/(2 m 10nm) ~ 5.8e3 m/s, and the
@@ -368,16 +379,12 @@ def propagate(
 
     kx = 2.0 * math.pi * np.fft.fftfreq(nx, dx)
     ky = 2.0 * math.pi * np.fft.fftfreq(ny, dy)
-    # the n-point DFT of a factor interleaved with r-1 zeros is its own DFT r times over
+    # the n-point DFT of a factor interleaved with r-1 zeros is its own DFT r
+    # times over; the inverse transform's 1/n, a power of two, is folded in exactly
     kin = np.stack([np.tile(np.exp(-1j * hbar * kx**2 / (2.0 * config.mass) * dt), rx),
-                    np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt), ry)])
+                    np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt), ry)]) / n
     # V(x, y) = V(x, 0) + V(0, y) at t=0; driven mode scales it by the drive per step
     v_phase = -1j * stack(saddle_potential(config, x, 0.0), saddle_potential(config, 0.0, y))
-    half = np.exp(v_phase * dt / (2.0 * hbar))
-    # V is even in x and y, so it takes about n/2 values per row: driven mode
-    # exponentiates each value once per step and gathers
-    v_values, v_index = np.unique(v_phase, return_inverse=True)
-    v_index = v_index.reshape(2, n)
 
     # keep_x is |damping|^2 of the slabs passed so far, in config order, so
     # overlapping slabs damp in turn; the step rows read |psi|^2 after the kinetic
@@ -391,13 +398,12 @@ def propagate(
     step_w = weights([stack(0.0, np.full(ny, dy)),
                       stack(keep_x * (1.0 - b_x**2) * dx, 0.0),
                       stack(keep_x * b_x**2 * dx, 0.0),
-                      stack(0.0, (1.0 - b_y**2) * dy), *slab_rows])
+                      stack(0.0, (1.0 - b_y**2) * dy), *slab_rows]).T
     # norm, first and second moment of |psi_x|^2 and of |psi_y|^2, read at samples
     moment_w = weights([stack(a * dx, 0.0) for a in (np.ones(nx), x, x**2)]
                        + [stack(0.0, a * dy) for a in (np.ones(ny), y, y**2)])
 
     psi = stack(wp.psi_x, wp.psi_y).astype(np.complex128, copy=False)
-    half_out = half * mask
     n_steps = int(round(t_final / dt))
     # a sample interval or snapshot time past t_final falls on the last step
     stride = max(1, int(round(min(sample_interval, t_final) / dt)))
@@ -406,19 +412,32 @@ def propagate(
     want_snaps = sorted(set(
         int(round(min(max(ts, 0.0), t_final) / dt)) for ts in snapshot_times))
 
-    samples, snaps = [], []
-    for step in range(n_steps + 1):
-        if step:
-            if not config.static_mode:
-                phase = math.cos(config.omega_rf * ((step - 0.5) * dt)) * dt / (2.0 * hbar)
-                half = np.exp(v_values * phase).take(v_index)
-                half_out = half * mask
-            psi = np.fft.ifft(kin * np.fft.fft(half * psi))
-            norm_y, lost_x, kept_x, lost_y, *slab = (step_w @ abs2(psi)).tolist()
-            psi *= half_out
-            captured = [c + s * norm_y for c, s in zip(captured, slab)]
-            boundary_lost += lost_x * norm_y + kept_x * lost_y
+    # A block runs the steps from one stop to the next: a sample, a snapshot
+    # or the last step, and at most one sample interval and 2**16 // n steps,
+    # so that no work array passes 2 MB.  Inside a block psi holds the next
+    # step's input: a step's trailing phase, its masks and the next step's
+    # leading phase are one carry.  The block's last step applies only its
+    # phase and masks, so psi holds the state itself at every stop.
+    block = min(stride, max(1, (1 << 16) // n))
+    rows = np.empty((block, 4 * n))  # |phi|^2 of each step, as squared float views
+    spec, phi = np.empty((2, 2, n), dtype=np.complex128)
+    phi_floats = phi.view(np.float64).reshape(-1)
+    if config.static_mode:
+        half = np.exp(v_phase * dt / (2.0 * hbar))
+        half_out = half * mask
+        carry = half_out * half
+    else:
+        # V is even in x and y, so it takes about n/2 values per row: a block
+        # exponentiates its steps' phases once per value and gathers
+        v_values, v_index = np.unique(v_phase, return_inverse=True)
+        v_index = v_index.reshape(2, n)
+        table = np.empty((block, len(v_values)), dtype=np.complex128)
+        halves, carries = np.empty((2, block, 2, n), dtype=np.complex128)
+    fft, ifft, square, multiply = np.fft.fft, np.fft.ifft, np.square, np.multiply
 
+    samples, snaps = [], []
+    step = 0
+    while True:
         if step % stride == 0 or step == n_steps:  # always true at the last step
             x0, x1, x2, y0, y1, y2 = (moment_w @ abs2(psi)).tolist()
             (mx, sx), (my, sy) = _mean_width(x0, x1, x2), _mean_width(y0, y1, y2)
@@ -430,6 +449,34 @@ def propagate(
             snaps.append(Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
                                                                 np.abs(psi[1, ::ry]) ** 2)))
             want_snaps.pop(0)
+        if step == n_steps:
+            break
+
+        end = min(step + block, (step // stride + 1) * stride, n_steps,
+                  want_snaps[0] if want_snaps else n_steps)
+        m = end - step
+        if config.static_mode:
+            psi *= half
+            step_carries = [carry] * (m - 1) + [half_out]
+        else:
+            # the half-step phase of step k at each distinct value of V
+            phases = [math.cos(config.omega_rf * ((k - 0.5) * dt)) * dt / (2.0 * hbar)
+                      for k in range(step + 1, end + 1)]
+            np.exp(np.multiply.outer(phases, v_values, out=table[:m]), out=table[:m])
+            np.take(table[:m], v_index, axis=1, out=halves[:m])
+            step_carries = multiply(halves[:m], mask, out=carries[:m])
+            step_carries[:-1] *= halves[1:m]
+            psi *= halves[0]
+        for step_carry, row in zip(step_carries, rows):
+            fft(psi, out=spec)
+            spec *= kin
+            ifft(spec, norm="forward", out=phi)
+            square(phi_floats, out=row)  # |phi|^2: the potential phase has modulus 1
+            multiply(phi, step_carry, out=psi)
+        for norm_y, lost_x, kept_x, lost_y, *slab in (rows[:m] @ step_w).tolist():
+            captured = [c + s * norm_y for c, s in zip(captured, slab)]
+            boundary_lost += lost_x * norm_y + kept_x * lost_y
+        step = end
 
     w = Wavepacket(psi_x=psi[0, ::rx].copy(), psi_y=psi[1, ::ry].copy(),
                    sigma0=wp.sigma0, v0=wp.v0, t=n_steps * dt)

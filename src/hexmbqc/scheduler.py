@@ -110,7 +110,8 @@ def audit_rounds(rounds, assign: LayerAssignment, periodic: bool = False
                     failure = f"{where}: ion {a if stamp[a] == k else b} is in two gates"
                 stamp[a] = stamp[b] = k
             applied[slot] = 2 if applied[slot] == 1 else 1
-    differ = [(i // 3, table[i], count) for i, count in enumerate(applied) if count != 1]
+    differ = ([] if applied.count(1) == len(applied) else
+              [(i // 3, table[i], count) for i, count in enumerate(applied) if count != 1])
     missing = [(min(s, t), max(s, t)) for s, t, count in differ if not count]
     ends = {q for gate in odd for q in gate} | {q for s, t, _ in differ for q in (s, t)}
     if failure is None and missing:

@@ -401,6 +401,20 @@ def test_electron_propagate_low_res(tmp_path, capsys):
     assert header.startswith("# nx=128 ny=64")
 
 
+def test_electron_propagate_artifact_closes_the_norm_budget(tmp_path, capsys):
+    # what the detectors caught, what the boundary frame absorbed and what is
+    # left on the grid account for the whole initial norm
+    code, out, _ = run(capsys, "electron", "propagate", "--points-x", "128",
+                       "--points-y", "64", "--hbar-scale", "640",
+                       "--t-final", "3e-10", "--dt", "1e-12", "--out", str(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == json.loads((tmp_path / "efficiency.json").read_text())
+    assert min(doc["captured"]) > 1e-5 and doc["boundary_lost"] > 1e-4
+    budget = math.fsum(doc["captured"]) + doc["boundary_lost"] + doc["norm_remaining"]
+    assert budget == pytest.approx(1.0, abs=1e-9)
+
+
 def test_electron_propagate_without_detectors(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"electron": {"propagate": {"detectors": []}}}))

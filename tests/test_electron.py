@@ -412,6 +412,37 @@ def test_separable_stepper_matches_2d_oracle_layouts(layout):
         assert last.boundary_lost == 0.0
 
 
+# the edges of the step loop, at dt = 1 ps: (t_final, sample_interval,
+# snapshot_times, samples expected).  The stepper runs blocks of steps from
+# one stop (sample, snapshot, last step) to the next, at most one sample
+# interval and 2**16 // 64 = 1024 steps at 64 columns; the last case's single
+# interval of 1 200 steps therefore spans two blocks.
+LOOP_EDGES = {
+    "snapshot-at-step-0": (0.2e-9, 5e-12, (0.0,), 41),
+    "snapshot-between-samples": (0.2e-9, 5e-12, (0.103e-9,), 41),
+    "ragged-last-interval": (0.203e-9, 5e-12, (), 42),
+    "sample-every-step": (0.05e-9, 1e-12, (0.02e-9,), 51),
+    "sample-interval-past-t-final": (1.2e-9, 2e-9, (0.7e-9,), 2),
+}
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+@pytest.mark.parametrize("edge", LOOP_EDGES)
+def test_separable_stepper_matches_2d_oracle_at_loop_edges(edge, static):
+    t, interval, snap_t, count = LOOP_EDGES[edge]
+    cfg = fast_config(points_x=64, points_y=64, dt=1e-12, static_mode=static,
+                      omega_rf=2 * math.pi / 1e-11)
+    wp = ed.gaussian_wavepacket(cfg, v0=2e4)
+    res = ed.propagate(wp, cfg, t, sample_interval=interval, snapshot_times=snap_t)
+    samples, psi, snaps = _propagate_2d(wp, cfg, t, sample_interval=interval,
+                                        snapshot_times=snap_t)
+    assert len(samples) == count and res.trace.samples[-1].t == samples[-1].t
+    _assert_matches_oracle(res, samples, psi)
+    assert [s.t for s in res.snapshots] == [s.t for s in snaps] and len(snaps) == len(snap_t)
+    for got, want in zip(res.snapshots, snaps):
+        assert _max_rel(got.density, want.density) <= 1e-10
+
+
 @pytest.mark.parametrize("static, grid", _mode_grid_cases())
 def test_norm_budget_closes(static, grid):
     cfg = fast_config(points_x=grid[0], points_y=grid[1], static_mode=static)

@@ -62,6 +62,58 @@ def test_no_module_imports_numpy_at_module_level():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) and "numpy" in ast.unparse(node)]
 
 
+def _private_numpy_names(source: str) -> list[str]:
+    """Every dotted numpy name in ``source`` with a part that starts with one
+    underscore (``np.fft._pocketfft_umath``), whether imported or reached as
+    an attribute of a name bound to numpy; dunders such as ``__version__``
+    are public."""
+    def private(dotted):
+        return any(p.startswith("_") and not p.startswith("__") for p in dotted.split("."))
+
+    tree = ast.parse(source)
+    roots, found = {"numpy"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    roots.add(alias.asname or "numpy")
+                    found += [alias.name] if private(alias.name) else []
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if private(f"{node.module}.{a.name}")]
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            base = node
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            dotted = ast.unparse(node)
+            if isinstance(base, ast.Name) and base.id in roots and private(dotted):
+                found.append(dotted)
+    return found
+
+
+def test_no_module_reaches_a_private_numpy_name():
+    # numpy's underscored modules (np.fft._pocketfft_umath, np._core) change
+    # between releases without notice; the package keeps to the public API
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    offenders = {path.name: names for path in modules
+                 if (names := _private_numpy_names(path.read_text()))}
+    assert offenders == {}
+
+
+def test_a_private_numpy_name_is_found():
+    # the scan above is not vacuous
+    assert _private_numpy_names(
+        "import numpy as np\n"
+        "def f(a):\n"
+        "    import numpy.fft._pocketfft as p\n"
+        "    from numpy._core import umath\n"
+        "    return np.fft._pocketfft_umath.fft(a), np.fft.fft(a), np.__version__\n") == [
+        "numpy.fft._pocketfft", "numpy._core.umath", "np.fft._pocketfft_umath.fft"]
+
+
 def test_no_module_imports_graphstate():
     # verify audits schedules on the partner table; the tableau stays only
     # for the benchmark and the tests, so no module may come to need it
