@@ -49,12 +49,24 @@ its bundled data by path, so none loads ``typing`` or
 ``importlib.resources``.  ``mbqc`` samples with
 ``mbqc.Pcg64``, which draws what ``numpy.random.default_rng(seed)``
 draws, so a seed keeps its outcomes.
+
+A cold process also spends nothing on parsers and collections it has no
+use for.  ``build_parser`` builds only the subparser that ``argv[0]``
+names, since no other can parse that command line; with no argument,
+``-h``/``--help`` first or an unknown command it builds all seven, so
+every help and usage text reads as before.  The process entry, ``main()``
+with no argv as the console script and ``python -m hexmbqc.cli`` call it,
+runs ``gc.freeze()`` before it dispatches: the objects of interpreter
+start-up and of this module's imports then sit out every later cyclic
+collection, the one at exit included.  ``main(argv)`` and
+``dispatch(argv)`` freeze nothing, so a caller keeps its own GC.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -666,18 +678,16 @@ def _flag(key: str) -> str:
 
 
 def build_parser(argv=()) -> _Parser:
-    """Every subcommand, with its flags and defaults epilog on the one that
-    ``argv`` names, or on all of them when it names none."""
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    """The subcommand that ``argv[0]`` names, with its flags and defaults
+    epilog, or every subcommand when ``argv[0]`` names none: no other can
+    parse a command line that starts with a command's name."""
+    commands = argv[:1] if argv and argv[0] in _HELP else _HELP
     top = _Parser(prog="hexmbqc",
                   description="hexagonal-array measurement-based QC toolkit")
     sub = top.add_subparsers(dest="command", required=True)
-    for command, helptext in _HELP.items():
-        if named in _HELP and command != named:
-            sub.add_parser(command, help=helptext)
-            continue
+    for command in commands:
         p = sub.add_parser(
-            command, help=helptext, formatter_class=argparse.RawDescriptionHelpFormatter,
+            command, help=_HELP[command], formatter_class=argparse.RawDescriptionHelpFormatter,
             epilog="defaults:\n" + _dumps(_defaults(command)))
         modes = _modes(command)
         if None not in modes:
@@ -753,7 +763,13 @@ def dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
+    """Run ``argv``, or this process's command line when it is None.  Only
+    the latter, the process entry, freezes the start-up heap out of the
+    cyclic collector (``gc.freeze``); a caller's own process keeps its GC."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
+    return dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -126,13 +126,14 @@ def prep_time(schedule: GateSchedule) -> float:
 
 
 def schedule_report(schedule: GateSchedule) -> dict:
-    """JSON-compatible schedule document."""
+    """JSON-compatible schedule document; its rounds are the schedule's own
+    tuples of (s, t) pairs, which a JSON writer lists as arrays."""
     return {
         "schema_version": 1,
         "periodic": schedule.periodic,
         "layer_count": schedule.layer_count,
         "round_names": list(ROUND_NAMES),
-        "rounds": [[list(e) for e in rnd] for rnd in schedule.rounds],
+        "rounds": list(schedule.rounds),
         "timing": [{"shuttle_time_s": schedule.t_shuttle, "gate_time_s": schedule.t_gate}
                    for _ in schedule.rounds],
     }

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -768,6 +769,53 @@ def test_help_matches_golden_digest(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = run(capsys, *argv, "--help")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, HELP[argv])
+
+
+@pytest.mark.parametrize("argv", [("--help", "lattice"), ("-h", "electron")],
+                         ids=" ".join)
+def test_help_before_a_command_is_the_top_help(capsys, monkeypatch, argv):
+    # -h first prints the top-level help, whichever command follows it
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, HELP[()])
+
+
+def test_usage_errors_for_no_command_and_an_unknown_one(capsys):
+    assert run(capsys) == (1, "", "usage error: the following arguments are required: "
+                                  "command\n")
+    code, out, err = run(capsys, "bogus", "--rows", "3")
+    prefix = "usage error: argument command: invalid choice: 'bogus' (choose from "
+    assert (code, out, err[:len(prefix)]) == (1, "", prefix)
+    assert re.findall(r"\w+", err[len(prefix):]) == list(cli._HELP)  # all seven, in order
+
+
+@pytest.mark.parametrize("argv, listed", [
+    ((), list(cli._HELP)),
+    (("-h", "lattice"), list(cli._HELP)),
+    (("bogus",), list(cli._HELP)),
+    (("lattice", "--rows", "3"), ["lattice"]),
+    (("electron", "propagate", "-h"), ["electron"]),
+], ids=["none", "-h lattice", "bogus", "lattice --rows 3", "electron propagate -h"])
+def test_a_command_line_builds_only_the_subparser_it_names(argv, listed):
+    usage = " ".join(cli.build_parser(list(argv)).format_usage().split())
+    assert usage == "usage: hexmbqc [-h] {" + ",".join(listed) + "} ..."
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path, capsys):
+    # main() with no argv is the console script and python -m; a caller that
+    # passes its own argv keeps its collector as it was
+    code = ("import gc, sys\n"
+            "from hexmbqc import cli\n"
+            "sys.argv = ['hexmbqc', 'resources', '--out', sys.argv[1]]\n"
+            "code = cli.main()\n"
+            "print(code, gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "entry")],
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 True"), proc.stderr
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, "resources", "--out", str(tmp_path / "main"))[0] == 0
+    assert cli.dispatch(["lattice", "--out", str(tmp_path / "dispatch")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_a_run_leaves_every_table_as_it_was(tmp_path, capsys):
