@@ -28,7 +28,8 @@ sort_keys=True, indent=2)`` does, and CSV uses fixed formats, with no
 timestamps anywhere.
 
 Handlers write nothing and read documents (config, schedule, pattern) only
-through ``_read_json``.  ``dispatch``, the one writer, renders stdout and
+through ``_read_json``, which names the file in the error for one it cannot
+decode.  ``dispatch``, the one writer, renders stdout and
 every artifact first and only then creates ``--out``, so a NaN or infinite
 result exits 2 naming the output and the inputs, with nothing written.
 
@@ -46,9 +47,9 @@ and no subcommand loads ``graphstate`` or scipy.  The library's records
 are named tuples, and ``LayerAssignment`` a slotted class, none made by a
 class decorator, so no subcommand loads ``inspect``, and ``ionize`` reads
 its bundled data by path, so none loads ``typing`` or
-``importlib.resources``.  ``mbqc`` samples with
-``mbqc.Pcg64``, which draws what ``numpy.random.default_rng(seed)``
-draws, so a seed keeps its outcomes.
+``importlib.resources``.  ``mbqc`` samples with the standard library's
+``random.Random(seed)``, and ``ionize rates`` spaces its irradiances with
+``_geomspace``, numpy's geomspace arithmetic for positive ends.
 
 A cold process also spends nothing on parsers and collections it has no
 use for.  ``build_parser`` builds only the subparser that ``argv[0]``
@@ -268,7 +269,13 @@ def _read_json(path: str | None):
     if path is None:
         return {}
     with open(path) as fh:
-        return json.loads(fh.read().strip() or "{}")
+        text = fh.read().strip() or "{}"
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested past the recursion limit") from None
+    except ValueError as exc:  # json.JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +447,8 @@ def _cmd_verify(args, eff):
 
 
 def _cmd_mbqc(args, eff):
+    import random
+
     from . import mbqc
     if not eff["pattern_file"]:
         raise ValueError("mbqc requires a pattern file (--pattern)")
@@ -454,8 +463,11 @@ def _cmd_mbqc(args, eff):
         input_qubits = tuple(_typed([int], inp["qubits"], "input.qubits"))
         amplitudes = _typed([(float, float)], inp["amplitudes"], "input.amplitudes")
         input_state = [complex(a, b) for a, b in amplitudes]
+    # random.Random seeds with |seed|, so -N would draw what N draws
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     res = mbqc.run_pattern(n, edges, pattern, input_state=input_state,
-                           input_qubits=input_qubits, rng=mbqc.Pcg64(args.seed))
+                           input_qubits=input_qubits, rng=random.Random(args.seed))
     doc = {
         "schema_version": 1,
         "outcomes": res.outcomes,
@@ -478,24 +490,16 @@ def _pow10(y: float) -> float:
 
 
 def _geomspace(start: float, stop: float, num: int) -> list[float]:
-    """``numpy.geomspace(start, stop, num)`` as Python floats, by numpy's
-    arithmetic: log10 of both ends, k*step + log10(start), 10**y, ends
-    pinned, the sign of start factored out.  Bit for bit where numpy's
-    log10 and power round like the C library's."""
-    if num < 0:
-        raise ValueError(f"Number of samples, {num}, must be non-negative.")
-    if start == 0 or stop == 0:
-        raise ValueError("Geometric sequence cannot include zero")
-    sign = math.copysign(1.0, start) if start == start else math.nan  # numpy.sign
-    start, stop = start / sign, stop / sign
-    lo, hi = (math.log10(x) if x > 0 else math.nan for x in (start, stop))
-    step = (hi - lo) / (num - 1) if num > 1 else math.nan
-    out = [_pow10(k * step + lo) for k in range(num)]
-    if num > 0:
-        out[0] = start
-    if num > 1:
-        out[-1] = stop
-    return [x * sign for x in out]
+    """``num`` values from ``start`` to ``stop``, both positive, evenly
+    spaced in log: log10 of both ends, 10**(k*step + log10(start)), ends
+    pinned.  This is ``numpy.geomspace``'s arithmetic, so it gives numpy's
+    values bit for bit where numpy's log10 and power round like the C
+    library's."""
+    if num < 2:
+        return [start][:num]
+    lo = math.log10(start)
+    step = (math.log10(stop) - lo) / (num - 1)
+    return [start, *(_pow10(k * step + lo) for k in range(1, num - 1)), stop]
 
 
 def _ionize_rates(args, eff):
@@ -503,6 +507,11 @@ def _ionize_rates(args, eff):
 
     if eff["points"] > MAX_RATE_POINTS:
         raise ValueError(f"points={eff['points']} is past the limit of {MAX_RATE_POINTS}")
+    if eff["points"] < 0:
+        raise ValueError(f"points={eff['points']} must be non-negative")
+    for key in ("i_min", "i_max"):
+        if eff[key] <= 0:
+            raise ValueError(f"{key}={eff[key]!r} must be a positive irradiance")
     cal = ionization.load_calibration()
 
     def triple(irr):

@@ -45,10 +45,8 @@ __all__ = [
     "Correction",
     "MeasurementPattern",
     "PatternResult",
-    "Pcg64",
     "run_pattern",
     "pattern_from_dict",
-    "pattern_to_dict",
 ]
 
 MAX_QUBITS = 20  # live at once: 2**20 amplitudes
@@ -114,66 +112,6 @@ class PatternResult(namedtuple("PatternResult", (
         return math.prod(self.probabilities, start=1.0)
 
 
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class Pcg64:
-    """``numpy.random.default_rng(seed).random()`` in plain Python, bit for bit.
-
-    numpy seeds PCG64 through ``SeedSequence``: the seed's 32-bit words are
-    hashed into a pool of four words, and the pool is hashed out into the
-    generator's 128-bit state and increment.  Each draw steps the 128-bit
-    LCG and keeps the top 53 bits of its XSL-RR output.  The CLI samples
-    with it, so a seed draws the outcomes it drew under numpy.
-    """
-
-    def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        hash_const = 0x43B0D7E5
-
-        def hashmix(value: int) -> int:
-            nonlocal hash_const
-            value ^= hash_const
-            hash_const = hash_const * 0x931E8875 & _M32
-            value = value * hash_const & _M32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-            return r ^ r >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-        for i_src in range(4):
-            for i_dst in range(4):
-                if i_src != i_dst:
-                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-        for word in words[4:]:
-            for i_dst in range(4):
-                pool[i_dst] = mix(pool[i_dst], hashmix(word))
-        # SeedSequence.generate_state(4, uint64): eight words, paired low first
-        hash_const = 0x8B51F9DD
-        out = []
-        for i in range(8):
-            value = pool[i % 4] ^ hash_const
-            hash_const = hash_const * 0x58F38DED & _M32
-            value = value * hash_const & _M32
-            out.append(value ^ value >> 16)
-        u = [out[2 * i] | out[2 * i + 1] << 32 for i in range(4)]
-        self._inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
-        self._state = ((self._inc + (u[0] << 64 | u[1])) * _PCG_MULT + self._inc) & _M128
-
-    def random(self) -> float:
-        """The next float in [0, 1)."""
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        x, r = (s >> 64 ^ s) & _M64, s >> 122
-        return (((x >> r | x << (64 - r)) & _M64) >> 11) * 2.0 ** -53
-
-
 _ROOT2 = math.sqrt(2.0)
 
 
@@ -226,9 +164,9 @@ def run_pattern(
     ``input_state`` holds amplitudes on ``input_qubits`` (the first input
     qubit is the most significant bit of the amplitude index); the other
     qubits start in |+>.  ``rng`` is anything with a ``random()`` method
-    that returns floats in [0, 1), such as ``Pcg64`` or a numpy Generator.
-    With ``forced_outcomes`` the stated branch is projected instead of
-    sampling, and per-step probabilities record its weights.
+    that returns floats in [0, 1), such as ``random.Random`` or a numpy
+    Generator.  With ``forced_outcomes`` the stated branch is projected
+    instead of sampling, and per-step probabilities record its weights.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
@@ -359,28 +297,6 @@ def run_pattern(
         byproduct_x=bx,
         byproduct_z=bz,
     )
-
-
-def pattern_to_dict(n: int, edges: list[tuple[int, int]], pattern: MeasurementPattern) -> dict:
-    return {
-        "schema_version": 1,
-        "n": n,
-        "edges": [list(e) for e in edges],
-        "steps": [
-            {
-                "qubit": st.qubit,
-                "angle": st.angle,
-                "s_domain": sorted(st.s_domain),
-                "t_domain": sorted(st.t_domain),
-            }
-            for st in pattern.steps
-        ],
-        "outputs": list(pattern.outputs),
-        "corrections": [
-            {"qubit": c.qubit, "kind": c.kind, "domain": sorted(c.domain)}
-            for c in pattern.corrections
-        ],
-    }
 
 
 def _int(value, what: str) -> int:

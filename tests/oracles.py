@@ -37,6 +37,7 @@ measuring qubits 0..3 of the chain 0-1-2-3-4 at nominal angles
 ``linear_cluster_pattern`` is that pattern, ``linear_cluster_gate`` runs it
 through ``mbqc.run_pattern``, ``apply_byproduct`` undoes the recorded
 byproduct Paulis and ``euler_unitary`` is the rotation to compare with.
+``pattern_to_dict`` writes a pattern as the JSON document the CLI reads.
 """
 
 from __future__ import annotations
@@ -637,6 +638,31 @@ def linear_cluster_pattern(angles: tuple[float, float, float, float]) -> mbqc.Me
             mbqc.Correction(qubit=4, kind="Z", domain=frozenset({2})),
         ),
     )
+
+
+def pattern_to_dict(n: int, edges: list[tuple[int, int]],
+                    pattern: mbqc.MeasurementPattern) -> dict:
+    """The JSON pattern document that ``mbqc.pattern_from_dict`` reads back
+    as ``(n, edges, pattern)``."""
+    return {
+        "schema_version": 1,
+        "n": n,
+        "edges": [list(e) for e in edges],
+        "steps": [
+            {
+                "qubit": st.qubit,
+                "angle": st.angle,
+                "s_domain": sorted(st.s_domain),
+                "t_domain": sorted(st.t_domain),
+            }
+            for st in pattern.steps
+        ],
+        "outputs": list(pattern.outputs),
+        "corrections": [
+            {"qubit": c.qubit, "kind": c.kind, "domain": sorted(c.domain)}
+            for c in pattern.corrections
+        ],
+    }
 
 
 def linear_cluster_gate(

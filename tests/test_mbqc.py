@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (DenseTableau, apply_byproduct, dense_run_pattern, euler_unitary,
-                     linear_cluster_gate, linear_cluster_pattern)
+                     linear_cluster_gate, linear_cluster_pattern, pattern_to_dict)
 
 from hexmbqc import cli, mbqc
 
@@ -206,18 +207,17 @@ def test_pattern_records_are_frozen_and_equal_by_fields():
 
 def test_pattern_dict_round_trip():
     pattern = linear_cluster_pattern((0.1, 0.2, 0.3, 0.4))
-    doc = mbqc.pattern_to_dict(5, CHAIN_EDGES, pattern)
+    doc = pattern_to_dict(5, CHAIN_EDGES, pattern)
     n, edges, back = mbqc.pattern_from_dict(doc)
     assert n == 5
     assert sorted(edges) == CHAIN_EDGES
     assert back == pattern
-    doc2 = mbqc.pattern_to_dict(n, edges, back)
+    doc2 = pattern_to_dict(n, edges, back)
     assert doc == doc2
 
 
 def test_pattern_dict_rejects_unknown_keys():
-    doc = mbqc.pattern_to_dict(5, CHAIN_EDGES,
-                               linear_cluster_pattern((0, 0, 0, 0)))
+    doc = pattern_to_dict(5, CHAIN_EDGES, linear_cluster_pattern((0, 0, 0, 0)))
     doc["bogus"] = 1
     with pytest.raises(ValueError):
         mbqc.pattern_from_dict(doc)
@@ -247,7 +247,7 @@ def test_input_amplitudes_land_on_their_qubits(tmp_path, capsys, rng, qubits):
     pattern = mbqc.MeasurementPattern((), (0, 1, 2, 3, 4))
     res = mbqc.run_pattern(5, [], pattern, input_state=amp, input_qubits=qubits)
     assert np.abs(np.array(res.state) - want).max() < 1e-15
-    doc = mbqc.pattern_to_dict(5, [], pattern)
+    doc = pattern_to_dict(5, [], pattern)
     doc["input"] = {"qubits": list(qubits), "amplitudes": [[a.real, a.imag] for a in amp]}
     (tmp_path / "pattern.json").write_text(json.dumps(doc))
     assert cli.main(["mbqc", "--pattern", str(tmp_path / "pattern.json"),
@@ -352,7 +352,7 @@ def test_thousand_step_chain_through_the_cli_matches_the_unitary_product(tmp_pat
     n, pattern = _teleport_chain(rotations)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
-    doc = mbqc.pattern_to_dict(n, [(q, q + 1) for q in range(n - 1)], pattern)
+    doc = pattern_to_dict(n, [(q, q + 1) for q in range(n - 1)], pattern)
     doc["input"] = {"qubits": [0], "amplitudes": [[a.real, a.imag] for a in psi]}
     (tmp_path / "chain.json").write_text(json.dumps(doc))
     assert cli.main(["mbqc", "--pattern", str(tmp_path / "chain.json"), "--seed", "5",
@@ -405,13 +405,16 @@ def test_live_limit_names_the_step_and_the_live_count():
     assert res.probabilities == pytest.approx([0.5] * (n - 1), abs=1e-12)
 
 
-def test_pcg64_draws_what_numpy_default_rng_draws():
-    for seed in [*range(200), 2**32 - 1, 2**32, 2**63, 2**200 + 12345]:
-        gen = mbqc.Pcg64(seed)
-        want = np.random.default_rng(seed).random(20).tolist()
-        assert [gen.random() for _ in range(20)] == want, seed
-
-
-def test_pcg64_refuses_a_negative_seed():
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-        mbqc.Pcg64(-1)
+def test_sampled_outcomes_follow_the_branch_probability():
+    # |+> measured at angle a gives 0 with p0 = cos(a/2)**2; over many seeds
+    # of the generator the CLI samples with, 0 comes up at that rate
+    angle, runs = 1.0, 10_000
+    p0 = math.cos(angle / 2) ** 2
+    pattern = mbqc.MeasurementPattern((mbqc.MeasurementStep(0, angle),), ())
+    results = [mbqc.run_pattern(1, [], pattern, rng=random.Random(seed))
+               for seed in range(runs)]
+    zeros = sum(res.outcomes == [0] for res in results)
+    assert abs(zeros / runs - p0) < 4 * math.sqrt(p0 * (1 - p0) / runs)
+    for m, p in ((0, p0), (1, 1 - p0)):  # each branch reports its own weight
+        weights = {res.probabilities[0] for res in results if res.outcomes == [m]}
+        assert max(abs(w - p) for w in weights) < 1e-12

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import pathlib
 
@@ -28,6 +29,17 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert len(modules) > 5
     offenders = {path.name: names for path in modules if (names := _private_imports(path))}
     assert offenders == {}
+
+
+def test_every_name_in_all_is_defined():
+    # a removal that leaves its name in __all__ breaks ``from module import *``
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    assert len(modules) > 5
+    stale = {}
+    for name in modules:
+        module = importlib.import_module(f"hexmbqc.{name}")
+        stale[name] = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert stale == dict.fromkeys(modules, [])
 
 
 def _module_level_imports(path: pathlib.Path) -> set[str]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import linear_cluster_pattern
+from oracles import linear_cluster_pattern, pattern_to_dict
 
 from hexmbqc import cli, ionization, lattice, mbqc, scheduler
 from hexmbqc import electron_dynamics as ed
@@ -60,8 +60,8 @@ step = st.fixed_dictionaries(
     {"qubit": maybe(qubit), "angle": maybe(st.floats(-4, 4))},
     optional={"s_domain": maybe(st.lists(qubit, max_size=2)),
               "t_domain": maybe(st.lists(qubit, max_size=2))})
-CHAIN_DOC = mbqc.pattern_to_dict(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
-                                 linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
+CHAIN_DOC = pattern_to_dict(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                            linear_cluster_pattern((0.1, 0.2, 0.3, 0.4)))
 
 
 @st.composite
@@ -239,7 +239,7 @@ def _refuse(constant):
 @settings(max_examples=100, deadline=None)
 @given(command_lines())
 @example(["lattice", "--d=1e+308"]).via("a finite artifact written before a NaN one")
-@example(["ionize", "rates", "--i-max=0"]).via("rates.json written before geomspace fails")
+@example(["ionize", "rates", "--i-max=0"]).via("rates.json once written before i_max failed")
 @example(["electron", "propagate", "--dt=5e-324"]).via("t_final / dt past float range")
 @example(["electron", "propagate", "--hbar-scale=1e+308"]).via("sigma0**2 overflows")
 @example(["electron", "propagate", "--omega-e=1e+308"]).via("omega_e**2 overflows")
