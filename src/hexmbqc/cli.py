@@ -518,7 +518,7 @@ def _ionize_rates(args, eff):
         s = ionization.calibrated_inputs(irr, "s", cal)
         d = ionization.calibrated_inputs(irr, "d", cal)
         rs = ionization.rate_s(s)
-        rd = ionization.rate_d(irr, d.j_channels)
+        rd = ionization.rate_d(d)
         return rs, rd, ionization.discrimination_ratio(s, d)
 
     rs, rd, ratio = triple(eff["irradiance"])

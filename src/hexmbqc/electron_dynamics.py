@@ -2,16 +2,17 @@
 
 The freed electron moves in V(x, y, t) = (m w_e^2 / 2)(y^2 - x^2) * drive,
 anti-trapping along x (toward the detectors) and trapping along y; drive
-is 1 in static mode or cos(w_rf t).  Propagation uses a Strang-split
-spectral stepper (exact kinetic step in Fourier space), so grid point
-counts must be powers of two.  Detector slabs and the grid-boundary
-absorber are smooth complex-absorbing masks applied once per step; the
-norm removed inside each detector slab accumulates as that detector's
-capture probability, and the boundary's loss is kept, so capture +
-boundary loss + remaining norm = 1.  Hard projective removal is
-deliberately avoided: with v*dt several orders below a de Broglie
-wavelength it acts as a continuous position measurement and
-Zeno-reflects flux off the slab.
+is 1 in static mode or cos(w_rf t).  ``saddle_potential`` is the undriven
+V, and ``propagate`` alone applies the drive, cos(w_rf (k - 1/2) dt) at
+step k.  Propagation uses a Strang-split spectral stepper (exact kinetic
+step in Fourier space), so grid point counts must be powers of two.
+Detector slabs and the grid-boundary absorber are smooth
+complex-absorbing masks applied once per step; the norm removed inside
+each detector slab accumulates as that detector's capture probability,
+and the boundary's loss is kept, so capture + boundary loss + remaining
+norm = 1.  Hard projective removal is deliberately avoided: with v*dt
+several orders below a de Broglie wavelength it acts as a continuous
+position measurement and Zeno-reflects flux off the slab.
 
 Separability: V = V_x(x) + V_y(y), the kinetic phase, the x-only slabs,
 the boundary damping b_x(x) b_y(y) and the initial Gaussian all factor in
@@ -181,11 +182,10 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def saddle_potential(config: TrapConfig, x, y, t: float = 0.0):
-    """V = (m w_e^2/2)(y^2 - x^2), times cos(w_rf t) when driven."""
+def saddle_potential(config: TrapConfig, x, y):
+    """The undriven V = (m w_e^2/2)(y^2 - x^2); ``propagate`` applies the drive."""
     import numpy as np
-    drive = 1.0 if config.static_mode else math.cos(config.omega_rf * t)
-    return 0.5 * config.mass * _square(config.omega_e) * (np.square(y) - np.square(x)) * drive
+    return 0.5 * config.mass * _square(config.omega_e) * (np.square(y) - np.square(x))
 
 
 # A product state psi(x, y) = psi_x(x) * psi_y(y).
@@ -268,8 +268,7 @@ def _resolution_checks(wp: Wavepacket, config: TrapConfig) -> None:
             "hbar_scale or finer grid is required")
     _momentum_check(config, wp.v0, wp.sigma0)
     # phase advanced per step by the potential corners / kinetic Nyquist edge
-    v_corner = abs(saddle_potential(
-        config, config.extent_x / 2.0, config.extent_y / 2.0, 0.0))
+    v_corner = abs(saddle_potential(config, config.extent_x / 2.0, config.extent_y / 2.0))
     if v_corner * config.dt / config.hbar_eff > 0.5:
         raise ConfigurationError("potential phase per step exceeds 0.5 rad; reduce dt")
     k2_max = (math.pi / config.dx) ** 2 + (math.pi / config.dy) ** 2
@@ -383,7 +382,7 @@ def propagate(
     # times over; the inverse transform's 1/n, a power of two, is folded in exactly
     kin = np.stack([np.tile(np.exp(-1j * hbar * kx**2 / (2.0 * config.mass) * dt), rx),
                     np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt), ry)]) / n
-    # V(x, y) = V(x, 0) + V(0, y) at t=0; driven mode scales it by the drive per step
+    # V(x, y) = V(x, 0) + V(0, y), undriven; driven mode scales it by the drive per step
     v_phase = -1j * stack(saddle_potential(config, x, 0.0), saddle_potential(config, 0.0, y))
 
     # keep_x is |damping|^2 of the slabs passed so far, in config order, so
@@ -578,13 +577,18 @@ def mathieu_stable(a: float, q: float) -> bool:
     return math.isfinite(tr) and abs(tr) <= 2.0 + 1e-9
 
 
-def stability_boundary(a: float, q_lo: float = 0.5, q_hi: float = 1.5,
-                       tol: float = 1e-4) -> float:
-    """Bisect the first stable/unstable transition in q at fixed a.  The
-    CLI's ``electron mathieu`` table holds the one default, a = 0."""
+# stability_boundary bisects q in this bracket down to this width
+_Q_BRACKET, _Q_TOL = (0.5, 1.5), 1e-4
+
+
+def stability_boundary(a: float) -> float:
+    """Bisect the first stable/unstable transition in q at fixed a inside
+    _Q_BRACKET.  The CLI's ``electron mathieu`` table holds the one default,
+    a = 0."""
+    q_lo, q_hi = _Q_BRACKET
     if not mathieu_stable(a, q_lo) or mathieu_stable(a, q_hi):
-        raise ValueError("bracket must satisfy stable(q_lo) and not stable(q_hi)")
-    while q_hi - q_lo > tol:
+        raise ValueError(f"no stable-to-unstable transition for q in {_Q_BRACKET} at a={a!r}")
+    while q_hi - q_lo > _Q_TOL:
         mid = 0.5 * (q_lo + q_hi)
         if mathieu_stable(a, mid):
             q_lo = mid

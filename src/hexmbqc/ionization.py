@@ -10,7 +10,9 @@ units the rates are
     N_D = 4*pi * I**4 * sum(J_D**2)
 
 with I the irradiance in atomic units (1 a.u. = 3.50945e16 W/cm^2); the
-result is converted to s^-1 via the atomic unit of time.  Amplitudes are
+result is converted to s^-1 via the atomic unit of time.  ``rate_s`` and
+``rate_d`` each take one ``RateInputs``, whose constructor alone checks
+that the inputs are finite and the irradiance non-negative.  Amplitudes are
 calibration inputs shipped in ``data/ca_ii_levels.json``; the shipped
 numbers pin the S rate at 1e9 W/cm^2 into the 1e9-1e10 s^-1 regime and
 give a per-channel S/D amplitude ratio of 40.
@@ -95,12 +97,6 @@ class LevelTable(namedtuple("LevelTable", "levels ionization_threshold_ev")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def level(self, name: str) -> Level:
-        for lv in self.levels:
-            if lv.name == name:
-                return lv
-        raise KeyError(name)
-
 
 class RateInputs(namedtuple("RateInputs", (
         "irradiance_w_cm2",
@@ -161,14 +157,13 @@ def rate_s(inputs: RateInputs) -> float:
     return (nonres + res) / ATOMIC_TIME_S
 
 
-def rate_d(irradiance_w_cm2: float, j_channels: Mapping[str, float]) -> float:
-    """D-state ionization rate (s^-1): incoherent I^4 channel sum, no resonance."""
-    if not math.isfinite(irradiance_w_cm2) or irradiance_w_cm2 < 0.0:
-        raise ValueError("irradiance must be finite and >= 0")
-    i = _i_au(irradiance_w_cm2)
+def rate_d(inputs: RateInputs) -> float:
+    """D-state ionization rate (s^-1): incoherent I^4 channel sum; the
+    resonant fields are not read."""
+    i = _i_au(inputs.irradiance_w_cm2)
     i2 = i * i
     i4 = i2 * i2
-    return _FOUR_PI * i4 * _sum_j_squared(j_channels) / ATOMIC_TIME_S
+    return _FOUR_PI * i4 * _sum_j_squared(inputs.j_channels) / ATOMIC_TIME_S
 
 
 def discrimination_ratio(s_inputs: RateInputs, d_inputs: RateInputs) -> float:
@@ -177,6 +172,8 @@ def discrimination_ratio(s_inputs: RateInputs, d_inputs: RateInputs) -> float:
     The shared 4*pi*I^4 prefactor is cancelled algebraically, so a uniform
     per-channel amplitude ratio r with K=0 returns exactly r**2 and the
     ratio stays finite for irradiances whose fourth power would underflow.
+    With K != 0 it is inf at a positive irradiance whose square in atomic
+    units underflows, and UndefinedRatioError at irradiance 0.
     """
     if s_inputs.irradiance_w_cm2 != d_inputs.irradiance_w_cm2:
         raise ValueError("discrimination ratio is defined at equal irradiance")
@@ -187,9 +184,9 @@ def discrimination_ratio(s_inputs: RateInputs, d_inputs: RateInputs) -> float:
         raise UndefinedRatioError("D rate is zero (no channel amplitudes)")
     ratio = _sum_j_squared(s_inputs.j_channels) / sum_d
     if s_inputs.k_resonant != 0.0:
-        i = _i_au(s_inputs.irradiance_w_cm2)
-        if i == 0.0:
+        if s_inputs.irradiance_w_cm2 == 0.0:
             raise UndefinedRatioError("D rate is zero at zero irradiance")
+        i = _i_au(s_inputs.irradiance_w_cm2)
         kl = s_inputs.k_resonant / s_inputs.l_denominator
         denom = i * i * sum_d  # underflows to 0 where the ratio passes float range
         ratio += (kl * kl) / denom if denom else math.inf

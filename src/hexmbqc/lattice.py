@@ -25,8 +25,9 @@ coset's position gives both its layer and the step to the next layer.
 
 ``_gate_runs`` alone knows the 3D cluster's neighbour rule: partners are a
 fixed id step apart along whole columns, rows and cosets of a row, so it
-gives the edges as runs of ids.  The partner table and the six rounds are
-filled run by run, and the edge sets are unions of rounds.
+gives the edges as runs of ids, each with its round 0-5, which
+``ROUND_NAMES`` names.  The partner table and the six rounds are filled run
+by run, and the edge sets are unions of rounds.
 
 Triangular coordinates: vertex ``(f, i, j)`` sits at ``i*T1 + j*T2 + f*delta``
 with ``|T1| = |T2| = sqrt(3) d`` at 60 degrees and ``delta = (T1 + T2) / 3``
@@ -54,10 +55,15 @@ __all__ = [
     "cluster_edges",
     "assignment_report",
     "MAX_SITES",
+    "ROUND_NAMES",
 ]
 
 # the most sites an array may have: twenty times the paper's 10**4-site array
 MAX_SITES = 200_000
+
+# the cluster's six edge rounds, by the index 0-5 that ``_gate_runs`` gives them
+ROUND_NAMES = ("intra-u-even", "intra-u-odd", "intra-v-even", "intra-v-odd",
+               "inter-odd-layer", "inter-even-layer")
 
 
 class HexArray(namedtuple("HexArray", "rows cols d")):
@@ -150,19 +156,19 @@ def build_hex_array(rows: int, cols: int, d: float) -> HexArray:
 
     Hexagon (i, j) has vertices A(i,j), B(i,j), A(i+1,j), B(i+1,j-1),
     A(i+1,j-1) and B(i,j-1).  Over the block their union is every (f, i, j)
-    with 0 <= i <= cols and -1 <= j < rows, less A(0, -1) and B(cols, rows-1):
-    2*(rows*cols + rows + cols) sites.  Raises ValueError for non-positive
-    rows, cols or d, and for more than MAX_SITES sites.
+    with 0 <= i <= cols and -1 <= j < rows, less A(0, -1) and B(cols, rows-1),
+    the ``site_count``.  Raises ValueError for non-positive rows, cols or d,
+    and for more than MAX_SITES sites.
     """
     if rows <= 0 or cols <= 0:
         raise ValueError(f"rows and cols must be positive, got {rows} x {cols}")
-    sites = 2 * (rows * cols + rows + cols)
-    if sites > MAX_SITES:
-        raise ValueError(f"rows x cols = {rows} x {cols} makes {sites} sites, "
+    array = HexArray(rows=rows, cols=cols, d=d)
+    if array.site_count() > MAX_SITES:
+        raise ValueError(f"rows x cols = {rows} x {cols} makes {array.site_count()} sites, "
                          f"past the limit of {MAX_SITES}")
     if not (d > 0.0) or not math.isfinite(d):
         raise ValueError(f"spacing d must be positive and finite, got {d}")
-    return HexArray(rows=rows, cols=cols, d=d)
+    return array
 
 
 def _serpentine(n: int, p: int, q: int) -> int:

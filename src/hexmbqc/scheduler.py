@@ -13,7 +13,8 @@ the same round.  Six rounds always suffice, independent of array size:
 
 Each round is a matching by construction, so the schedule depth is a
 constant 6 and preparation time is size-independent.  Which sites are
-partners, and in which round, is the lattice's to say: this module times
+partners, in which round, and the rounds' names (``lattice.ROUND_NAMES``,
+which this module imports) are the lattice's to say: this module times
 ``lattice.cluster_rounds`` and audits any schedule against the cluster on
 ``lattice.cluster_partners``' table.
 """
@@ -22,19 +23,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import LayerAssignment, cluster_partners, cluster_rounds
+from .lattice import ROUND_NAMES, LayerAssignment, cluster_partners, cluster_rounds
 
 __all__ = ["GateSchedule", "audit_rounds", "build_schedule", "prep_time", "schedule_report",
            "schedule_csv_rows"]
-
-ROUND_NAMES = (
-    "intra-u-even",
-    "intra-u-odd",
-    "intra-v-even",
-    "intra-v-odd",
-    "inter-odd-layer",
-    "inter-even-layer",
-)
 
 
 class GateSchedule(namedtuple("GateSchedule", (

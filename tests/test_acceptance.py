@@ -259,7 +259,7 @@ def test_06_rate_scaling_laws(report, rng):
     for trial in range(200):
         irr = float(rng.uniform(1e6, 1e12))
         j = {"S": float(rng.uniform(0.05, 60.0))}
-        lo, hi = ion.rate_d(irr, j), ion.rate_d(2 * irr, j)
+        lo, hi = ion.rate_d(ion.RateInputs(irr, j)), ion.rate_d(ion.RateInputs(2 * irr, j))
         if not math.isclose(hi, 16.0 * lo, rel_tol=1e-15):
             failures.append(f"I^4 law broken at trial {trial}")
             break

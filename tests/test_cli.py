@@ -189,7 +189,11 @@ def test_geomspace_is_numpys_arithmetic(start, stop, num):
     (["--i-max", "0"], "i_max=0.0 must be a positive irradiance"),
     (["--i-min", "-1e9"], "i_min=-1000000000.0 must be a positive irradiance"),
     (["--i-max", "-5", "--points", "0"], "i_max=-5.0 must be a positive irradiance"),
-], ids=["negative points", "zero i_min", "zero i_max", "negative i_min", "negative i_max"])
+    # the ratio is undefined here alone: an --i-min of 1.5e-318 is 0 in atomic
+    # units, and its infinite ratio exits 2 as past float range
+    (["--irradiance", "0"], "D rate is zero at zero irradiance"),
+], ids=["negative points", "zero i_min", "zero i_max", "negative i_min", "negative i_max",
+        "zero irradiance"])
 def test_rates_sweep_refuses_what_no_irradiance_takes(tmp_path, capsys, flags, needle):
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "ionize", "rates", *flags, "--out", str(out))
@@ -583,12 +587,13 @@ def test_momentum_past_nyquist_exits_1_without_numpy_warnings(tmp_path):
     (["lattice", "--d", "1e308"], "lattice_full.json", "d=1e+308"),
     (["ionize", "rates", "--i-max", "1e300"], "rates.csv", "i_max=1e+300"),
     (["ionize", "rates", "--irradiance", "1e300"], "rates.json", "irradiance=1e+300"),
+    (["ionize", "rates", "--i-min", "1.5e-318"], "rates.csv", "i_min=1.5e-318"),
     (["resources", "--t-meas", "1e300", "--t-coh", "1e-300"], "resources.json",
      "t_meas=1e+300, t_coh=1e-300"),
     (["ionize", "quadrupole", "--t-pulse", "1e-300"], "quadrupole.json", "t_pulse=1e-300"),
     (["electron", "timescale", "--omega-rf", "1e-320"], "timescale.json", "omega_rf=1e-320"),
-], ids=["lattice d", "rates i_max", "rates irradiance", "resources t_meas", "quadrupole t_pulse",
-        "timescale omega_rf"])
+], ids=["lattice d", "rates i_max", "rates irradiance", "rates i_min underflow",
+        "resources t_meas", "quadrupole t_pulse", "timescale omega_rf"])
 def test_results_past_float_range_exit_2_writing_nothing(tmp_path, capsys, argv, artifact,
                                                          inputs):
     # finite inputs whose results pass float range; "lattice d" and "rates i_max"

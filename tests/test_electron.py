@@ -125,9 +125,9 @@ def test_saddle_potential_signs():
     assert ed.saddle_potential(cfg, 1e-6, 0.0) < 0.0
     assert ed.saddle_potential(cfg, 0.0, 1e-6) > 0.0
     assert ed.saddle_potential(cfg, 1e-6, 1e-6) == pytest.approx(0.0, abs=1e-40)
+    # undriven in either mode: propagate applies the drive
     drv = ed.TrapConfig(static_mode=False)
-    t_half = math.pi / drv.omega_rf
-    assert ed.saddle_potential(drv, 1e-6, 0.0, t_half) > 0.0
+    assert ed.saddle_potential(drv, 1e-6, 0.0) == ed.saddle_potential(cfg, 1e-6, 0.0)
 
 
 def test_free_packet_width_law_quick():
@@ -519,8 +519,10 @@ def test_mathieu_stability_classification():
 def test_stability_boundary_location():
     q_star = ed.stability_boundary(0.0)
     assert q_star == pytest.approx(0.908, abs=2e-3)
-    with pytest.raises(ValueError):
-        ed.stability_boundary(0.0, q_lo=1.2, q_hi=1.5)  # no sign change
+    # q = 0.5 is unstable at a = -0.5, and q = 1.5 stable at a = 3
+    for a in (-0.5, 3.0):
+        with pytest.raises(ValueError, match="no stable-to-unstable transition"):
+            ed.stability_boundary(a)
 
 
 def _monodromy_trace_dop853(a, q):

@@ -15,9 +15,7 @@ def test_bundled_data_loads():
     table = ion.load_level_table()
     assert table.ionization_threshold_ev == pytest.approx(11.87)
     assert len(table.levels) == 7
-    assert table.level("4P1/2").energy_ev == pytest.approx(3.1233)
-    with pytest.raises(KeyError):
-        table.level("nope")
+    assert {lv.name: lv for lv in table.levels}["4P1/2"].energy_ev == pytest.approx(3.1233)
 
 
 def test_level_table_validation():
@@ -83,7 +81,7 @@ def test_rate_regression_pins():
     s = ion.calibrated_inputs(1e9, "s", cal)
     d = ion.calibrated_inputs(1e9, "d", cal)
     assert ion.rate_s(s) == pytest.approx(1763955224.8878448, rel=1e-12)
-    assert ion.rate_d(1e9, d.j_channels) == pytest.approx(
+    assert ion.rate_d(d) == pytest.approx(
         47947.565605656055, rel=1e-12)
     assert 1e9 <= ion.rate_s(s) <= 1e10
 
@@ -92,8 +90,8 @@ def test_nonresonant_rate_quartic_scaling(rng):
     for _ in range(50):
         irr = float(rng.uniform(1e6, 1e12))
         channels = {"S": float(rng.uniform(0.1, 50))}
-        lo = ion.rate_d(irr, channels)
-        hi = ion.rate_d(2.0 * irr, channels)
+        lo = ion.rate_d(ion.RateInputs(irr, channels))
+        hi = ion.rate_d(ion.RateInputs(2.0 * irr, channels))
         assert hi == pytest.approx(16.0 * lo, rel=1e-15)
 
 
@@ -109,7 +107,7 @@ def test_resonant_term_quadratic_scaling(rng):
 
 def test_atomic_unit_plug_in():
     # J=1, I = one atomic unit -> rate is exactly 4*pi per atomic time
-    rate = ion.rate_d(ion.I_ATOMIC_UNIT_W_CM2, {"S": 1.0})
+    rate = ion.rate_d(ion.RateInputs(ion.I_ATOMIC_UNIT_W_CM2, {"S": 1.0}))
     assert rate == pytest.approx(4.0 * math.pi / ion.ATOMIC_TIME_S, rel=1e-15)
 
 
@@ -122,7 +120,7 @@ def test_discrimination_ratio_exact_1600():
     d1 = ion.RateInputs(3e8, {"S": 1.0})
     assert ion.discrimination_ratio(s1, d1) == 1600.0
     # matches the raw rate quotient
-    quot = ion.rate_s(s) / ion.rate_d(1e9, D_CHANNELS)
+    quot = ion.rate_s(s) / ion.rate_d(d)
     assert quot == pytest.approx(1600.0, rel=1e-12)
 
 
@@ -132,7 +130,7 @@ def test_discrimination_ratio_with_resonant_term():
     d = ion.calibrated_inputs(1e9, "d", cal)
     ratio = ion.discrimination_ratio(s, d)
     assert ratio == pytest.approx(
-        ion.rate_s(s) / ion.rate_d(1e9, d.j_channels), rel=1e-12)
+        ion.rate_s(s) / ion.rate_d(d), rel=1e-12)
     assert ratio > 1600.0  # resonant enhancement only helps S
 
 
@@ -145,6 +143,27 @@ def test_discrimination_ratio_errors():
     s0 = ion.RateInputs(0.0, S_CHANNELS, k_resonant=5.0, l_denominator=0.1)
     with pytest.raises(ion.UndefinedRatioError):
         ion.discrimination_ratio(s0, ion.RateInputs(0.0, D_CHANNELS))
+
+
+@pytest.mark.parametrize("irr", [0.0, 1.5e-318, 1e-300, 1e9, 1e12])
+def test_rates_and_ratio_agree_across_float_range(irr):
+    # 1.5e-318 W/cm^2 is positive but 0 in atomic units: the ratio is inf
+    # there, as wherever I^2 underflows, and undefined at irradiance 0 alone
+    cal = ion.load_calibration()
+    s, d = ion.calibrated_inputs(irr, "s", cal), ion.calibrated_inputs(irr, "d", cal)
+    rs, rd = ion.rate_s(s), ion.rate_d(d)
+    if irr == 0.0:
+        assert rs == rd == 0.0
+        with pytest.raises(ion.UndefinedRatioError, match="zero irradiance"):
+            ion.discrimination_ratio(s, d)
+        return
+    ratio = ion.discrimination_ratio(s, d)
+    i = irr / ion.I_ATOMIC_UNIT_W_CM2
+    if i * i == 0.0:
+        assert ratio == math.inf
+    else:
+        assert 0.0 < rs < math.inf and 0.0 < rd < math.inf
+        assert ratio == pytest.approx(rs / rd, rel=1e-12)
 
 
 def test_singular_resonance_guard():
