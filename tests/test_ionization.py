@@ -81,8 +81,7 @@ def test_rate_regression_pins():
     s = ion.calibrated_inputs(1e9, "s", cal)
     d = ion.calibrated_inputs(1e9, "d", cal)
     assert ion.rate_s(s) == pytest.approx(1763955224.8878448, rel=1e-12)
-    assert ion.rate_d(d) == pytest.approx(
-        47947.565605656055, rel=1e-12)
+    assert ion.rate_d(d) == pytest.approx(47947.565605656055, rel=1e-12)
     assert 1e9 <= ion.rate_s(s) <= 1e10
 
 
