@@ -27,22 +27,25 @@ repeated r times, so one batched FFT pair along the last axis advances both
 factors exactly, with the shorter factor's kinetic phase tiled r times and
 the masks zero on the padding slots, which keeps them empty.
 
-A step is five numpy calls on preallocated arrays: the forward FFT, the
+A step is four numpy calls on preallocated arrays: the forward FFT, the
 kinetic phase (with the inverse's 1/N folded in, exact for a power of two),
-the unscaled inverse FFT to phi, |phi|^2 into a row of a block of rows, and
-one multiply by a carry: the step's trailing potential phase, the masks and
-the next step's leading phase, so the array holds the next step's input.
-Steps run in blocks from one stop (a sample, a snapshot, the last step) to
-the next; the last step of a block multiplies by its phase and masks only,
-so the state itself is at hand at every stop.  Driven mode exponentiates
-each block's phases once per distinct value of V and gathers them.  The
-bookkeeping of a block is one product of its rows of |phi|^2 with
-precomputed weight rows (|exp(-iV dt/2 hbar)| = 1, so the potential phase
-leaves |phi|^2 unchanged): the norm of psi_y, the x and y norms the
-boundary frame removes and keeps, and one row per detector weighted
-(1 - d_i^2) prod_{j<i} d_j^2, so overlapping slabs damp in config order;
-the losses accumulate step by step in Python.  Samples read the norm, mean
-and width of both factors from a second set of rows.
+the unscaled inverse FFT into the step's row of a block of phi, and one
+multiply by a carry: the step's trailing potential phase, the masks and the
+next step's leading phase, so the array holds the next step's input.  Steps
+run in blocks from one snapshot or the last step to the next, across
+samples; the last step of a block multiplies by its phase and masks only,
+so the state itself is at hand at every block's end.  Driven mode takes cos
+and sin of a block's summed half-step angles once per distinct value of V,
+into a table's float view, and gathers them.  After a block its phi rows are
+squared in place, and the bookkeeping is one product of those rows of
+|phi|^2 with precomputed weight rows (|exp(-iV dt/2 hbar)| = 1, so the
+potential phase leaves |phi|^2 unchanged): the norm of psi_y, the x and y
+norms the boundary frame removes and keeps, and one row per detector
+weighted (1 - d_i^2) prod_{j<i} d_j^2, so overlapping slabs damp in config
+order.  ``np.add.accumulate``, seeded with the totals carried in, sums the
+losses in step order, to the bit as a Python loop would.  Samples read the
+norm, mean and width of both factors from the same rows, with the moment
+weights multiplied by |mask|^2, since |psi|^2 = |phi|^2 |mask|^2.
 
 Momentum-grid surrogate: the physical initial state (10 nm source, which
 fixes the velocity spread sigma_v = hbar/(2 m 10nm) ~ 5.8e3 m/s, and the
@@ -95,6 +98,10 @@ SIGMA_V_DEFAULT = HBAR / (2.0 * M_ELECTRON * 10e-9)
 # 33 times the default 512-point axis and 3 ns / 0.1 ps run
 MAX_GRID_POINTS = 1 << 13
 MAX_STEPS = 1_000_000
+# the fewest steps in a block of propagate's, however short the sample
+# interval: longer blocks spread the per-block work thinner but hold more
+# rows (16 steps are 128 KB a work array at 256 columns)
+_BLOCK_STEPS = 16
 
 
 class ConfigurationError(ValueError):
@@ -342,7 +349,11 @@ def propagate(
     masks applied after each step.  The returned trace samples cumulative
     per-detector capture (slab loss from psi_x times the norm of psi_y),
     total capture, remaining norm, boundary loss, and packet position/width
-    moments roughly every sample_interval.
+    moments roughly every sample_interval, and at the last step.  Steps run
+    in blocks that end only at a snapshot, the last step or the block
+    length: at least the sample stride and _BLOCK_STEPS steps, at most as
+    many as keep each work array within 2 MB.  Samples inside a block are
+    read from its steps' rows of |phi|^2.
     """
     import numpy as np
     if t_final <= 0:
@@ -373,9 +384,6 @@ def propagate(
         float view (re, im, re, im, ...) of psi they sum w |psi|^2."""
         return np.repeat(np.reshape(rows, (len(rows), 2 * n)), 2, axis=1)
 
-    def abs2(psi):
-        return np.square(psi.view(np.float64)).ravel()
-
     kx = 2.0 * math.pi * np.fft.fftfreq(nx, dx)
     ky = 2.0 * math.pi * np.fft.fftfreq(ny, dy)
     # the n-point DFT of a factor interleaved with r-1 zeros is its own DFT r
@@ -383,10 +391,10 @@ def propagate(
     kin = np.stack([np.tile(np.exp(-1j * hbar * kx**2 / (2.0 * config.mass) * dt), rx),
                     np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt), ry)]) / n
     # V(x, y) = V(x, 0) + V(0, y), undriven; driven mode scales it by the drive per step
-    v_phase = -1j * stack(saddle_potential(config, x, 0.0), saddle_potential(config, 0.0, y))
+    v = stack(saddle_potential(config, x, 0.0), saddle_potential(config, 0.0, y))
 
     # keep_x is |damping|^2 of the slabs passed so far, in config order, so
-    # overlapping slabs damp in turn; the step rows read |psi|^2 after the kinetic
+    # overlapping slabs damp in turn; the step rows read |phi|^2 after the kinetic
     # step, before the masks (|half| = 1)
     damps, (b_x, b_y) = _cap_masks(wp, config)
     mask_x, keep_x, slab_rows = b_x, np.ones(nx), []
@@ -398,83 +406,106 @@ def propagate(
                       stack(keep_x * (1.0 - b_x**2) * dx, 0.0),
                       stack(keep_x * b_x**2 * dx, 0.0),
                       stack(0.0, (1.0 - b_y**2) * dy), *slab_rows]).T
-    # norm, first and second moment of |psi_x|^2 and of |psi_y|^2, read at samples
+    # norm, first and second moment of |psi_x|^2 and of |psi_y|^2: at step 0
+    # from psi, later from the rows of |phi|^2, where |psi|^2 = |phi|^2 |mask|^2
     moment_w = weights([stack(a * dx, 0.0) for a in (np.ones(nx), x, x**2)]
                        + [stack(0.0, a * dy) for a in (np.ones(ny), y, y**2)])
+    row_moment_w = (moment_w * weights([np.square(mask)])).T
 
     psi = stack(wp.psi_x, wp.psi_y).astype(np.complex128, copy=False)
     n_steps = int(round(t_final / dt))
     # a sample interval or snapshot time past t_final falls on the last step
     stride = max(1, int(round(min(sample_interval, t_final) / dt)))
-    captured = [0.0] * len(config.detectors)
-    boundary_lost = 0.0
     want_snaps = sorted(set(
         int(round(min(max(ts, 0.0), t_final) / dt)) for ts in snapshot_times))
 
-    # A block runs the steps from one stop to the next: a sample, a snapshot
-    # or the last step, and at most one sample interval and 2**16 // n steps,
-    # so that no work array passes 2 MB.  Inside a block psi holds the next
-    # step's input: a step's trailing phase, its masks and the next step's
-    # leading phase are one carry.  The block's last step applies only its
-    # phase and masks, so psi holds the state itself at every stop.
-    block = min(stride, max(1, (1 << 16) // n))
-    rows = np.empty((block, 4 * n))  # |phi|^2 of each step, as squared float views
-    spec, phi = np.empty((2, 2, n), dtype=np.complex128)
-    phi_floats = phi.view(np.float64).reshape(-1)
+    # A block runs the steps from one snapshot or the last step to the next,
+    # across samples, at most max(stride, _BLOCK_STEPS) steps and 2**16 // n
+    # (8 or more: n <= MAX_GRID_POINTS), so that no work array passes 2 MB.
+    # Inside a block psi holds the next step's input: a step's trailing phase,
+    # its masks and the next step's leading phase are one carry.  The block's
+    # last step applies only its phase and masks, so psi holds the state
+    # itself at every block's end.
+    block = min(max(stride, _BLOCK_STEPS), (1 << 16) // n)
+    spec = np.empty((2, n), dtype=np.complex128)
+    phis = np.empty((block, 2, n), dtype=np.complex128)  # phi of each step
+    rows = phis.view(np.float64).reshape(block, 4 * n)  # squared in place: |phi|^2
+    # running capture per detector, then boundary loss: row 0 carries the
+    # totals into a block, row j + 1 holds them after its step j
+    ndet = len(config.detectors)
+    totals = np.zeros((block + 1, ndet + 1))
     if config.static_mode:
-        half = np.exp(v_phase * dt / (2.0 * hbar))
+        half = np.exp(-1j * v * dt / (2.0 * hbar))
         half_out = half * mask
         carry = half_out * half
     else:
         # V is even in x and y, so it takes about n/2 values per row: a block
-        # exponentiates its steps' phases once per value and gathers
-        v_values, v_index = np.unique(v_phase, return_inverse=True)
+        # takes cos and sin of its steps' angles once per value and gathers;
+        # row 0 of the table is the block's leading half step
+        minus_v, v_index = np.unique(-v, return_inverse=True)
         v_index = v_index.reshape(2, n)
-        table = np.empty((block, len(v_values)), dtype=np.complex128)
-        halves, carries = np.empty((2, block, 2, n), dtype=np.complex128)
-    fft, ifft, square, multiply = np.fft.fft, np.fft.ifft, np.square, np.multiply
+        angles = np.empty((block + 1, len(minus_v)))
+        table = np.empty((block + 1, len(minus_v)), dtype=np.complex128)
+        table_floats = table.view(np.float64).reshape(block + 1, len(minus_v), 2)
+        carries = np.empty((block, 2, n), dtype=np.complex128)
+    fft, ifft, multiply = np.fft.fft, np.fft.ifft, np.multiply
 
-    samples, snaps = [], []
+    def sample(t, captured, boundary_lost, x0, x1, x2, y0, y1, y2):
+        (mx, sx), (my, sy) = _mean_width(x0, x1, x2), _mean_width(y0, y1, y2)
+        return EffSample(t=t, captured=tuple(captured), total_captured=math.fsum(captured),
+                         norm_remaining=x0 * y0, boundary_lost=boundary_lost,
+                         mean_x=mx, mean_y=my, sigma_x=sx, sigma_y=sy)
+
+    def snapshot(step):
+        return Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
+                                                      np.abs(psi[1, ::ry]) ** 2))
+
+    moments = moment_w @ np.square(psi.view(np.float64)).ravel()  # of psi's float view
+    samples = [sample(0.0, [0.0] * ndet, 0.0, *moments.tolist())]
+    snaps = []
+    if want_snaps and want_snaps[0] == 0:
+        snaps.append(snapshot(want_snaps.pop(0)))
     step = 0
-    while True:
-        if step % stride == 0 or step == n_steps:  # always true at the last step
-            x0, x1, x2, y0, y1, y2 = (moment_w @ abs2(psi)).tolist()
-            (mx, sx), (my, sy) = _mean_width(x0, x1, x2), _mean_width(y0, y1, y2)
-            samples.append(EffSample(
-                t=step * dt, captured=tuple(captured), total_captured=math.fsum(captured),
-                norm_remaining=x0 * y0, boundary_lost=boundary_lost,
-                mean_x=mx, mean_y=my, sigma_x=sx, sigma_y=sy))
-        if want_snaps and step == want_snaps[0]:
-            snaps.append(Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
-                                                                np.abs(psi[1, ::ry]) ** 2)))
-            want_snaps.pop(0)
-        if step == n_steps:
-            break
-
-        end = min(step + block, (step // stride + 1) * stride, n_steps,
-                  want_snaps[0] if want_snaps else n_steps)
+    while step < n_steps:
+        end = min(step + block, n_steps, want_snaps[0] if want_snaps else n_steps)
         m = end - step
         if config.static_mode:
             psi *= half
             step_carries = [carry] * (m - 1) + [half_out]
         else:
-            # the half-step phase of step k at each distinct value of V
-            phases = [math.cos(config.omega_rf * ((k - 0.5) * dt)) * dt / (2.0 * hbar)
-                      for k in range(step + 1, end + 1)]
-            np.exp(np.multiply.outer(phases, v_values, out=table[:m]), out=table[:m])
-            np.take(table[:m], v_index, axis=1, out=halves[:m])
-            step_carries = multiply(halves[:m], mask, out=carries[:m])
-            step_carries[:-1] *= halves[1:m]
-            psi *= halves[0]
-        for step_carry, row in zip(step_carries, rows):
+            # the half-step factor of step k is exp(-i V a_k); a carry's angle
+            # is the sum of its step's and the next one's, the last one's its own
+            a = [math.cos(config.omega_rf * ((k - 0.5) * dt)) * dt / (2.0 * hbar)
+                 for k in range(step + 1, end + 1)]
+            sums = [a[0], *[a_k + a_next for a_k, a_next in zip(a, a[1:])], a[-1]]
+            np.multiply.outer(sums, minus_v, out=angles[:m + 1])
+            np.cos(angles[:m + 1], out=table_floats[:m + 1, :, 0])
+            np.sin(angles[:m + 1], out=table_floats[:m + 1, :, 1])
+            np.take(table[1:m + 1], v_index, axis=1, out=carries[:m])
+            step_carries = multiply(carries[:m], mask, out=carries[:m])
+            psi *= table[0, v_index]
+        for step_carry, phi in zip(step_carries, phis):
             fft(psi, out=spec)
             spec *= kin
             ifft(spec, norm="forward", out=phi)
-            square(phi_floats, out=row)  # |phi|^2: the potential phase has modulus 1
             multiply(phi, step_carry, out=psi)
-        for norm_y, lost_x, kept_x, lost_y, *slab in (rows[:m] @ step_w).tolist():
-            captured = [c + s * norm_y for c, s in zip(captured, slab)]
-            boundary_lost += lost_x * norm_y + kept_x * lost_y
+
+        losses = np.square(rows[:m], out=rows[:m]) @ step_w
+        norm_y, lost_x, kept_x, lost_y = losses[:, :4].T
+        multiply(losses[:, 4:], losses[:, :1], out=totals[1:m + 1, :-1])
+        np.add(lost_x * norm_y, kept_x * lost_y, out=totals[1:m + 1, -1])
+        np.add.accumulate(totals[:m + 1], axis=0, out=totals[:m + 1])
+        # the block's sample steps: multiples of stride, and the last step
+        at = [*range((step // stride + 1) * stride, end + 1, stride)]
+        if end == n_steps and at[-1:] != [end]:
+            at.append(end)
+        moments = (rows[[k - step - 1 for k in at]] @ row_moment_w).tolist()
+        running = totals[[k - step for k in at]].tolist()
+        for k, (*captured, boundary_lost), mom in zip(at, running, moments):
+            samples.append(sample(k * dt, captured, boundary_lost, *mom))
+        totals[0] = totals[m]
+        if want_snaps and end == want_snaps[0]:
+            snaps.append(snapshot(want_snaps.pop(0)))
         step = end
 
     w = Wavepacket(psi_x=psi[0, ::rx].copy(), psi_y=psi[1, ::ry].copy(),

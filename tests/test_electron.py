@@ -414,14 +414,22 @@ def test_separable_stepper_matches_2d_oracle_layouts(layout):
 
 # the edges of the step loop, at dt = 1 ps: (t_final, sample_interval,
 # snapshot_times, samples expected).  The stepper runs blocks of steps from
-# one stop (sample, snapshot, last step) to the next, at most one sample
-# interval and 2**16 // 64 = 1024 steps at 64 columns; the last case's single
-# interval of 1 200 steps therefore spans two blocks.
+# one snapshot or the last step to the next, across samples: at least one
+# sample interval and 16 steps, at most 2**16 // 64 = 1024 steps at 64
+# columns, and it reads the samples inside a block from that block's rows.
+# So a 2 ps interval puts eight samples in a block, a 3 ps one does not
+# divide it, a snapshot at step 41 ends a block off the sample grid, 103
+# steps leave a last block of 7 with the last step off the grid too, and the
+# single 1 200-step interval of the last case spans two blocks.
 LOOP_EDGES = {
     "snapshot-at-step-0": (0.2e-9, 5e-12, (0.0,), 41),
     "snapshot-between-samples": (0.2e-9, 5e-12, (0.103e-9,), 41),
     "ragged-last-interval": (0.203e-9, 5e-12, (), 42),
     "sample-every-step": (0.05e-9, 1e-12, (0.02e-9,), 51),
+    "samples-across-a-block": (0.2e-9, 2e-12, (), 101),
+    "interval-not-dividing-the-block": (0.2e-9, 3e-12, (), 68),
+    "snapshot-inside-a-block-off-the-grid": (0.1e-9, 2e-12, (0.041e-9,), 51),
+    "ragged-last-block": (0.103e-9, 2e-12, (), 53),
     "sample-interval-past-t-final": (1.2e-9, 2e-9, (0.7e-9,), 2),
 }
 
@@ -441,6 +449,38 @@ def test_separable_stepper_matches_2d_oracle_at_loop_edges(edge, static):
     assert [s.t for s in res.snapshots] == [s.t for s in snaps] and len(snaps) == len(snap_t)
     for got, want in zip(res.snapshots, snaps):
         assert _max_rel(got.density, want.density) <= 1e-10
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+def test_a_step_is_one_transform_pair(static, monkeypatch):
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+    cfg = fast_config(static_mode=static, dt=1e-12, omega_rf=2 * math.pi / 1e-11)
+    res = ed.propagate(ed.gaussian_wavepacket(cfg, v0=2e4), cfg, 0.103e-9,
+                       sample_interval=2e-12, snapshot_times=(0.041e-9,))
+    assert len(res.trace.samples) == 53 and len(res.snapshots) == 1
+    assert calls.count("fft") == calls.count("ifft") == 103 and len(calls) == 2 * 103
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+def test_norm_budget_closes_at_the_benchmark_grid(static):
+    # the electron_capture workload's grid and run: 3 000 steps, a sample every 5
+    cfg = ed.TrapConfig(points_x=256, points_y=128, hbar_scale=128.0, dt=1e-12,
+                        static_mode=static)
+    res = ed.propagate(ed.gaussian_wavepacket(cfg, v0=7.2e3), cfg, 3e-9, sample_interval=5e-12)
+    assert len(res.trace.samples) == 601
+    for s in res.trace.samples:
+        budget = s.total_captured + s.boundary_lost + s.norm_remaining
+        assert budget == pytest.approx(1.0, abs=1e-10), s.t
+    assert res.trace.samples[-1].total_captured > 0.99
 
 
 @pytest.mark.parametrize("static, grid", _mode_grid_cases())
