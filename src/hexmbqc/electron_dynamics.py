@@ -98,10 +98,10 @@ SIGMA_V_DEFAULT = HBAR / (2.0 * M_ELECTRON * 10e-9)
 # 33 times the default 512-point axis and 3 ns / 0.1 ps run
 MAX_GRID_POINTS = 1 << 13
 MAX_STEPS = 1_000_000
-# the fewest steps in a block of propagate's, however short the sample
-# interval: longer blocks spread the per-block work thinner but hold more
-# rows (16 steps are 128 KB a work array at 256 columns)
-_BLOCK_STEPS = 16
+# the (2, N) rows that propagate's block arrays hold at the least, however
+# short the sample interval: phi per step, and in driven mode the carry too.
+# Longer blocks spread the per-block work thinner but grow peak memory.
+_BLOCK_ROWS = 32
 
 
 class ConfigurationError(ValueError):
@@ -351,9 +351,10 @@ def propagate(
     total capture, remaining norm, boundary loss, and packet position/width
     moments roughly every sample_interval, and at the last step.  Steps run
     in blocks that end only at a snapshot, the last step or the block
-    length: at least the sample stride and _BLOCK_STEPS steps, at most as
-    many as keep each work array within 2 MB.  Samples inside a block are
-    read from its steps' rows of |phi|^2.
+    length: at least the sample stride and _BLOCK_ROWS rows of block arrays
+    (32 steps static, 16 driven), at most as many as keep each work array
+    within 2 MB.  Samples inside a block are read from its steps' rows of
+    |phi|^2.
     """
     import numpy as np
     if t_final <= 0:
@@ -420,13 +421,15 @@ def propagate(
         int(round(min(max(ts, 0.0), t_final) / dt)) for ts in snapshot_times))
 
     # A block runs the steps from one snapshot or the last step to the next,
-    # across samples, at most max(stride, _BLOCK_STEPS) steps and 2**16 // n
-    # (8 or more: n <= MAX_GRID_POINTS), so that no work array passes 2 MB.
+    # across samples: at most one sample interval or _BLOCK_ROWS rows of block
+    # arrays, whichever is longer, and 2**16 // n steps (8 or more, since
+    # n <= MAX_GRID_POINTS), so that no work array passes 2 MB.
     # Inside a block psi holds the next step's input: a step's trailing phase,
     # its masks and the next step's leading phase are one carry.  The block's
     # last step applies only its phase and masks, so psi holds the state
     # itself at every block's end.
-    block = min(max(stride, _BLOCK_STEPS), (1 << 16) // n)
+    rows_a_step = 1 if config.static_mode else 2
+    block = min(max(stride, _BLOCK_ROWS // rows_a_step), (1 << 16) // n)
     spec = np.empty((2, n), dtype=np.complex128)
     phis = np.empty((block, 2, n), dtype=np.complex128)  # phi of each step
     rows = phis.view(np.float64).reshape(block, 4 * n)  # squared in place: |phi|^2
@@ -444,7 +447,6 @@ def propagate(
         # row 0 of the table is the block's leading half step
         minus_v, v_index = np.unique(-v, return_inverse=True)
         v_index = v_index.reshape(2, n)
-        angles = np.empty((block + 1, len(minus_v)))
         table = np.empty((block + 1, len(minus_v)), dtype=np.complex128)
         table_floats = table.view(np.float64).reshape(block + 1, len(minus_v), 2)
         carries = np.empty((block, 2, n), dtype=np.complex128)
@@ -478,9 +480,9 @@ def propagate(
             a = [math.cos(config.omega_rf * ((k - 0.5) * dt)) * dt / (2.0 * hbar)
                  for k in range(step + 1, end + 1)]
             sums = [a[0], *[a_k + a_next for a_k, a_next in zip(a, a[1:])], a[-1]]
-            np.multiply.outer(sums, minus_v, out=angles[:m + 1])
-            np.cos(angles[:m + 1], out=table_floats[:m + 1, :, 0])
-            np.sin(angles[:m + 1], out=table_floats[:m + 1, :, 1])
+            angles = np.multiply.outer(sums, minus_v, out=table_floats[:m + 1, :, 1])
+            np.cos(angles, out=table_floats[:m + 1, :, 0])
+            np.sin(angles, out=angles)
             np.take(table[1:m + 1], v_index, axis=1, out=carries[:m])
             step_carries = multiply(carries[:m], mask, out=carries[:m])
             psi *= table[0, v_index]

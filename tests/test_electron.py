@@ -415,12 +415,13 @@ def test_separable_stepper_matches_2d_oracle_layouts(layout):
 # the edges of the step loop, at dt = 1 ps: (t_final, sample_interval,
 # snapshot_times, samples expected).  The stepper runs blocks of steps from
 # one snapshot or the last step to the next, across samples: at least one
-# sample interval and 16 steps, at most 2**16 // 64 = 1024 steps at 64
-# columns, and it reads the samples inside a block from that block's rows.
-# So a 2 ps interval puts eight samples in a block, a 3 ps one does not
-# divide it, a snapshot at step 41 ends a block off the sample grid, 103
-# steps leave a last block of 7 with the last step off the grid too, and the
-# single 1 200-step interval of the last case spans two blocks.
+# sample interval and 32 steps static, 16 driven, at most 2**16 // 64 = 1024
+# steps at 64 columns, and it reads the samples inside a block from that
+# block's rows.  So a 2 ps interval puts eight or more samples in a block, a
+# 3 ps one divides neither length, a snapshot at step 41 ends a block off the
+# sample grid, 103 steps leave a last block of 7 with the last step off the
+# grid too, and the single 1 200-step interval of the last case spans two
+# blocks.
 LOOP_EDGES = {
     "snapshot-at-step-0": (0.2e-9, 5e-12, (0.0,), 41),
     "snapshot-between-samples": (0.2e-9, 5e-12, (0.103e-9,), 41),
