@@ -462,7 +462,7 @@ def propagate(
         return Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
                                                       np.abs(psi[1, ::ry]) ** 2))
 
-    moments = moment_w @ np.square(psi.view(np.float64)).ravel()  # of psi's float view
+    moments = moment_w @ np.square(psi.view(np.float64)).ravel()
     samples = [sample(0.0, [0.0] * ndet, 0.0, *moments.tolist())]
     snaps = []
     if want_snaps and want_snaps[0] == 0:
@@ -476,7 +476,9 @@ def propagate(
             step_carries = [carry] * (m - 1) + [half_out]
         else:
             # the half-step factor of step k is exp(-i V a_k); a carry's angle
-            # is the sum of its step's and the next one's, the last one's its own
+            # is the sum of its step's and the next one's, the last one's its
+            # own.  The angles go into the table's imaginary slots, cos into
+            # its real ones, and sin then overwrites the angles.
             a = [math.cos(config.omega_rf * ((k - 0.5) * dt)) * dt / (2.0 * hbar)
                  for k in range(step + 1, end + 1)]
             sums = [a[0], *[a_k + a_next for a_k, a_next in zip(a, a[1:])], a[-1]]
