@@ -43,9 +43,10 @@ potential phase leaves |phi|^2 unchanged): the norm of psi_y, the x and y
 norms the boundary frame removes and keeps, and one row per detector
 weighted (1 - d_i^2) prod_{j<i} d_j^2, so overlapping slabs damp in config
 order.  ``np.add.accumulate``, seeded with the totals carried in, sums the
-losses in step order, to the bit as a Python loop would.  Samples read the
-norm, mean and width of both factors from the same rows, with the moment
-weights multiplied by |mask|^2, since |psi|^2 = |phi|^2 |mask|^2.
+losses in step order, to the bit as a Python loop would.  A sample's
+remaining norm comes from the same product: after a step's masks |psi_x|^2
+sums to the kept x norm and |psi_y|^2 to the norm of psi_y less the y norm
+the frame removes.
 
 Momentum-grid surrogate: the physical initial state (10 nm source, which
 fixes the velocity spread sigma_v = hbar/(2 m 10nm) ~ 5.8e3 m/s, and the
@@ -200,8 +201,7 @@ Wavepacket = namedtuple("Wavepacket", (
     "psi_x",   # complex amplitudes over x, shape (points_x,)
     "psi_y",   # complex amplitudes over y, shape (points_y,)
     "sigma0",  # initial grid-space width (m)
-    "v0",      # initial +x velocity (m/s)
-    "t"), defaults=(0.0,))
+    "v0"))     # initial +x velocity (m/s)
 
 
 def _norm(psi: np.ndarray, step: float) -> float:
@@ -235,7 +235,7 @@ def gaussian_wavepacket(config: TrapConfig, *, v0: float = 7e3, sigma_v: float =
     psi_y = np.exp(-(config.y_axis() ** 2) / spread).astype(np.complex128)
     psi_x /= math.sqrt(_norm(psi_x, config.dx))
     psi_y /= math.sqrt(_norm(psi_y, config.dy))
-    return Wavepacket(psi_x=psi_x, psi_y=psi_y, sigma0=sigma0, v0=v0, t=0.0)
+    return Wavepacket(psi_x=psi_x, psi_y=psi_y, sigma0=sigma0, v0=v0)
 
 
 EffSample = namedtuple("EffSample", (
@@ -243,8 +243,7 @@ EffSample = namedtuple("EffSample", (
     "captured",        # per detector, cumulative
     "total_captured",
     "norm_remaining",
-    "boundary_lost",   # norm absorbed by the boundary frame, cumulative
-    "mean_x", "mean_y", "sigma_x", "sigma_y"))
+    "boundary_lost"))  # norm absorbed by the boundary frame, cumulative
 
 
 EfficiencyTrace = namedtuple("EfficiencyTrace", "samples")  # a tuple of EffSample
@@ -326,14 +325,6 @@ def _cap_masks(wp: Wavepacket, config: TrapConfig):
     return detector_damps, (b_x, b_y)
 
 
-def _mean_width(m0: float, m1: float, m2: float) -> tuple[float, float]:
-    """Mean and width of a density from sum(p), sum(p a), sum(p a^2); NaN when empty."""
-    if not m0 > 0.0:
-        return math.nan, math.nan
-    mean = m1 / m0
-    return mean, math.sqrt(max(m2 / m0 - mean * mean, 0.0))
-
-
 def propagate(
     wp: Wavepacket,
     config: TrapConfig,
@@ -348,13 +339,13 @@ def propagate(
     one stacked spectral array (see the module notes); detector and boundary
     masks applied after each step.  The returned trace samples cumulative
     per-detector capture (slab loss from psi_x times the norm of psi_y),
-    total capture, remaining norm, boundary loss, and packet position/width
-    moments roughly every sample_interval, and at the last step.  Steps run
-    in blocks that end only at a snapshot, the last step or the block
-    length: at least the sample stride and _BLOCK_ROWS rows of block arrays
-    (32 steps static, 16 driven), at most as many as keep each work array
-    within 2 MB.  Samples inside a block are read from its steps' rows of
-    |phi|^2.
+    total capture, remaining norm and boundary loss roughly every
+    sample_interval, and at the last step.  Steps run in blocks that end
+    only at a snapshot, the last step or the block length: at least the
+    sample stride and _BLOCK_ROWS rows of block arrays (32 steps static, 16
+    driven), at most as many as keep each work array within 2 MB.  A
+    sample's remaining norm is the product of its step's kept x norm and
+    masked y norm, read off the block's loss rows.
     """
     import numpy as np
     if t_final <= 0:
@@ -407,11 +398,6 @@ def propagate(
                       stack(keep_x * (1.0 - b_x**2) * dx, 0.0),
                       stack(keep_x * b_x**2 * dx, 0.0),
                       stack(0.0, (1.0 - b_y**2) * dy), *slab_rows]).T
-    # norm, first and second moment of |psi_x|^2 and of |psi_y|^2: at step 0
-    # from psi, later from the rows of |phi|^2, where |psi|^2 = |phi|^2 |mask|^2
-    moment_w = weights([stack(a * dx, 0.0) for a in (np.ones(nx), x, x**2)]
-                       + [stack(0.0, a * dy) for a in (np.ones(ny), y, y**2)])
-    row_moment_w = (moment_w * weights([np.square(mask)])).T
 
     psi = stack(wp.psi_x, wp.psi_y).astype(np.complex128, copy=False)
     n_steps = int(round(t_final / dt))
@@ -452,18 +438,15 @@ def propagate(
         carries = np.empty((block, 2, n), dtype=np.complex128)
     fft, ifft, multiply = np.fft.fft, np.fft.ifft, np.multiply
 
-    def sample(t, captured, boundary_lost, x0, x1, x2, y0, y1, y2):
-        (mx, sx), (my, sy) = _mean_width(x0, x1, x2), _mean_width(y0, y1, y2)
+    def sample(t, captured, boundary_lost, norm_remaining):
         return EffSample(t=t, captured=tuple(captured), total_captured=math.fsum(captured),
-                         norm_remaining=x0 * y0, boundary_lost=boundary_lost,
-                         mean_x=mx, mean_y=my, sigma_x=sx, sigma_y=sy)
+                         norm_remaining=norm_remaining, boundary_lost=boundary_lost)
 
     def snapshot(step):
         return Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
                                                       np.abs(psi[1, ::ry]) ** 2))
 
-    moments = moment_w @ np.square(psi.view(np.float64)).ravel()
-    samples = [sample(0.0, [0.0] * ndet, 0.0, *moments.tolist())]
+    samples = [sample(0.0, [0.0] * ndet, 0.0, _norm(wp.psi_x, dx) * _norm(wp.psi_y, dy))]
     snaps = []
     if want_snaps and want_snaps[0] == 0:
         snaps.append(snapshot(want_snaps.pop(0)))
@@ -503,17 +486,18 @@ def propagate(
         at = [*range((step // stride + 1) * stride, end + 1, stride)]
         if end == n_steps and at[-1:] != [end]:
             at.append(end)
-        moments = (rows[[k - step - 1 for k in at]] @ row_moment_w).tolist()
+        # after step k's masks, |psi_x|^2 sums to kept_x and |psi_y|^2 to norm_y - lost_y
+        remaining = (kept_x * (norm_y - lost_y))[[k - step - 1 for k in at]].tolist()
         running = totals[[k - step for k in at]].tolist()
-        for k, (*captured, boundary_lost), mom in zip(at, running, moments):
-            samples.append(sample(k * dt, captured, boundary_lost, *mom))
+        for k, (*captured, boundary_lost), norm in zip(at, running, remaining):
+            samples.append(sample(k * dt, captured, boundary_lost, norm))
         totals[0] = totals[m]
         if want_snaps and end == want_snaps[0]:
             snaps.append(snapshot(want_snaps.pop(0)))
         step = end
 
     w = Wavepacket(psi_x=psi[0, ::rx].copy(), psi_y=psi[1, ::ry].copy(),
-                   sigma0=wp.sigma0, v0=wp.v0, t=n_steps * dt)
+                   sigma0=wp.sigma0, v0=wp.v0)
     return PropagationResult(trace=EfficiencyTrace(samples=tuple(samples)),
                              wavepacket=w, snapshots=tuple(snaps))
 

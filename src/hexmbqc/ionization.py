@@ -77,7 +77,7 @@ class UndefinedRatioError(ValueError):
 # The records are named tuples: immutable, equal and hashed by their fields.
 # Those that validate do it in __new__, which _make, and so _replace, calls.
 
-Level = namedtuple("Level", "name energy_ev linewidth_hz label")
+Level = namedtuple("Level", "name energy_ev")
 
 
 class LevelTable(namedtuple("LevelTable", "levels ionization_threshold_ev")):
@@ -297,11 +297,8 @@ def load_bundled_data() -> dict:
 
 def load_level_table() -> LevelTable:
     doc = load_bundled_data()
-    levels = tuple(
-        Level(name=lv["name"], energy_ev=float(lv["energy_ev"]),
-              linewidth_hz=float(lv["linewidth_hz"]), label=lv["label"])
-        for lv in doc["levels"]
-    )
+    levels = tuple(Level(name=lv["name"], energy_ev=float(lv["energy_ev"]))
+                   for lv in doc["levels"])
     return LevelTable(levels=levels,
                       ionization_threshold_ev=float(doc["ionization_threshold_ev"]))
 

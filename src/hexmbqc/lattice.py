@@ -15,9 +15,9 @@ shuttles, and it is the length that fixes transport time.  Euclidean
 in-layer spacing is ``sqrt(3) * n * d``.
 
 A ``HexArray`` stores nothing per site: site ``(f, i, j)`` has id
-``(f (cols + 1) + i) (rows + 1) + j``, so ``key`` and ``site`` are
-arithmetic, and ``position`` computes a site's Cartesian coordinates when
-asked; trap-channel adjacency is not stored.  A ``LayerAssignment`` keeps
+``(f (cols + 1) + i) (rows + 1) + j``, so ``key`` is arithmetic, and
+``position`` computes a site's Cartesian coordinates when asked;
+trap-channel adjacency is not stored.  A ``LayerAssignment`` keeps
 no per-site table but the rounds it caches: ``layer`` and ``coord`` read a
 site's layer and in-layer coordinate off its key, since the layers are the
 cosets ``(f, i mod n, j mod n)``, and ``_serpentine`` alone orders them: a
@@ -71,9 +71,8 @@ class HexArray(namedtuple("HexArray", "rows cols d")):
 
     ``sites`` are integer ids 0..N-1 in ascending order of their
     ``(family, i, j)`` triangular coordinate: ``key`` gives a site's
-    coordinate and ``site`` the inverse, both by arithmetic.  ``position``
-    gives a site's Cartesian coordinates.  A named tuple, so immutable and
-    equal by its three fields.
+    coordinate by arithmetic.  ``position`` gives a site's Cartesian
+    coordinates.  A named tuple, so immutable and equal by its three fields.
     """
 
     __slots__ = ()
@@ -91,11 +90,6 @@ class HexArray(namedtuple("HexArray", "rows cols d")):
             raise IndexError(f"site {s} is not one of the array's {self.site_count()}")
         column, j = divmod(s + 1, self.rows + 1)  # column f (cols + 1) + i, 0 <= i <= cols
         return (*divmod(column, self.cols + 1), j - 1)
-
-    def site(self, f: int, i: int, j: int) -> int | None:
-        """Id of the site at ``(f, i, j)``; None if the array has none there."""
-        s = (f * (self.cols + 1) + i) * (self.rows + 1) + j
-        return s if 0 <= s < self.site_count() and self.key(s) == (f, i, j) else None
 
     def position(self, s: int) -> tuple[float, float]:
         """Cartesian (x, y) of site ``s`` in meters: i*T1 + j*T2 + f*delta."""

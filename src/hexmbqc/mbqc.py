@@ -322,8 +322,9 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown pattern keys: {sorted(unknown)}")
-    if doc.get("schema_version", 1) != 1:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = _int(doc.get("schema_version", 1), "schema_version")
+    if version != 1:
+        raise ValueError(f"unsupported schema_version {version!r}")
     try:
         n = _int(doc["n"], "n")
         edges = [(_int(a, "edge endpoint"), _int(b, "edge endpoint"))

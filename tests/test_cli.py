@@ -982,6 +982,10 @@ BAD_PATTERNS = {
                         "1 input qubits take 2 amplitudes, got 1"),
     "qubit count": ({"n": mbqc.MAX_TOTAL_QUBITS + 1},
                     f"pattern has {mbqc.MAX_TOTAL_QUBITS + 1} qubits, past the limit"),
+    "true schema_version": ({"schema_version": True},
+                            "schema_version must be an integer, got True"),
+    "float schema_version": ({"schema_version": 1.0},
+                             "schema_version must be an integer, got 1.0"),
     "live width": ({"n": 21, "edges": [[a, b] for a in range(21) for b in range(a)],
                     "outputs": list(range(4, 21)), "corrections": []},
                    "step 0 needs qubit 20 live with 20 others, past the limit of 20"),

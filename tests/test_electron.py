@@ -66,7 +66,11 @@ def test_config_is_frozen_and_equal_by_fields_in_order():
     with pytest.raises(AttributeError):
         est.formula_s = 0.0
     with pytest.raises(AttributeError):  # was a mutable dataclass; nothing assigns to it
-        ed.gaussian_wavepacket(fast_config()).t = 1.0
+        ed.gaussian_wavepacket(fast_config()).v0 = 1.0
+    # the records hold what the program reports, and no packet moments
+    assert ed.Wavepacket._fields == ("psi_x", "psi_y", "sigma0", "v0")
+    assert ed.EffSample._fields == ("t", "captured", "total_captured", "norm_remaining",
+                                    "boundary_lost")
 
 
 def test_resolution_guards():
@@ -241,20 +245,10 @@ def _cap_masks_2d(wp, config):
 
 
 def _sample_2d(psi, config, t, captured, boundary_lost):
-    p = np.abs(psi) ** 2
-    w = p.sum()
-    x = config.x_axis()
-    y = config.y_axis()
-    px = p.sum(axis=1) / w
-    py = p.sum(axis=0) / w
-    mx = px @ x
-    my = py @ y
     return ed.EffSample(
         t=t, captured=tuple(captured), total_captured=math.fsum(captured),
-        norm_remaining=float(w * config.dx * config.dy), boundary_lost=boundary_lost,
-        mean_x=float(mx), mean_y=float(my),
-        sigma_x=float(math.sqrt(px @ (x - mx) ** 2)),
-        sigma_y=float(math.sqrt(py @ (y - my) ** 2)))
+        norm_remaining=float(np.sum(np.abs(psi) ** 2) * config.dx * config.dy),
+        boundary_lost=boundary_lost)
 
 
 def _propagate_2d(wp, config, t_final, sample_interval=5e-12, snapshot_times=()):
@@ -320,25 +314,12 @@ def _max_rel(a, b):
     return float(np.max(np.abs(a - b)) / scale) if scale else 0.0
 
 
-# mean_y is zero but for the grid's unpaired row (|mean_y| <= 1.2e-9 m), so
-# both steppers report FFT round-off in it, and a bound relative to its
-# maximum measures that round-off.  It is bounded on the grid's scale
-# instead: a gap of 2.5e-13 dy.  The worst gap of the per-step stepper was
-# 8.8e-14 dy (driven on 256x32); half a cell's shift of y_axis, or a y frame
-# built from y instead of |y|, moves it by orders of magnitude more.
-MEAN_Y_BOUND_DY = 2.5e-13
-
-
-def _assert_matches_oracle(res, samples, psi, config):
+def _assert_matches_oracle(res, samples, psi):
     assert len(res.trace.samples) == len(samples)
     for field in ed.EffSample._fields:
         got = [getattr(s, field) for s in res.trace.samples]
         want = [getattr(s, field) for s in samples]
-        if field == "mean_y":
-            gap = float(np.max(np.abs(np.subtract(got, want))))
-            assert gap <= MEAN_Y_BOUND_DY * config.dy, (field, gap / config.dy)
-        else:
-            assert _max_rel(got, want) <= 1e-10, field
+        assert _max_rel(got, want) <= 1e-10, field
     assert _max_rel(packet_psi(res.wavepacket), psi) <= 1e-10
 
 
@@ -371,7 +352,7 @@ def test_separable_stepper_matches_2d_oracle(static, grid):
     last = res.trace.samples[-1]
     # the run exercises both detectors and the boundary frame
     assert min(last.captured) > 1e-5 and last.boundary_lost > 1e-4
-    _assert_matches_oracle(res, samples, psi, cfg)
+    _assert_matches_oracle(res, samples, psi)
     assert res.snapshots[0].t == snaps[0].t
     assert _max_rel(res.snapshots[0].density, snaps[0].density) <= 1e-10
 
@@ -395,10 +376,10 @@ def test_separable_stepper_matches_2d_oracle_layouts(layout):
     wp = ed.gaussian_wavepacket(cfg, v0=2e4)
     res = ed.propagate(wp, cfg, 0.6e-9, sample_interval=5e-12)
     samples, psi, _ = _propagate_2d(wp, cfg, 0.6e-9, sample_interval=5e-12)
-    _assert_matches_oracle(res, samples, psi, cfg)
+    _assert_matches_oracle(res, samples, psi)
     for s in res.trace.samples:
         budget = s.total_captured + s.boundary_lost + s.norm_remaining
-        assert budget == pytest.approx(1.0, abs=1e-9), s.t
+        assert budget == pytest.approx(1.0, abs=1e-10), s.t
     last = res.trace.samples[-1]
     if layout == "empty-slab":
         assert last.captured[0] == 0.0 and last.captured[1] > 1e-5
@@ -446,7 +427,7 @@ def test_separable_stepper_matches_2d_oracle_at_loop_edges(edge, static):
     samples, psi, snaps = _propagate_2d(wp, cfg, t, sample_interval=interval,
                                         snapshot_times=snap_t)
     assert len(samples) == count and res.trace.samples[-1].t == samples[-1].t
-    _assert_matches_oracle(res, samples, psi, cfg)
+    _assert_matches_oracle(res, samples, psi)
     assert [s.t for s in res.snapshots] == [s.t for s in snaps] and len(snaps) == len(snap_t)
     for got, want in zip(res.snapshots, snaps):
         assert _max_rel(got.density, want.density) <= 1e-10
@@ -472,6 +453,24 @@ def test_a_step_is_one_transform_pair(static, monkeypatch):
 
 
 @pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+def test_sample_norm_is_the_packets_norm(static):
+    # a sample's norm_remaining is taken from the block's loss rows, not from
+    # the state: it must be the norm of the packet and of the snapshot it
+    # reports at the same step
+    cfg = fast_config(points_x=256, points_y=32, dt=5e-13, static_mode=static,
+                      omega_rf=2 * math.pi / 1e-11)
+    res = ed.propagate(ed.gaussian_wavepacket(cfg, v0=2e4), cfg, 0.6e-9,
+                       sample_interval=5e-12, snapshot_times=(0.3e-9,))
+    by_t = {s.t: s for s in res.trace.samples}
+    last, snap = res.trace.samples[-1], res.snapshots[0]
+    assert last.boundary_lost > 1e-4 and min(last.captured) > 1e-5
+    norm, _, _ = packet_moments(res.wavepacket, cfg)
+    assert last.norm_remaining == pytest.approx(norm, rel=1e-12)
+    density_norm = float(snap.density.sum() * cfg.dx * cfg.dy)
+    assert by_t[snap.t].norm_remaining == pytest.approx(density_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
 def test_norm_budget_closes_at_the_benchmark_grid(static):
     # the electron_capture workload's grid and run: 3 000 steps, a sample every 5
     cfg = ed.TrapConfig(points_x=256, points_y=128, hbar_scale=128.0, dt=1e-12,
@@ -491,7 +490,7 @@ def test_norm_budget_closes(static, grid):
     res = ed.propagate(wp, cfg, 1.0e-9, sample_interval=5e-12)
     for s in res.trace.samples:
         budget = s.total_captured + s.boundary_lost + s.norm_remaining
-        assert budget == pytest.approx(1.0, abs=1e-9), s.t
+        assert budget == pytest.approx(1.0, abs=1e-10), s.t
     last = res.trace.samples[-1]
     assert last.total_captured > 0.05 and last.boundary_lost > 1e-3
 

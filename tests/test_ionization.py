@@ -19,16 +19,16 @@ def test_bundled_data_loads():
 
 
 def test_level_table_validation():
-    lv = ion.Level("a", 1.0, 1e7, "P")
+    lv = ion.Level("a", 1.0)
     with pytest.raises(ValueError):
         ion.LevelTable((lv, lv), 11.87)  # duplicate name
     with pytest.raises(ValueError):
-        ion.LevelTable((ion.Level("a", -1.0, 1e7, "P"),), 11.87)
+        ion.LevelTable((ion.Level("a", -1.0),), 11.87)
     with pytest.raises(ValueError):
-        ion.LevelTable((ion.Level("a", 12.0, 1e7, "P"),), 11.87)
+        ion.LevelTable((ion.Level("a", 12.0),), 11.87)
 
 
-LEVEL = ion.Level("a", 1.0, 1e7, "P")
+LEVEL = ion.Level("a", 1.0)
 REFUSED = [
     (lambda: ion.LevelTable((LEVEL, LEVEL), 11.87), "level names must be unique"),
     (lambda: ion.LevelTable((LEVEL._replace(energy_ev=-1.0),), 11.87),
