@@ -107,11 +107,10 @@ _SCHEDULE_LATTICE = (*_LATTICE, "periodic")  # schedule.json's lattice block
 
 
 def _trap_defaults() -> dict:
-    """``TrapConfig``'s fields and their defaults, less ``mass``: that is the
-    electron's, which no key sets."""
+    """``TrapConfig``'s fields and their defaults."""
     from . import electron_dynamics as ed
 
-    return {key: value for key, value in ed.TrapConfig._field_defaults.items() if key != "mass"}
+    return dict(ed.TrapConfig._field_defaults)
 
 
 @functools.cache

@@ -64,7 +64,10 @@ Classical reference: x(t) = (v0/w) sinh(w t) on the anti-trapped axis —
 exact for wavepacket means by Ehrenfest's theorem in a quadratic
 potential.  Trap-stability analysis solves the Mathieu equation
 y'' + (a - 2 q cos 2 tau) y = 0 by explicit Floquet monodromy: fixed-step
-RK4 over one period in plain ``math``, at most MATHIEU_STEP_BUDGET steps.
+RK4 over one period in plain ``math``, at most MATHIEU_STEP_BUDGET steps,
+of the even solution alone.  The coefficient is even, so the monodromy's
+diagonal entries are equal and its trace is twice the even solution at pi
+(Magnus & Winkler, Hill's Equation, 1966).
 
 numpy is imported inside the functions that compute with arrays, so the
 classical, Mathieu and timescale calculations run without it.
@@ -127,7 +130,6 @@ _TRAP_FIELDS = {
     "absorber_gain": 12.0,                # CAP strength, boundary frame
     "detector_gain": 12.0,                # CAP strength, detector slabs
     "hbar_scale": 64.0,
-    "mass": M_ELECTRON,
 }
 
 
@@ -148,8 +150,8 @@ class TrapConfig(namedtuple("TrapConfig", _TRAP_FIELDS, defaults=_TRAP_FIELDS.va
             raise ValueError("dt must be positive")
         if not 0.0 <= self.absorber_width_frac < 0.5:
             raise ValueError("absorber_width_frac must lie in [0, 0.5)")
-        if self.hbar_scale <= 0 or self.mass <= 0:
-            raise ValueError("hbar_scale and mass must be positive")
+        if self.hbar_scale <= 0:
+            raise ValueError("hbar_scale must be positive")
         if self.omega_e < 0 or self.omega_rf <= 0:
             raise ValueError("omega_e must be >= 0 and omega_rf > 0")
         for cx, w in self.detectors:
@@ -193,7 +195,7 @@ def _square(v: float) -> float:
 def saddle_potential(config: TrapConfig, x, y):
     """The undriven V = (m w_e^2/2)(y^2 - x^2); ``propagate`` applies the drive."""
     import numpy as np
-    return 0.5 * config.mass * _square(config.omega_e) * (np.square(y) - np.square(x))
+    return 0.5 * M_ELECTRON * _square(config.omega_e) * (np.square(y) - np.square(x))
 
 
 # A product state psi(x, y) = psi_x(x) * psi_y(y).
@@ -223,10 +225,10 @@ def gaussian_wavepacket(config: TrapConfig, *, v0: float = 7e3, sigma_v: float =
     if not 0.0 < sigma_v < math.inf:
         raise ValueError(f"sigma_v must be positive and finite, got {sigma_v}")
     if sigma0 is None:
-        sigma0 = config.hbar_eff / (2.0 * config.mass * sigma_v)
+        sigma0 = config.hbar_eff / (2.0 * M_ELECTRON * sigma_v)
     if not 0.0 < sigma0 < math.inf:
         raise ValueError("sigma0 must be positive and finite")
-    k0 = config.mass * v0 / config.hbar_eff
+    k0 = M_ELECTRON * v0 / config.hbar_eff
     if not math.isfinite(k0):  # past any Nyquist wavenumber; exp(1j k0 x) would be NaN
         _momentum_check(config, v0, sigma0)
     x = config.x_axis()
@@ -253,7 +255,7 @@ PropagationResult = namedtuple("PropagationResult", "trace wavepacket snapshots"
 
 
 def _momentum_check(config: TrapConfig, v0: float, sigma0: float) -> None:
-    k0 = config.mass * abs(v0) / config.hbar_eff
+    k0 = M_ELECTRON * abs(v0) / config.hbar_eff
     k_spread = 1.0 / (2.0 * sigma0)
     k_nyq = math.pi / config.dx
     if k0 + 4.0 * k_spread > 0.9 * k_nyq:
@@ -278,7 +280,7 @@ def _resolution_checks(wp: Wavepacket, config: TrapConfig) -> None:
     if v_corner * config.dt / config.hbar_eff > 0.5:
         raise ConfigurationError("potential phase per step exceeds 0.5 rad; reduce dt")
     k2_max = (math.pi / config.dx) ** 2 + (math.pi / config.dy) ** 2
-    if config.hbar_eff * k2_max / (2 * config.mass) * config.dt > 2.0:
+    if config.hbar_eff * k2_max / (2 * M_ELECTRON) * config.dt > 2.0:
         raise ConfigurationError("kinetic phase per step exceeds 2 rad; reduce dt")
 
 
@@ -380,8 +382,8 @@ def propagate(
     ky = 2.0 * math.pi * np.fft.fftfreq(ny, dy)
     # the n-point DFT of a factor interleaved with r-1 zeros is its own DFT r
     # times over; the inverse transform's 1/n, a power of two, is folded in exactly
-    kin = np.stack([np.tile(np.exp(-1j * hbar * kx**2 / (2.0 * config.mass) * dt), rx),
-                    np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * config.mass) * dt), ry)]) / n
+    kin = np.stack([np.tile(np.exp(-1j * hbar * kx**2 / (2.0 * M_ELECTRON) * dt), rx),
+                    np.tile(np.exp(-1j * hbar * ky**2 / (2.0 * M_ELECTRON) * dt), ry)]) / n
     # V(x, y) = V(x, 0) + V(0, y), undriven; driven mode scales it by the drive per step
     v = stack(saddle_potential(config, x, 0.0), saddle_potential(config, 0.0, y))
 
@@ -541,45 +543,42 @@ MATHIEU_STEP_BUDGET = 1 << 19
 def _monodromy_trace(a: float, q: float) -> float:
     """tr M(pi), M the monodromy of y'' + (a - 2q cos 2tau) y = 0 over [0, pi].
 
-    Classic RK4 with N = max(256, ceil(40 sqrt(|a| + 2|q|) pi)) equal steps
-    h = pi/N advances both fundamental solutions, (y, y') = (1, 0) and
-    (0, 1), in the variables y and w = h y' (the second solution divided by
-    h), where one stage reads s = h^2 (a - 2q cos 2tau): no product can
-    overflow before the solution does.  The trace is y_1(pi) + y_2'(pi).
-    Returns inf at the first non-finite state.  For a <= 0 the solution
-    grows from tau = 0 by up to e^(1/40) a step, so a large q overflows
-    within ~3e4 steps however large it is.  Raises ValueError once
-    MATHIEU_STEP_BUDGET steps pass without finishing or overflowing: a large
-    positive a is a fast oscillation that never overflows.
+    The coefficient is even and pi-periodic, so the even solution y_1
+    ((y, y') = (1, 0)) and the odd one y_2 ((0, 1)) meet y_1(pi) = y_2'(pi),
+    and tr M(pi) = y_1(pi) + y_2'(pi) = 2 y_1(pi) (Magnus & Winkler, Hill's
+    Equation, 1966).  Classic RK4 with N = max(256, ceil(40 sqrt(|a| + 2|q|)
+    pi)) equal steps h = pi/N advances y_1 alone, in the variables y and
+    w = h y', where one stage reads s = h^2 (a - 2q cos 2tau): no product
+    can overflow before the solution does.  Returns inf at the first
+    non-finite state.  For a <= 0 the solution grows from tau = 0 by up to
+    e^(1/40) a step, so a large q overflows within ~3e4 steps however large
+    it is.  Raises ValueError once MATHIEU_STEP_BUDGET steps pass without
+    finishing or overflowing: a large positive a is a fast oscillation that
+    never overflows.
     """
     rate = 2.0 * math.sqrt(0.25 * abs(a) + 0.5 * abs(q))  # sqrt(|a| + 2|q|), no overflow
     n = max(256, math.ceil(_RK4_STEPS_PER_RATE * rate * math.pi))
     h = math.pi / n
     ah2, qh2 = a * h * h, 2.0 * (q * h * h)
     cos, finite = math.cos, math.isfinite
-    y1, w1, y2, w2 = 1.0, 0.0, 0.0, 1.0
+    y, w = 1.0, 0.0
     s0 = ah2 - qh2
     for k in range(min(n, MATHIEU_STEP_BUDGET)):
         s1 = ah2 - qh2 * cos((2 * k + 1) * h)  # at tau + h/2
         s2 = ah2 - qh2 * cos((2 * k + 2) * h)  # at tau + h
-        ya, wa = y1 + 0.5 * w1, w1 - 0.5 * s0 * y1
-        yb, wb = y1 + 0.5 * wa, w1 - 0.5 * s1 * ya
-        yc, wc = y1 + wb, w1 - s1 * yb
-        y1, w1 = (y1 + (w1 + 2.0 * (wa + wb) + wc) / 6.0,
-                  w1 - (s0 * y1 + 2.0 * s1 * (ya + yb) + s2 * yc) / 6.0)
-        ya, wa = y2 + 0.5 * w2, w2 - 0.5 * s0 * y2
-        yb, wb = y2 + 0.5 * wa, w2 - 0.5 * s1 * ya
-        yc, wc = y2 + wb, w2 - s1 * yb
-        y2, w2 = (y2 + (w2 + 2.0 * (wa + wb) + wc) / 6.0,
-                  w2 - (s0 * y2 + 2.0 * s1 * (ya + yb) + s2 * yc) / 6.0)
-        if not (finite(y1) and finite(w1) and finite(y2) and finite(w2)):
+        ya, wa = y + 0.5 * w, w - 0.5 * s0 * y
+        yb, wb = y + 0.5 * wa, w - 0.5 * s1 * ya
+        yc, wc = y + wb, w - s1 * yb
+        y, w = (y + (w + 2.0 * (wa + wb) + wc) / 6.0,
+                w - (s0 * y + 2.0 * s1 * (ya + yb) + s2 * yc) / 6.0)
+        if not (finite(y) and finite(w)):
             return math.inf
         s0 = s2
     if n > MATHIEU_STEP_BUDGET:
         raise ValueError(
             f"Mathieu trace at a={a!r}, q={q!r} neither finished nor overflowed "
             f"within the budget of {MATHIEU_STEP_BUDGET} RK4 steps")
-    return y1 + w2
+    return 2.0 * y
 
 
 def mathieu_stable(a: float, q: float) -> bool:

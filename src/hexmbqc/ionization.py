@@ -12,10 +12,11 @@ units the rates are
 with I the irradiance in atomic units (1 a.u. = 3.50945e16 W/cm^2); the
 result is converted to s^-1 via the atomic unit of time.  ``rate_s`` and
 ``rate_d`` each take one ``RateInputs``, whose constructor alone checks
-that the inputs are finite and the irradiance non-negative.  Amplitudes are
-calibration inputs shipped in ``data/ca_ii_levels.json``; the shipped
-numbers pin the S rate at 1e9 W/cm^2 into the 1e9-1e10 s^-1 regime and
-give a per-channel S/D amplitude ratio of 40.
+that the inputs are finite, the irradiance non-negative, and K zero
+wherever L is.  Amplitudes are calibration inputs shipped in
+``data/ca_ii_levels.json``; the shipped numbers pin the S rate at
+1e9 W/cm^2 into the 1e9-1e10 s^-1 regime and give a per-channel S/D
+amplitude ratio of 40.
 
 The same data file carries a small Ca II level table (energies in eV
 above 4S1/2, ionization threshold 11.87 eV) for locating intermediate
@@ -67,7 +68,8 @@ _FOUR_PI = 4.0 * math.pi
 
 
 class SingularResonanceError(ValueError):
-    """Resonant composite K != 0 with a vanishing denominator L."""
+    """Resonant composite K != 0 with a vanishing denominator L, which
+    ``RateInputs`` refuses."""
 
 
 class UndefinedRatioError(ValueError):
@@ -112,6 +114,8 @@ class RateInputs(namedtuple("RateInputs", (
             raise ValueError("rate inputs must be finite")
         if self.irradiance_w_cm2 < 0.0:
             raise ValueError("irradiance must be >= 0")
+        if self.k_resonant != 0.0 and self.l_denominator == 0.0:
+            raise SingularResonanceError("K != 0 requires a nonzero denominator L")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -144,8 +148,6 @@ def _i_au(irradiance_w_cm2: float) -> float:
 
 def rate_s(inputs: RateInputs) -> float:
     """S-state ionization rate (s^-1): I^4 channel sum plus I^2 resonant term."""
-    if inputs.k_resonant != 0.0 and inputs.l_denominator == 0.0:
-        raise SingularResonanceError("K != 0 requires a nonzero denominator L")
     i = _i_au(inputs.irradiance_w_cm2)
     i2 = i * i
     i4 = i2 * i2  # squared-square keeps the exact 2^4 scaling under I -> 2I
@@ -177,8 +179,6 @@ def discrimination_ratio(s_inputs: RateInputs, d_inputs: RateInputs) -> float:
     """
     if s_inputs.irradiance_w_cm2 != d_inputs.irradiance_w_cm2:
         raise ValueError("discrimination ratio is defined at equal irradiance")
-    if s_inputs.k_resonant != 0.0 and s_inputs.l_denominator == 0.0:
-        raise SingularResonanceError("K != 0 requires a nonzero denominator L")
     sum_d = _sum_j_squared(d_inputs.j_channels)
     if sum_d == 0.0:
         raise UndefinedRatioError("D rate is zero (no channel amplitudes)")

@@ -36,7 +36,7 @@ def test_config_validation_names_fields():
      f"points_y={2 * ed.MAX_GRID_POINTS} must lie in [2, {ed.MAX_GRID_POINTS}]"),
     ({"dt": 0.0}, "dt must be positive"),
     ({"absorber_width_frac": 0.5}, "absorber_width_frac must lie in [0, 0.5)"),
-    ({"mass": 0.0}, "hbar_scale and mass must be positive"),
+    ({"hbar_scale": 0.0}, "hbar_scale must be positive"),
     ({"omega_e": -1.0}, "omega_e must be >= 0 and omega_rf > 0"),
     ({"detectors": ((0.0, 0.0),)}, "detector width must be positive"),
     ({"detectors": ((45e-6, 20e-6),)}, "detector at 4.5e-05 m extends outside the grid"),
@@ -55,7 +55,7 @@ def test_config_is_frozen_and_equal_by_fields_in_order():
     assert ed.TrapConfig._fields == (
         "omega_e", "omega_rf", "static_mode", "detectors", "extent_x", "extent_y",
         "points_x", "points_y", "dt", "absorber_width_frac", "absorber_gain",
-        "detector_gain", "hbar_scale", "mass")
+        "detector_gain", "hbar_scale")
     assert tuple(ed.TrapConfig._field_defaults) == ed.TrapConfig._fields
     assert ed.TrapConfig(*ed.TrapConfig._field_defaults.values()) == ed.TrapConfig()
     for field in ("dt", "dx", "extra"):
@@ -258,10 +258,10 @@ def _propagate_2d(wp, config, t_final, sample_interval=5e-12, snapshot_times=())
     x = config.x_axis()[:, None]
     y = config.y_axis()[None, :]
 
-    v_grid = 0.5 * config.mass * config.omega_e**2 * (np.square(y) - np.square(x))
+    v_grid = 0.5 * ed.M_ELECTRON * config.omega_e**2 * (np.square(y) - np.square(x))
     kx = 2.0 * math.pi * np.fft.fftfreq(config.points_x, config.dx)[:, None]
     ky = 2.0 * math.pi * np.fft.fftfreq(config.points_y, config.dy)[None, :]
-    kin_phase = np.exp(-1j * hbar * (kx**2 + ky**2) / (2.0 * config.mass) * dt)
+    kin_phase = np.exp(-1j * hbar * (kx**2 + ky**2) / (2.0 * ed.M_ELECTRON) * dt)
     half_phase_static = np.exp(-1j * v_grid * dt / (2.0 * hbar))
 
     detector_damps, boundary = _cap_masks_2d(wp, config)
@@ -565,8 +565,9 @@ def test_stability_boundary_location():
             ed.stability_boundary(a)
 
 
-def _monodromy_trace_dop853(a, q):
-    """tr M(pi) by adaptive DOP853 (scipy), the oracle for the RK4 trace."""
+def _monodromy_dop853(a, q):
+    """(y_1, y_1', y_2, y_2') at pi by adaptive DOP853 (scipy), from (1, 0)
+    and (0, 1); None where the integration fails or overflows."""
     from scipy.integrate import solve_ivp
 
     def rhs(tau, yv):
@@ -577,16 +578,33 @@ def _monodromy_trace_dop853(a, q):
         sol = solve_ivp(rhs, (0.0, math.pi), [1.0, 0.0, 0.0, 1.0],
                         method="DOP853", rtol=1e-10, atol=1e-12)
     if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        return math.inf
-    return float(sol.y[0, -1] + sol.y[3, -1])
+        return None
+    return [float(v) for v in sol.y[:, -1]]
 
 
-@pytest.mark.parametrize("a, q", [(0.0, 0.0), (0.0, -0.5), (0.0, 0.3), (0.0, 0.9),
-                                  (0.0, 0.908), (0.0, 0.92), (0.0, 1.5), (0.5, 0.5),
-                                  (-1.0, 2.0), (0.0, 7284.7)])
+def _monodromy_trace_dop853(a, q):
+    """tr M(pi) = y_1(pi) + y_2'(pi) from both solutions, the oracle for the
+    RK4 trace, which integrates y_1 alone."""
+    end = _monodromy_dop853(a, q)
+    return math.inf if end is None else end[0] + end[3]
+
+
+ORACLE_POINTS = [(0.0, 0.0), (0.0, -0.5), (0.0, 0.3), (0.0, 0.9), (0.0, 0.908), (0.0, 0.92),
+                 (0.0, 1.5), (0.5, 0.5), (-1.0, 2.0), (0.0, 7284.7)]
+
+
+@pytest.mark.parametrize("a, q", ORACLE_POINTS)
 def test_rk4_trace_matches_dop853_oracle(a, q):
     want = _monodromy_trace_dop853(a, q)
     assert ed._monodromy_trace(a, q) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("a, q", ORACLE_POINTS)
+def test_monodromy_diagonal_entries_are_equal(a, q):
+    # the even coefficient gives y_1(pi) = y_2'(pi): the identity that lets
+    # the RK4 trace take 2 y_1(pi) from the even solution alone
+    y1, _, _, dy2 = _monodromy_dop853(a, q)
+    assert y1 == pytest.approx(dy2, rel=1e-8)
 
 
 @pytest.mark.parametrize("a, q", [(0.0, 1e12), (0.0, 1e300), (1.9e6, 1e6), (80.0, 50.0),

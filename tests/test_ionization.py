@@ -166,9 +166,14 @@ def test_rates_and_ratio_agree_across_float_range(irr):
 
 
 def test_singular_resonance_guard():
-    with pytest.raises(ion.SingularResonanceError):
-        ion.rate_s(ion.RateInputs(1e9, S_CHANNELS, k_resonant=5.0,
-                                  l_denominator=0.0))
+    message = "K != 0 requires a nonzero denominator L"
+    with pytest.raises(ion.SingularResonanceError, match=message):
+        ion.RateInputs(1e9, S_CHANNELS, k_resonant=5.0, l_denominator=0.0)
+    resonant = ion.RateInputs(1e9, S_CHANNELS, k_resonant=5.0, l_denominator=0.1)
+    with pytest.raises(ion.SingularResonanceError, match=message):
+        resonant._replace(l_denominator=0.0)
+    with pytest.raises(ion.SingularResonanceError, match=message):
+        ion.RateInputs(1e9, S_CHANNELS)._replace(k_resonant=5.0)
 
 
 def test_rate_inputs_validation():

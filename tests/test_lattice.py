@@ -46,14 +46,17 @@ def test_adjacency_honeycomb_structure():
         for b in nbrs:
             assert s in adj[b]
             assert arr.key(b)[0] != fam
-    # A(i,j) connects exactly to B(i,j), B(i-1,j), B(i,j-1) where present
-    index = reference_index(arr)
-    for s in arr.sites:
-        f, i, j = arr.key(s)
-        if f != 0:
-            continue
-        expected = {index[k] for k in [(1, i, j), (1, i - 1, j), (1, i, j - 1)] if k in index}
-        assert set(adj[s]) == expected
+    # the converse of test_adjacent_sites_at_spacing_d: every two sites whose
+    # program positions lie d apart are adjacent
+    d = 2.5e-6
+    for rows, cols, pairs in [(5, 4, 154), (4, 3, 98), (7, 6, 302)]:
+        arr = lattice.build_hex_array(rows, cols, d)
+        adj = adjacency(arr)
+        at_d = [(s, b) for s in arr.sites for b in arr.sites
+                if abs(math.dist(arr.position(s), arr.position(b)) - d) <= 1e-9 * d]
+        assert len(at_d) == pairs
+        for s, b in at_d:
+            assert b in adj[s]
 
 
 def test_adjacent_sites_at_spacing_d():

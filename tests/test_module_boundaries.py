@@ -142,13 +142,12 @@ def test_no_module_imports_graphstate():
 
 def _library_defaults() -> dict:
     """{CLI key: library default} over the fields and parameters the CLI's
-    handlers pass through.  ``TrapConfig.mass`` is left out: it is the
-    electron's mass, which no CLI key sets, while ``mathieu``'s ``mass`` is
-    the ion's."""
+    handlers pass through.  ``mathieu``'s ``mass`` is the ion's; the
+    electron's is the constant ``M_ELECTRON``."""
     from hexmbqc import electron_dynamics as ed
     from hexmbqc import ionization, scheduler
 
-    found = {key: value for key, value in ed.TrapConfig._field_defaults.items() if key != "mass"}
+    found = dict(ed.TrapConfig._field_defaults)
     functions = (ed.gaussian_wavepacket, ed.propagate, ed.classical_trajectory,
                  ed.mathieu_q, ed.stability_boundary, ed.electron_timescale,
                  scheduler.build_schedule, ionization.find_resonances,
