@@ -37,28 +37,37 @@ samples; the last step of a block multiplies by its phase and masks only,
 so the state itself is at hand at every block's end.  Driven mode takes cos
 and sin of a block's summed half-step angles once per distinct value of V,
 into a table's float view, and gathers them.  After a block its phi rows are
-squared in place, and the bookkeeping is one product of those rows of
-|phi|^2 with precomputed weight rows (|exp(-iV dt/2 hbar)| = 1, so the
-potential phase leaves |phi|^2 unchanged): the norm of psi_y, the x and y
-norms the boundary frame removes and keeps, and one row per detector
-weighted (1 - d_i^2) prod_{j<i} d_j^2, so overlapping slabs damp in config
-order.  ``np.add.accumulate``, seeded with the totals carried in, sums the
-losses in step order, to the bit as a Python loop would.  A sample's
-remaining norm comes from the same product: after a step's masks |psi_x|^2
-sums to the kept x norm and |psi_y|^2 to the norm of psi_y less the y norm
-the frame removes.
+squared in place and multiplied by precomputed weight rows (|exp(-iV dt/2
+hbar)| = 1, so the potential phase leaves |phi|^2 unchanged) into the
+block's rows of one table of per-step losses that spans the run: the norm
+of psi_y, the x and y norms the boundary frame removes and keeps, and one
+column per detector weighted (1 - d_i^2) prod_{j<i} d_j^2, so overlapping
+slabs damp in config order.  The block loop does nothing else.  After the
+last step one ``np.add.accumulate`` sums the losses in step order, to the
+bit as a Python loop would, and one pass reads the sample steps' rows.  A
+sample's remaining norm comes from the same table: after a step's masks
+|psi_x|^2 sums to the kept x norm and |psi_y|^2 to the norm of psi_y less
+the y norm the frame removes.  The table takes 8 (4 + detectors) bytes a
+step, the running totals 8 (1 + detectors) more and the final pass's two
+step-long temporaries 16 more: with two detectors ~2.6 MB at 30 000 steps
+and ~88 MB at MAX_STEPS.
 
 Momentum-grid surrogate: the physical initial state (10 nm source, which
 fixes the velocity spread sigma_v = hbar/(2 m 10nm) ~ 5.8e3 m/s, and the
 ~1e5 m/s arrival velocities) spans 4 decades of wavenumber that no
 desk-scale grid holds at once.  The stepper therefore evolves with
 hbar_eff = hbar_scale * hbar and anchors the initial packet by sigma_v,
-not by source size.  Velocities, times, the potential, and therefore
-arrival statistics and capture fractions are unchanged; only the
-position-space fringe texture is coarsened.  hbar_scale=1 recovers the
-literal equation and is rejected by the resolution heuristics at the
-default grid, which is the honest statement that the literal parameters
-are unrepresentable in 512x256.
+not by source size.  Velocities, times and the potential are unchanged,
+and the position-space fringe texture is coarsened.  But sigma0 =
+hbar_eff/(2 m sigma_v) grows with hbar_eff, so the initial position spread
+is itself an effect of the surrogate, and it biases the split between the
+detectors.  Static, 3 ns, default v0 and detectors, the grid refined as
+hbar_scale halves: the near detector captures 0.8523 / 0.8754 / 0.8819 at
+hbar_scale 128 / 64 / 32, converging as O(hbar_eff^2) to ~0.884, so the
+default (64) reads ~0.0086 low; total capture moves by under 2e-4.
+hbar_scale=1 recovers the literal equation and is rejected by the
+resolution heuristics at the default grid, which is the honest statement
+that the literal parameters are unrepresentable in 512x256.
 
 Classical reference: x(t) = (v0/w) sinh(w t) on the anti-trapped axis —
 exact for wavepacket means by Ehrenfest's theorem in a quadratic
@@ -345,15 +354,21 @@ def propagate(
     sample_interval, and at the last step.  Steps run in blocks that end
     only at a snapshot, the last step or the block length: at least the
     sample stride and _BLOCK_ROWS rows of block arrays (32 steps static, 16
-    driven), at most as many as keep each work array within 2 MB.  A
-    sample's remaining norm is the product of its step's kept x norm and
-    masked y norm, read off the block's loss rows.
+    driven), at most as many as keep each block array within 2 MB.  Each
+    block writes its steps' rows of one loss table over the run, 8 (4 +
+    detectors) bytes a step.  After the last step one accumulate gives the
+    running totals, 8 (1 + detectors) bytes a step more, and one pass with
+    16 bytes a step of temporaries reads the samples off both.  A sample's
+    remaining norm is the product of its step's kept x norm and masked y
+    norm.  A NaN t_final, sample_interval or snapshot time is refused by name.
     """
     import numpy as np
-    if t_final <= 0:
+    if not t_final > 0:  # NaN too
         raise ValueError("t_final must be positive")
-    if sample_interval < config.dt:
+    if not sample_interval >= config.dt:  # NaN too
         raise ValueError("sample_interval must be >= dt")
+    if any(math.isnan(ts) for ts in snapshot_times):
+        raise ValueError("snapshot_times must not be NaN")
     if not t_final / config.dt <= MAX_STEPS:  # inf past float range
         raise ValueError(f"t_final/dt = {t_final!r}/{config.dt!r} is past the limit "
                          f"of {MAX_STEPS} steps")
@@ -411,7 +426,7 @@ def propagate(
     # A block runs the steps from one snapshot or the last step to the next,
     # across samples: at most one sample interval or _BLOCK_ROWS rows of block
     # arrays, whichever is longer, and 2**16 // n steps (8 or more, since
-    # n <= MAX_GRID_POINTS), so that no work array passes 2 MB.
+    # n <= MAX_GRID_POINTS), so that no block array passes 2 MB.
     # Inside a block psi holds the next step's input: a step's trailing phase,
     # its masks and the next step's leading phase are one carry.  The block's
     # last step applies only its phase and masks, so psi holds the state
@@ -421,10 +436,8 @@ def propagate(
     spec = np.empty((2, n), dtype=np.complex128)
     phis = np.empty((block, 2, n), dtype=np.complex128)  # phi of each step
     rows = phis.view(np.float64).reshape(block, 4 * n)  # squared in place: |phi|^2
-    # running capture per detector, then boundary loss: row 0 carries the
-    # totals into a block, row j + 1 holds them after its step j
-    ndet = len(config.detectors)
-    totals = np.zeros((block + 1, ndet + 1))
+    # each step's row of weighted |phi|^2 sums, over the whole run
+    losses = np.empty((n_steps, step_w.shape[1]))
     if config.static_mode:
         half = np.exp(-1j * v * dt / (2.0 * hbar))
         half_out = half * mask
@@ -440,15 +453,10 @@ def propagate(
         carries = np.empty((block, 2, n), dtype=np.complex128)
     fft, ifft, multiply = np.fft.fft, np.fft.ifft, np.multiply
 
-    def sample(t, captured, boundary_lost, norm_remaining):
-        return EffSample(t=t, captured=tuple(captured), total_captured=math.fsum(captured),
-                         norm_remaining=norm_remaining, boundary_lost=boundary_lost)
-
     def snapshot(step):
         return Snapshot(t=step * dt, density=np.outer(np.abs(psi[0, ::rx]) ** 2,
                                                       np.abs(psi[1, ::ry]) ** 2))
 
-    samples = [sample(0.0, [0.0] * ndet, 0.0, _norm(wp.psi_x, dx) * _norm(wp.psi_y, dy))]
     snaps = []
     if want_snaps and want_snaps[0] == 0:
         snaps.append(snapshot(want_snaps.pop(0)))
@@ -479,28 +487,30 @@ def propagate(
             ifft(spec, norm="forward", out=phi)
             multiply(phi, step_carry, out=psi)
 
-        losses = np.square(rows[:m], out=rows[:m]) @ step_w
-        norm_y, lost_x, kept_x, lost_y = losses[:, :4].T
-        multiply(losses[:, 4:], losses[:, :1], out=totals[1:m + 1, :-1])
-        np.add(lost_x * norm_y, kept_x * lost_y, out=totals[1:m + 1, -1])
-        np.add.accumulate(totals[:m + 1], axis=0, out=totals[:m + 1])
-        # the block's sample steps: multiples of stride, and the last step
-        at = [*range((step // stride + 1) * stride, end + 1, stride)]
-        if end == n_steps and at[-1:] != [end]:
-            at.append(end)
-        # after step k's masks, |psi_x|^2 sums to kept_x and |psi_y|^2 to norm_y - lost_y
-        remaining = (kept_x * (norm_y - lost_y))[[k - step - 1 for k in at]].tolist()
-        running = totals[[k - step for k in at]].tolist()
-        for k, (*captured, boundary_lost), norm in zip(at, running, remaining):
-            samples.append(sample(k * dt, captured, boundary_lost, norm))
-        totals[0] = totals[m]
+        np.matmul(np.square(rows[:m], out=rows[:m]), step_w, out=losses[step:end])
         if want_snaps and end == want_snaps[0]:
             snaps.append(snapshot(want_snaps.pop(0)))
         step = end
 
+    # running capture per detector, then boundary loss: row k holds them after
+    # step k, summed in step order
+    norm_y, lost_x, kept_x, lost_y = losses[:, :4].T
+    totals = np.zeros((n_steps + 1, len(config.detectors) + 1))
+    multiply(losses[:, 4:], losses[:, :1], out=totals[1:, :-1])
+    np.add(lost_x * norm_y, kept_x * lost_y, out=totals[1:, -1])
+    np.add.accumulate(totals, axis=0, out=totals)
+    # the sample steps: multiples of stride, and the last step.  After step
+    # k's masks, |psi_x|^2 sums to kept_x and |psi_y|^2 to norm_y - lost_y
+    at = [*range(0, n_steps, stride), n_steps]
+    norms = [_norm(wp.psi_x, dx) * _norm(wp.psi_y, dy),
+             *(kept_x * (norm_y - lost_y))[[k - 1 for k in at[1:]]].tolist()]
+    samples = tuple(
+        EffSample(t=k * dt, captured=tuple(captured), total_captured=math.fsum(captured),
+                  norm_remaining=norm, boundary_lost=boundary_lost)
+        for k, (*captured, boundary_lost), norm in zip(at, totals[at].tolist(), norms))
     w = Wavepacket(psi_x=psi[0, ::rx].copy(), psi_y=psi[1, ::ry].copy(),
                    sigma0=wp.sigma0, v0=wp.v0)
-    return PropagationResult(trace=EfficiencyTrace(samples=tuple(samples)),
+    return PropagationResult(trace=EfficiencyTrace(samples=samples),
                              wavepacket=w, snapshots=tuple(snaps))
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import time
@@ -5,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from oracles import packet_moments, packet_psi
+from reference import make_propagate
 
 from hexmbqc import electron_dynamics as ed
 
@@ -397,8 +399,8 @@ def test_separable_stepper_matches_2d_oracle_layouts(layout):
 # snapshot_times, samples expected).  The stepper runs blocks of steps from
 # one snapshot or the last step to the next, across samples: at least one
 # sample interval and 32 steps static, 16 driven, at most 2**16 // 64 = 1024
-# steps at 64 columns, and it reads the samples inside a block from that
-# block's rows.  So a 2 ps interval puts eight or more samples in a block, a
+# steps at 64 columns; after the last step it reads every sample off one
+# table of per-step losses.  So a 2 ps interval puts eight or more samples in a block, a
 # 3 ps one divides neither length, a snapshot at step 41 ends a block off the
 # sample grid, 103 steps leave a last block of 7 with the last step off the
 # grid too, and the single 1 200-step interval of the last case spans two
@@ -454,7 +456,7 @@ def test_a_step_is_one_transform_pair(static, monkeypatch):
 
 @pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
 def test_sample_norm_is_the_packets_norm(static):
-    # a sample's norm_remaining is taken from the block's loss rows, not from
+    # a sample's norm_remaining is taken from the loss table, not from
     # the state: it must be the norm of the packet and of the snapshot it
     # reports at the same step
     cfg = fast_config(points_x=256, points_y=32, dt=5e-13, static_mode=static,
@@ -493,6 +495,117 @@ def test_norm_budget_closes(static, grid):
         assert budget == pytest.approx(1.0, abs=1e-10), s.t
     last = res.trace.samples[-1]
     assert last.total_captured > 0.05 and last.boundary_lost > 1e-3
+
+
+def _leaves(doc):
+    """The numbers of a JSON document in a fixed order."""
+    if isinstance(doc, dict):
+        return [v for key in sorted(doc) for v in _leaves(doc[key])]
+    if isinstance(doc, list):
+        return [v for item in doc for v in _leaves(item)]
+    return [doc]
+
+
+@pytest.mark.parametrize("mode", ["static", "driven"])
+def test_propagate_matches_pinned_reference(mode):
+    # tests/reference/propagate.json, written by make_propagate.py; a change
+    # that moves a value past the tolerance reruns the script and says why
+    want = json.loads(make_propagate.PATH.read_text())[mode]
+    got = json.loads(json.dumps(make_propagate.record(mode == "static")))
+    # sample counts and times, and snapshot times, exactly
+    assert [s[0] for s in got["samples"]] == [s[0] for s in want["samples"]]
+    assert [s["t"] for s in got["snapshots"]] == [s["t"] for s in want["snapshots"]]
+    # every value to 1e-9 relative: bit-identical on one build, and far above
+    # the FFT round-off between builds
+    assert _leaves(got) == pytest.approx(_leaves(want), rel=1e-9, abs=0.0)
+
+
+def test_driven_stepper_follows_the_classical_monodromy():
+    # In a quadratic potential Ehrenfest's theorem is exact and a Gaussian
+    # stays Gaussian, so each axis's mean and width follow from the classical
+    # monodromy of x'' = +-w_e^2 cos(w_rf t) x, a Mathieu equation with
+    # a = 0 and q = 2 w_e^2/w_rf^2 = 0.317 (stable).  Unlike the 2D oracle,
+    # this reference shares none of the stepper's conventions (the Strang
+    # split, the midpoint drive, the potential's expression).  It does not
+    # catch a drive sampled at a step's start instead of its midpoint: that
+    # moves the 1 ns x error only from ~1e-8 to ~3e-8.  The box is 100 um on
+    # both axes.  The packet moves along x only: y's reference mean is 0, so
+    # its mean is held to 1e-7 of its width.  (A +v0 kick on y too carries its
+    # tail round the periodic box, a 1.6e-6 error that no dt removes.)
+    sigma0, v0, t = 3e-6, 5e3, 1e-9
+    omega_e, omega_rf = 2.5e9, 2 * math.pi * 1e9
+    # t is one RF period: in tau = w_rf t / 2 each axis obeys Mathieu's
+    # equation over [0, pi] with a = 0 and q = +-2 w_e^2/w_rf^2 (x anti-trapped
+    # at drive 1), and x'(0) = v0 is dx/dtau = 2 v0 / w_rf
+    q = 2.0 * (omega_e / omega_rf) ** 2
+    (x11, _, x12, _), (y11, _, y12, _) = (_monodromy_dop853(0.0, sign * q)
+                                          for sign in (1.0, -1.0))
+    x12, y12 = 2.0 / omega_rf * x12, 2.0 / omega_rf * y12
+    errors = []
+    for dt in (2e-13, 1e-13):
+        cfg = ed.TrapConfig(static_mode=False, omega_e=omega_e, omega_rf=omega_rf,
+                            detectors=(), absorber_width_frac=0.0, extent_x=100e-6,
+                            extent_y=100e-6, points_x=256, points_y=256,
+                            hbar_scale=320.0, dt=dt)
+        wp = ed.gaussian_wavepacket(cfg, v0=v0, sigma0=sigma0)
+        res = ed.propagate(wp, cfg, t, sample_interval=t)
+        _, (mean_x, mean_y), widths = packet_moments(res.wavepacket, cfg)
+        sigma_v = cfg.hbar_eff / (2.0 * ed.M_ELECTRON * sigma0)
+        want_x = math.hypot(sigma0 * x11, sigma_v * x12)
+        want_y = math.hypot(sigma0 * y11, sigma_v * y12)
+        errors.append((max(abs(mean_x / (x12 * v0) - 1.0), abs(widths[0] / want_x - 1.0)),
+                       max(abs(mean_y) / want_y, abs(widths[1] / want_y - 1.0))))
+    (coarse_x, _), fine = errors
+    # measured: <= 1.4e-8 at dt = 0.1 ps
+    assert max(fine) < 1e-7, errors
+    # second order in dt: the x error falls ~4x when dt halves
+    assert coarse_x >= 3.0 * fine[0], errors
+
+
+def test_hbar_surrogate_bias_on_the_capture_split():
+    # The surrogate hbar_eff = hbar_scale * hbar sets sigma0 = hbar_eff/(2 m
+    # sigma_v), so the initial spread, and with it the split between the two
+    # detectors, depends on hbar_scale.  Static, 3 ns, default detectors and
+    # v0, with the grid refined as hbar_scale halves (dx/sigma0 fixed).
+    near, total = [], []
+    for scale, nx, ny in ((128.0, 256, 128), (64.0, 512, 256), (32.0, 1024, 512)):
+        cfg = ed.TrapConfig(hbar_scale=scale, points_x=nx, points_y=ny)
+        last = ed.propagate(ed.gaussian_wavepacket(cfg), cfg, 3e-9,
+                            sample_interval=3e-9).trace.samples[-1]
+        near.append(last.captured[0])
+        total.append(last.total_captured)
+    # the near detector's capture converges as O(hbar_eff^2): each halving
+    # cuts the change ~3.6x (measured 0.8523, 0.8754, 0.8819)
+    assert abs(near[1] - near[0]) >= 3.0 * abs(near[2] - near[1]), near
+    # total capture hardly moves (measured 1.7e-4 across the three)
+    assert max(total) - min(total) < 1e-3, total
+    # the default's (64) Richardson bias below the limit, ~0.884: measured 0.0086
+    bias = (near[2] - near[1]) * 4.0 / 3.0
+    assert 0.0 < bias < 0.012, bias
+
+
+def test_propagate_names_a_nan_argument():
+    cfg = fast_config()
+    wp = ed.gaussian_wavepacket(cfg)
+    with pytest.raises(ValueError, match="t_final must be positive"):
+        ed.propagate(wp, cfg, math.nan)
+    with pytest.raises(ValueError, match="sample_interval"):
+        ed.propagate(wp, cfg, 1e-11, sample_interval=math.nan)
+    with pytest.raises(ValueError, match="snapshot_times"):
+        ed.propagate(wp, cfg, 1e-11, snapshot_times=(1e-12, math.nan))
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "driven"])
+def test_zero_steps_return_the_input(static):
+    # t_final under dt/2 rounds to no step: the t = 0 sample and the input
+    # packet, bit for bit
+    cfg = fast_config(static_mode=static)
+    wp = ed.gaussian_wavepacket(cfg)
+    res = ed.propagate(wp, cfg, 0.49 * cfg.dt, snapshot_times=(0.0,))
+    assert res.trace.samples == ed.propagate(wp, cfg, 1e-12).trace.samples[:1]
+    assert np.array_equal(res.wavepacket.psi_x, wp.psi_x)
+    assert np.array_equal(res.wavepacket.psi_y, wp.psi_y)
+    assert [s.t for s in res.snapshots] == [0.0]
 
 
 def test_classical_trajectory_pins():

@@ -241,6 +241,7 @@ def _refuse(constant):
 @example(["lattice", "--d=1e+308"]).via("a finite artifact written before a NaN one")
 @example(["ionize", "rates", "--i-max=0"]).via("rates.json once written before i_max failed")
 @example(["electron", "propagate", "--dt=5e-324"]).via("t_final / dt past float range")
+@example(["electron", "propagate", "--t-final=5e-324"]).via("no step: the t = 0 sample alone")
 @example(["electron", "propagate", "--hbar-scale=1e+308"]).via("sigma0**2 overflows")
 @example(["electron", "propagate", "--omega-e=1e+308"]).via("omega_e**2 overflows")
 @example(["ionize", "rates", "--i-min=1e-170"]).via("the D rate underflows to 0")
