@@ -27,9 +27,11 @@ byte-identical artifacts: ``_dumps`` writes JSON as ``json.dumps(doc,
 sort_keys=True, indent=2)`` does, and CSV uses fixed formats, with no
 timestamps anywhere.
 
-Handlers write nothing and read documents (config, schedule, pattern) only
-through ``_read_json``, which names the file in the error for one it cannot
-decode.  ``dispatch``, the one writer, renders stdout and
+Handlers write nothing and decode documents only through ``_read_json``,
+which names the file in the error for one it cannot decode.  This module
+reads the config and the schedule; ``mbqc.pattern_from_dict`` reads the
+pattern, ``input`` included.  Every object refuses keys it does not read.
+``dispatch``, the one writer, renders stdout and
 every artifact first and only then creates ``--out``, so a NaN or infinite
 result exits 2 naming the output and the inputs, with nothing written.
 
@@ -432,6 +434,16 @@ def _cmd_verify(args, eff):
     array, assign = _build_assignment(eff)
     if rounds is None:
         rounds = scheduler.build_schedule(assign, periodic=eff["periodic"]).rounds
+    else:  # the file's other keys are schedule_report's, as it writes them for the block
+        header = scheduler.schedule_report(
+            scheduler.GateSchedule((), 0, 0, eff["periodic"], assign.layer_count))
+        unknown = sorted(set(doc) - {*header, "lattice"})
+        if unknown:
+            raise ValueError(f"unknown keys in the schedule file: {unknown}")
+        for key in ("schema_version", "periodic", "layer_count", "round_names"):
+            if key in doc and (type(doc[key]), doc[key]) != (type(header[key]), header[key]):
+                raise ValueError(f"schedule.{key} is {doc[key]!r}, where a schedule of the "
+                                 f"file's lattice block has {header[key]!r}")
     failure, failing, edges = scheduler.audit_rounds(rounds, assign, eff["periodic"])
     doc = {"schema_version": 1, "verified": failure is None,
            "sites": array.site_count(), "rounds": len(rounds), "target_edges": edges}
@@ -451,22 +463,11 @@ def _cmd_mbqc(args, eff):
     from . import mbqc
     if not eff["pattern_file"]:
         raise ValueError("mbqc requires a pattern file (--pattern)")
-    doc = _read_json(eff["pattern_file"])
-    inp = doc.pop("input", None) if isinstance(doc, dict) else None
-    n, edges, pattern = mbqc.pattern_from_dict(doc)
-    input_state = None
-    input_qubits: tuple[int, ...] = ()
-    if inp is not None:
-        if not isinstance(inp, dict) or set(inp) != {"qubits", "amplitudes"}:
-            raise ValueError("pattern input must hold exactly qubits and amplitudes")
-        input_qubits = tuple(_typed([int], inp["qubits"], "input.qubits"))
-        amplitudes = _typed([(float, float)], inp["amplitudes"], "input.amplitudes")
-        input_state = [complex(a, b) for a, b in amplitudes]
+    parsed = mbqc.pattern_from_dict(_read_json(eff["pattern_file"]))
     # random.Random seeds with |seed|, so -N would draw what N draws
     if args.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
-    res = mbqc.run_pattern(n, edges, pattern, input_state=input_state,
-                           input_qubits=input_qubits, rng=random.Random(args.seed))
+    res = mbqc.run_pattern(*parsed, rng=random.Random(args.seed))
     doc = {
         "schema_version": 1,
         "outcomes": res.outcomes,

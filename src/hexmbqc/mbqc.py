@@ -39,6 +39,7 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import chain
 
 __all__ = [
     "MeasurementStep",
@@ -197,7 +198,8 @@ def run_pattern(
         psi = [complex(a) for a in input_state]
         if len(psi) != 1 << k:
             raise ValueError(f"{k} input qubits take {1 << k} amplitudes, got {len(psi)}")
-        nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in psi))
+        # hypot scales its arguments: abs(a) ** 2 overflows past 1.3e154
+        nrm = math.hypot(*(x for a in psi for x in (a.real, a.imag)))
         if not math.isclose(nrm, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError(f"input state norm {nrm} != 1")
         live = list(reversed(input_qubits))
@@ -306,22 +308,39 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _angle(value, step: int) -> float:
-    """A finite JSON number; bools, strings, NaN and Infinity are refused."""
+def _real(value, what: str, index: int | None = None) -> float:
+    """A finite JSON number, or ValueError naming ``what.format(index)``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
-        raise ValueError(f"step {step} angle must be a finite number, got {value!r}")
+        raise ValueError(f"{what.format(index)} must be a finite number, got {value!r}")
     return float(value)
 
 
-def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], MeasurementPattern]:
-    """Parse the JSON pattern document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise ValueError("pattern document must be a JSON object")
-    allowed = {"schema_version", "n", "edges", "steps", "outputs", "corrections", "input"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown pattern keys: {sorted(unknown)}")
+# the keys each object of a pattern document may hold; a record's are its fields
+_PATTERN_KEYS = frozenset(("schema_version", "n", "edges", "steps", "outputs", "corrections",
+                           "input"))
+_STEP_KEYS, _CORRECTION_KEYS = frozenset(MeasurementStep._fields), frozenset(Correction._fields)
+_INPUT_KEYS = frozenset(("qubits", "amplitudes"))
+
+
+def _known(objects, keys: frozenset, what: str) -> None:
+    """Refuse a member of ``objects`` that is not a JSON object or holds a
+    key outside ``keys``, naming it as ``what.format(index)``."""
+    if set(map(type, objects)) <= {dict} and keys.issuperset(chain.from_iterable(objects)):
+        return  # the common case, in two passes at C speed
+    for i, obj in enumerate(objects):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what.format(i)} must be a JSON object, got {type(obj).__name__}")
+        if not obj.keys() <= keys:
+            raise ValueError(f"unknown keys in {what.format(i)}: {sorted(set(obj) - keys)}")
+
+
+def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], MeasurementPattern,
+                                          list[complex] | None, tuple[int, ...]]:
+    """``run_pattern``'s arguments ``(n, edges, pattern, input_state,
+    input_qubits)`` from the JSON pattern document, the last two ``(None,
+    ())`` without ``input``.  Every object refuses keys it does not read."""
+    _known((doc,), _PATTERN_KEYS, "pattern document")
     version = _int(doc.get("schema_version", 1), "schema_version")
     if version != 1:
         raise ValueError(f"unsupported schema_version {version!r}")
@@ -329,16 +348,18 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
         n = _int(doc["n"], "n")
         edges = [(_int(a, "edge endpoint"), _int(b, "edge endpoint"))
                  for a, b in doc["edges"]]
+        _known(doc["steps"], _STEP_KEYS, "step {}")
         steps = tuple(
             MeasurementStep(
                 qubit=_int(s["qubit"], "step qubit"),
-                angle=_angle(s["angle"], i),
+                angle=_real(s["angle"], "step {} angle", i),
                 s_domain=frozenset(_int(k, "s_domain entry") for k in s.get("s_domain", ())),
                 t_domain=frozenset(_int(k, "t_domain entry") for k in s.get("t_domain", ())),
             )
             for i, s in enumerate(doc["steps"])
         )
         outputs = tuple(_int(q, "output qubit") for q in doc["outputs"])
+        _known(doc.get("corrections", ()), _CORRECTION_KEYS, "correction {}")
         corrections = tuple(
             Correction(
                 qubit=_int(c["qubit"], "correction qubit"),
@@ -347,7 +368,17 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
             )
             for c in doc.get("corrections", ())
         )
-    # OverflowError: an integer angle past the float range
+        input_state, input_qubits, inp = None, (), doc.get("input")
+        if inp is not None:
+            _known((inp,), _INPUT_KEYS, "input")
+            input_qubits = tuple(_int(q, "input qubit") for q in inp["qubits"])
+            for pair in inp["amplitudes"]:
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ValueError(f"input amplitude must be a [re, im] pair, got {pair!r}")
+            input_state = [complex(_real(re, "input amplitude"), _real(im, "input amplitude"))
+                           for re, im in inp["amplitudes"]]
+    # OverflowError: an integer angle or amplitude past the float range
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pattern document: {exc}") from exc
-    return n, edges, MeasurementPattern(steps=steps, outputs=outputs, corrections=corrections)
+    return (n, edges, MeasurementPattern(steps=steps, outputs=outputs, corrections=corrections),
+            input_state, input_qubits)

@@ -37,7 +37,8 @@ measuring qubits 0..3 of the chain 0-1-2-3-4 at nominal angles
 ``linear_cluster_pattern`` is that pattern, ``linear_cluster_gate`` runs it
 through ``mbqc.run_pattern``, ``apply_byproduct`` undoes the recorded
 byproduct Paulis and ``euler_unitary`` is the rotation to compare with.
-``pattern_to_dict`` writes a pattern as the JSON document the CLI reads.
+``pattern_to_dict`` writes a pattern, and an input state if one is given, as
+the JSON document that ``mbqc.pattern_from_dict`` reads.
 """
 
 from __future__ import annotations
@@ -641,10 +642,14 @@ def linear_cluster_pattern(angles: tuple[float, float, float, float]) -> mbqc.Me
 
 
 def pattern_to_dict(n: int, edges: list[tuple[int, int]],
-                    pattern: mbqc.MeasurementPattern) -> dict:
+                    pattern: mbqc.MeasurementPattern,
+                    input_state: Iterable[complex] | None = None,
+                    input_qubits: tuple[int, ...] = ()) -> dict:
     """The JSON pattern document that ``mbqc.pattern_from_dict`` reads back
-    as ``(n, edges, pattern)``."""
-    return {
+    as ``(n, edges, pattern, input_state, input_qubits)``; an ``input`` block
+    holds the amplitudes as ``[re, im]`` pairs, and is left out without an
+    ``input_state``."""
+    doc = {
         "schema_version": 1,
         "n": n,
         "edges": [list(e) for e in edges],
@@ -663,6 +668,10 @@ def pattern_to_dict(n: int, edges: list[tuple[int, int]],
             for c in pattern.corrections
         ],
     }
+    if input_state is not None:
+        doc["input"] = {"qubits": list(input_qubits),
+                        "amplitudes": [[complex(a).real, complex(a).imag] for a in input_state]}
+    return doc
 
 
 def linear_cluster_gate(

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (check_rounds, linear_cluster_pattern, pattern_to_dict, pauli_expectation,
                      reference_layers, statevector_oracle)
+from reference import make_cli
 
 from hexmbqc import cli, lattice, mbqc, resources
 
@@ -318,6 +320,35 @@ def test_duration_parser():
     for bad in ("5parsec", "", "-3s", "0s", "1e999", "1e303 month", math.inf, math.nan):
         with pytest.raises(ValueError):
             cli.parse_duration(bad)
+
+
+def _assert_matches(got, want, where: str) -> None:
+    """``got`` has ``want``'s shape, keys, integers (outcomes, counts,
+    schema versions), booleans and strings exactly, and each float to 1e-9
+    relative: bit-identical on one build, and far above the libm round-off
+    between builds."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and got == pytest.approx(want, rel=1e-9, abs=0.0), where
+    else:
+        assert (type(got), got) == (type(want), want), where
+
+
+def test_cli_artifacts_match_pinned_reference():
+    # tests/reference/cli.json, written by make_cli.py; a change that moves
+    # a value past the tolerance reruns the script and says why
+    want = json.loads(make_cli.PATH.read_text())
+    assert sorted(want) == sorted(make_cli.RUNS)
+    for label, (argv, _) in make_cli.RUNS.items():
+        assert want[label]["argv"] == argv
+        _assert_matches(make_cli.record(label), want[label]["artifacts"], label)
 
 
 def test_mbqc_deterministic_runs(tmp_path, capsys):
@@ -952,9 +983,15 @@ def test_verify_with_a_gate_off_the_array_names_no_stabilizer(tmp_path, capsys, 
 
 def _chain_doc():
     pat = linear_cluster_pattern((0.3, -0.7, 1.1, 0.2))
-    doc = pattern_to_dict(5, CHAIN_EDGES, pat)
-    doc["input"] = {"qubits": [0], "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}
-    return doc
+    return pattern_to_dict(5, CHAIN_EDGES, pat, [0.6, 0.8j], (0,))
+
+
+def _renamed(objects: str, index: int, key: str, typo: str):
+    """The chain document's ``objects`` list with ``key`` of entry ``index``
+    spelled ``typo``, so that the entry no longer holds ``key``."""
+    entries = _chain_doc()[objects]
+    entries[index][typo] = entries[index].pop(key)
+    return {objects: entries}
 
 
 def _first_angle(angle):
@@ -970,7 +1007,15 @@ BAD_PATTERNS = {
     "float endpoint": ({"edges": [[0, 1.5], [1, 2], [2, 3], [3, 4]]},
                        "edge endpoint must be an integer, got 1.5"),
     "bare amplitudes": ({"input": {"qubits": [0], "amplitudes": [1, 0]}},
-                        "input.amplitudes must be"),
+                        "input amplitude must be a [re, im] pair, got 1"),
+    "amplitudes past 1e154": ({"input": {"qubits": [0], "amplitudes": [[1e308, 1e308], [0, 0]]}},
+                              "input state norm 1.4142135623730951e+308 != 1"),
+    "input key": ({"input": {"qubits": [0], "amplitudes": [[1, 0], [0, 0]], "bogus": 1}},
+                  "unknown keys in input: ['bogus']"),
+    "step key": (_renamed("steps", 1, "s_domain", "s_domian"),
+                 "unknown keys in step 1: ['s_domian']"),
+    "correction key": (_renamed("corrections", 0, "domain", "domian"),
+                       "unknown keys in correction 0: ['domian']"),
     "NaN angle": (_first_angle(math.nan), "step 0 angle must be a finite number, got nan"),
     "Infinity angle": (_first_angle(math.inf),
                        "step 0 angle must be a finite number, got inf"),
@@ -1000,6 +1045,21 @@ def test_malformed_pattern_exits_1(tmp_path, capsys, case):
     code, _, err = run(capsys, "mbqc", "--pattern", str(pfile), "--out", str(tmp_path))
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATTERNS))
+def test_malformed_pattern_raises_in_the_library_what_the_cli_prints(tmp_path, capsys, case):
+    # the library reads the whole document, so a caller of pattern_from_dict
+    # gets the refusal the CLI prints, word for word
+    change, message = BAD_PATTERNS[case]
+    text = json.dumps({**_chain_doc(), **change})
+    with pytest.raises(ValueError) as raised:
+        mbqc.run_pattern(*mbqc.pattern_from_dict(json.loads(text)), rng=random.Random(0))
+    assert message in str(raised.value)
+    (tmp_path / "pattern.json").write_text(text)
+    code, _, err = run(capsys, "mbqc", "--pattern", str(tmp_path / "pattern.json"),
+                       "--out", str(tmp_path / "out"))
+    assert (code, err) == (1, f"error: {raised.value}\n")
 
 
 def test_negative_seed_exits_1_naming_it(tmp_path, capsys):
@@ -1108,6 +1168,49 @@ def test_malformed_schedule_exits_1(tmp_path, capsys, change, message):
     code, _, err = run(capsys, "verify", "--schedule", str(bad), "--out", str(tmp_path))
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"bogus": 1}, "unknown keys in the schedule file: ['bogus']"),
+    ({"schema_version": 2}, "schedule.schema_version is 2, where a schedule of the file's "
+                            "lattice block has 1"),
+    ({"schema_version": True}, "schedule.schema_version is True, where"),
+    # the lattice block says periodic, the top-level key still says not
+    ({"lattice": {"rows": 3, "cols": 3, "d": 1.0, "n": 1, "periodic": True}},
+     "schedule.periodic is False, where a schedule of the file's lattice block has True"),
+    ({"layer_count": 99}, "schedule.layer_count is 99, where a schedule of the file's lattice "
+                          "block has 2"),
+    ({"layer_count": 2.0}, "schedule.layer_count is 2.0, where"),
+    ({"round_names": list(lattice.ROUND_NAMES[::-1])},
+     f"schedule.round_names is {list(lattice.ROUND_NAMES[::-1])!r}, where"),
+], ids=["unknown key", "schema_version", "true schema_version", "periodic", "layer_count",
+        "float layer_count", "round_names"])
+def test_verify_refuses_a_schedule_file_that_contradicts_itself(tmp_path, capsys, change,
+                                                                message):
+    # verify reads every key schedule writes; one the lattice block contradicts
+    # used to pass unread, and the run exited 0 with verified: true
+    doc = _schedule_3x3(tmp_path, capsys)
+    assert run(capsys, "verify", "--schedule", str(tmp_path / "schedule.json"),
+               "--out", str(tmp_path / "good"))[0] == 0
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps({**doc, **change}))
+    code, out, err = run(capsys, "verify", "--schedule", str(bad), "--out", str(tmp_path / "ver"))
+    assert (code, out) == (1, "")
+    assert message in err
+    assert not (tmp_path / "ver").exists()
+
+
+@pytest.mark.parametrize("periodic", ["--periodic", "--no-periodic"])
+def test_verify_reads_every_schedule_key(tmp_path, capsys, periodic):
+    # each key of a written schedule, timing included, is read and agrees
+    run(capsys, "schedule", "--rows", "3", "--cols", "4", "--n", "2", periodic,
+        "--t-gate", "3e-6", "--out", str(tmp_path))
+    doc = json.loads((tmp_path / "schedule.json").read_text())
+    assert set(doc) == {"schema_version", "periodic", "layer_count", "round_names", "rounds",
+                        "timing", "lattice"}
+    code, out, _ = run(capsys, "verify", "--schedule", str(tmp_path / "schedule.json"),
+                       "--out", str(tmp_path / "ver"))
+    assert (code, json.loads(out)["verified"]) == (0, True)
 
 
 # --- config values are typed once; flags come from the defaults table ------

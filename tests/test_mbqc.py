@@ -208,12 +208,21 @@ def test_pattern_records_are_frozen_and_equal_by_fields():
 def test_pattern_dict_round_trip():
     pattern = linear_cluster_pattern((0.1, 0.2, 0.3, 0.4))
     doc = pattern_to_dict(5, CHAIN_EDGES, pattern)
-    n, edges, back = mbqc.pattern_from_dict(doc)
+    n, edges, back, input_state, input_qubits = mbqc.pattern_from_dict(doc)
     assert n == 5
     assert sorted(edges) == CHAIN_EDGES
     assert back == pattern
-    doc2 = pattern_to_dict(n, edges, back)
-    assert doc == doc2
+    assert (input_state, input_qubits) == (None, ())
+    assert pattern_to_dict(n, edges, back) == doc
+    # an input block survives the round trip, amplitudes as complex numbers
+    amplitudes = [0.6, 0.8j, -0.0, 0j]
+    doc = pattern_to_dict(5, CHAIN_EDGES, pattern, amplitudes, (0, 3))
+    assert doc["input"] == {"qubits": [0, 3], "amplitudes": [[0.6, 0.0], [0.0, 0.8],
+                                                             [-0.0, 0.0], [0.0, 0.0]]}
+    parsed = mbqc.pattern_from_dict(doc)
+    assert parsed[3:] == (amplitudes, (0, 3))
+    assert all(type(a) is complex for a in parsed[3])
+    assert pattern_to_dict(*parsed) == doc
 
 
 def test_pattern_dict_rejects_unknown_keys():
@@ -247,8 +256,7 @@ def test_input_amplitudes_land_on_their_qubits(tmp_path, capsys, rng, qubits):
     pattern = mbqc.MeasurementPattern((), (0, 1, 2, 3, 4))
     res = mbqc.run_pattern(5, [], pattern, input_state=amp, input_qubits=qubits)
     assert np.abs(np.array(res.state) - want).max() < 1e-15
-    doc = pattern_to_dict(5, [], pattern)
-    doc["input"] = {"qubits": list(qubits), "amplitudes": [[a.real, a.imag] for a in amp]}
+    doc = pattern_to_dict(5, [], pattern, amp, qubits)
     (tmp_path / "pattern.json").write_text(json.dumps(doc))
     assert cli.main(["mbqc", "--pattern", str(tmp_path / "pattern.json"),
                      "--out", str(tmp_path)]) == 0
@@ -352,8 +360,7 @@ def test_thousand_step_chain_through_the_cli_matches_the_unitary_product(tmp_pat
     n, pattern = _teleport_chain(rotations)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
-    doc = pattern_to_dict(n, [(q, q + 1) for q in range(n - 1)], pattern)
-    doc["input"] = {"qubits": [0], "amplitudes": [[a.real, a.imag] for a in psi]}
+    doc = pattern_to_dict(n, [(q, q + 1) for q in range(n - 1)], pattern, psi, (0,))
     (tmp_path / "chain.json").write_text(json.dumps(doc))
     assert cli.main(["mbqc", "--pattern", str(tmp_path / "chain.json"), "--seed", "5",
                      "--out", str(tmp_path)]) == 0

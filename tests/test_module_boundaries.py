@@ -140,6 +140,26 @@ def test_no_module_imports_graphstate():
     assert importers == set()
 
 
+# the keys that only a pattern document holds
+PATTERN_KEYS = ("input", "qubits", "amplitudes", "steps", "s_domain", "t_domain",
+                "corrections", "domain")
+
+
+def _string_constants(source: str, names) -> set[str]:
+    """The members of ``names`` that ``source`` holds as string constants."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in names}
+
+
+def test_the_pattern_document_has_one_reader():
+    # mbqc.pattern_from_dict reads every pattern key, the input block's too;
+    # cli passes the decoded document through and names none of them
+    assert _string_constants((PACKAGE / "cli.py").read_text(), PATTERN_KEYS) == set()
+    assert _string_constants((PACKAGE / "mbqc.py").read_text(), PATTERN_KEYS) == set(PATTERN_KEYS)
+    assert _string_constants('inp = doc.pop("input", None)', PATTERN_KEYS) == {"input"}
+
+
 def _library_defaults() -> dict:
     """{CLI key: library default} over the fields and parameters the CLI's
     handlers pass through.  ``mathieu``'s ``mass`` is the ion's; the
