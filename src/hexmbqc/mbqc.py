@@ -39,7 +39,6 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import chain
 
 __all__ = [
     "MeasurementStep",
@@ -326,8 +325,6 @@ _INPUT_KEYS = frozenset(("qubits", "amplitudes"))
 def _known(objects, keys: frozenset, what: str) -> None:
     """Refuse a member of ``objects`` that is not a JSON object or holds a
     key outside ``keys``, naming it as ``what.format(index)``."""
-    if set(map(type, objects)) <= {dict} and keys.issuperset(chain.from_iterable(objects)):
-        return  # the common case, in two passes at C speed
     for i, obj in enumerate(objects):
         if not isinstance(obj, dict):
             raise ValueError(f"{what.format(i)} must be a JSON object, got {type(obj).__name__}")
@@ -371,12 +368,15 @@ def pattern_from_dict(doc: dict) -> tuple[int, list[tuple[int, int]], Measuremen
         input_state, input_qubits, inp = None, (), doc.get("input")
         if inp is not None:
             _known((inp,), _INPUT_KEYS, "input")
+            if not _INPUT_KEYS <= inp.keys():
+                raise ValueError(f"input lacks {sorted(_INPUT_KEYS - inp.keys())}")
             input_qubits = tuple(_int(q, "input qubit") for q in inp["qubits"])
+            input_state = []
             for pair in inp["amplitudes"]:
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise ValueError(f"input amplitude must be a [re, im] pair, got {pair!r}")
-            input_state = [complex(_real(re, "input amplitude"), _real(im, "input amplitude"))
-                           for re, im in inp["amplitudes"]]
+                input_state.append(complex(_real(pair[0], "input amplitude"),
+                                           _real(pair[1], "input amplitude")))
     # OverflowError: an integer angle or amplitude past the float range
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed pattern document: {exc}") from exc

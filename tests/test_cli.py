@@ -1010,6 +1010,7 @@ BAD_PATTERNS = {
                         "input amplitude must be a [re, im] pair, got 1"),
     "amplitudes past 1e154": ({"input": {"qubits": [0], "amplitudes": [[1e308, 1e308], [0, 0]]}},
                               "input state norm 1.4142135623730951e+308 != 1"),
+    "input missing key": ({"input": {"qubits": [0]}}, "input lacks ['amplitudes']"),
     "input key": ({"input": {"qubits": [0], "amplitudes": [[1, 0], [0, 0]], "bogus": 1}},
                   "unknown keys in input: ['bogus']"),
     "step key": (_renamed("steps", 1, "s_domain", "s_domian"),
